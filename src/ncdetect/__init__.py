@@ -48,6 +48,7 @@ from .detect import (
     gen_hash_append,
     gen_hash_verify,
     gen_hash_verify_subspan,
+    hash_consistent,
     oracle_verify,
     sig_keygen,
     sig_verify,
@@ -59,6 +60,7 @@ from .rlnc import (
     Packet,
     SubGeneration,
     decode,
+    decode_batch,
     make_generation,
     random_combine,
     random_combinations,

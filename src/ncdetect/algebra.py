@@ -9,9 +9,10 @@ Two field kinds are supported:
 
 Scalar operations work on :class:`FieldElement`; the ``*_arr`` methods of
 :class:`FieldSpec` operate elementwise on integer numpy arrays and are what
-the coding hot paths use.  The multiplicative-group side (:func:`mod_exp`,
-:func:`make_group`) provides the prime-order subgroup of Z_Q^* needed by
-the subspace signature scheme.
+the coding hot paths use.  GF(2^w) products come from one q x q table for
+w <= 8 and from log/exp tables above that.  The multiplicative-group side
+(:func:`mod_exp`, :func:`make_group`) provides the prime-order subgroup of
+Z_Q^* needed by the subspace signature scheme.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ IRREDUCIBLE_POLY = {
 
 # Largest prime modulus for which int64 products cannot overflow.
 _INT64_SAFE_Q = 3_037_000_499
+
+# Largest w for which GF(2^w) keeps a full q x q product table (64 KiB at
+# w = 8; 4 GiB at w = 16, so log/exp serves w > 8).
+_MUL_TABLE_MAX_W = 8
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -97,7 +102,9 @@ class FieldSpec:
 
     Instances are immutable after construction and cached; obtain them via
     :func:`binary_field`, :func:`prime_field` or :func:`GF`.  Elements are
-    reduced integer representatives in [0, q).
+    reduced integer representatives in [0, q).  Arrays of them have dtype
+    ``dtype``: uint8 for GF(2^w) with w <= 8, uint16 up to w = 16, int64
+    for primes up to ``_INT64_SAFE_Q`` and Python ints (object) above.
     """
 
     def __init__(self, kind: str, q: int, poly: int = 0):
@@ -107,17 +114,19 @@ class FieldSpec:
                 raise ValueError(f"unsupported binary field order {q}")
             self.w = w
             self.poly = poly or IRREDUCIBLE_POLY[w]
+            self.dtype = np.dtype(np.uint8 if w <= 8 else np.uint16)
             self._build_tables()
         elif kind == "prime":
             if not is_prime(q):
                 raise ValueError(f"{q} is not prime")
             self.w = 0
             self.poly = 0
+            self.dtype = np.dtype(np.int64 if q <= _INT64_SAFE_Q else object)
+            self._mul_table = None
         else:
             raise ValueError(f"unknown field kind {kind!r}")
         self.kind = kind
         self.q = q
-        self._int64_ok = kind == "binary-extension" or q <= _INT64_SAFE_Q
 
     def _build_tables(self) -> None:
         q = 1 << self.w
@@ -133,17 +142,31 @@ class FieldSpec:
             ):
                 g = cand
                 break
-        exp = np.zeros(2 * (q - 1), dtype=np.int64)
+        # exp covers log sums up to 2(q-2); log[0] = 2(q-1) points past
+        # them into a run of zeros, so exp[log[a] + log[b]] is 0 whenever
+        # a or b is, without a mask.
+        exp = np.zeros(4 * (q - 1) + 1, dtype=self.dtype)
         log = np.zeros(q, dtype=np.int64)
         x = 1
         for i in range(q - 1):
             exp[i] = x
             log[x] = i
             x = _carryless_mul_mod(x, g, self.poly, self.w)
-        exp[q - 1 :] = exp[: q - 1]
+        exp[q - 1 : 2 * (q - 1)] = exp[: q - 1]
+        log[0] = 2 * (q - 1)
         self._exp = exp
         self._log = log
         self.generator = g
+        # A full product table, flat and indexed by (a << w) | b, makes a
+        # product one gather instead of two log gathers, an add and an exp
+        # gather (Plank, Greenan & Miller, FAST 2013).  One byte per entry
+        # keeps it at 64 KiB for w = 8.
+        self._mul_table = None
+        if self.w <= _MUL_TABLE_MAX_W:
+            table = np.empty(q * q, dtype=np.uint8)
+            for a in range(q):  # row by row: no q x q index temporary
+                table[a * q : (a + 1) * q] = exp[log[a] + log]
+            self._mul_table = table
 
     # -- scalar operations -------------------------------------------------
 
@@ -191,8 +214,8 @@ class FieldSpec:
     # -- array operations ---------------------------------------------------
 
     def _arr(self, x) -> np.ndarray:
-        if self._int64_ok:
-            return np.asarray(x, dtype=np.int64)
+        if self.dtype != object:
+            return np.asarray(x, dtype=self.dtype)
         a = np.asarray(x, dtype=object)
         # Force Python-int elements: np.int64 objects would wrap silently
         # when products exceed 64 bits.
@@ -213,11 +236,12 @@ class FieldSpec:
 
     def mul_arr(self, a, b) -> np.ndarray:
         a, b = self._arr(a), self._arr(b)
+        if self._mul_table is not None:
+            return self._mul_table[np.left_shift(a, self.w, dtype=np.intp) | b]
         if self.kind == "binary-extension":
-            a, b = np.broadcast_arrays(a, b)
-            out = self._exp[self._log[a] + self._log[b]]
-            out[(a == 0) | (b == 0)] = 0
-            return out
+            # Gathering logs before broadcasting keeps a scalar-times-row
+            # product at two full-size passes.
+            return self._exp[self._log[a] + self._log[b]]
         return a * b % self.q
 
     def inv_arr(self, a) -> np.ndarray:
@@ -240,7 +264,10 @@ class FieldSpec:
             raise ValueError("negative exponent")
         if self.kind == "binary-extension":
             a, e = np.broadcast_arrays(a, e)
-            out = self._exp[self._log[a] * e % (self.q - 1)]
+            idx = self._log[a]  # a fresh array: reduce it in place
+            idx *= e
+            idx %= self.q - 1
+            out = self._exp[idx]
             out[(a == 0) & (e > 0)] = 0
             out[e == 0] = 1
             return out
@@ -257,24 +284,42 @@ class FieldSpec:
         return out
 
     def matmul(self, a, b) -> np.ndarray:
-        """Matrix product over the field; a is (r, m), b is (m, c)."""
+        """Matrix product over the field; a is (..., r, m), b is (..., m, c).
+
+        Leading batch axes broadcast as in numpy's matmul, so T products
+        of a stack of T generations take one call.
+        """
         a, b = self._arr(a), self._arr(b)
-        if self.kind == "binary-extension":
-            terms = self.mul_arr(a[:, :, None], b[None, :, :])
-            return np.bitwise_xor.reduce(terms, axis=1)
-        if not self._int64_ok:
-            return (a @ b) % self.q  # object dtype: exact Python ints
-        # Reduce each product before summing so int64 cannot overflow.
-        terms = (a[:, :, None] * b[None, :, :]) % self.q
-        return terms.sum(axis=1) % self.q
+        if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+            raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
+        return self._matmul(a, b)
+
+    def _matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """matmul on operands already in this field's array form.
+
+        Accumulates over the inner axis one index at a time, so no
+        (..., r, m, c) temporary is built; each partial product is reduced
+        before it is added, so int64 cannot overflow.
+        """
+        if self.dtype == object:
+            return (a @ b) % self.q  # exact Python ints
+        m = a.shape[-1]
+        if m == 0:
+            shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+            return np.zeros(shape + (a.shape[-2], b.shape[-1]), dtype=self.dtype)
+        out = self.mul_arr(a[..., :, :1], b[..., :1, :])
+        for j in range(1, m):
+            out = self.add_arr(out, self.mul_arr(a[..., :, j : j + 1],
+                                                 b[..., j : j + 1, :]))
+        return out
 
     def random_elements(self, rng: np.random.Generator, size) -> np.ndarray:
         vals = rng.integers(0, self.q, size=size, dtype=np.uint64)
-        return self._arr(vals.astype(object) if not self._int64_ok else vals.astype(np.int64))
+        return self._arr(vals.astype(object) if self.dtype == object else vals)
 
     def random_nonzero(self, rng: np.random.Generator, size) -> np.ndarray:
         vals = rng.integers(1, self.q, size=size, dtype=np.uint64)
-        return self._arr(vals.astype(object) if not self._int64_ok else vals.astype(np.int64))
+        return self._arr(vals.astype(object) if self.dtype == object else vals)
 
     def element(self, value: int) -> "FieldElement":
         return FieldElement(int(value) % self.q, self)

@@ -245,8 +245,6 @@ def _cmd_fig2(args) -> int:
 
 
 def _cmd_missrate(args) -> int:
-    if args.s > args.G:
-        raise ValueError("cannot forge more packets than the generation holds")
     report = estimate_hash_miss_rate(
         binary_field(args.logq), G=args.G, k_data=args.k, hash_k=args.k,
         s=args.s, trials=args.trials, seed=args.seed,

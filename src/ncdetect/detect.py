@@ -76,32 +76,23 @@ class HashParams:
 
 
 def gen_hash_append(payload, params: HashParams) -> np.ndarray:
-    """Hash symbols for a payload row (or a matrix of rows).
+    """Hash symbols for payload rows along the last axis.
 
-    Each block of k symbols x_1..x_k yields one symbol sum_i x_i^(i+1);
-    short trailing blocks are implicitly zero-padded (zero terms vanish).
+    payload is (..., k_data): one row, a matrix of rows or a stack of
+    such matrices; the result is (..., hash symbols).  Each block of k
+    symbols x_1..x_k yields one symbol sum_i x_i^(i+1); a short trailing
+    block is implicitly zero-padded (zero terms vanish).
     """
     f = params.field
     p = f._arr(payload)
-    squeeze = p.ndim == 1
-    if squeeze:
-        p = p[None, :]
-    rows, k_data = p.shape
-    if k_data < 1:
+    if p.ndim == 0 or p.shape[-1] < 1:
         raise ValueError("payload must have at least one symbol")
-    exps = (np.arange(k_data) % params.k) + 2
-    powered = f.pow_arr(p, exps[None, :])
-    n_h = params.hash_symbol_count(k_data)
-    out = []
-    for b in range(n_h):
-        block = powered[:, b * params.k : (b + 1) * params.k]
-        if f.kind == "binary-extension":
-            out.append(np.bitwise_xor.reduce(block, axis=1))
-        else:
-            out.append(block.sum(axis=1) % f.q)
-    h = np.stack(out, axis=1) if out else f._arr(np.zeros((rows, 0)))
-    h = f._arr(h)
-    return h[0] if squeeze else h
+    k_data = p.shape[-1]
+    powered = f.pow_arr(p, (np.arange(k_data) % params.k) + 2)
+    starts = np.arange(0, k_data, params.k)
+    if f.kind == "binary-extension":
+        return np.bitwise_xor.reduceat(powered, starts, axis=-1)
+    return np.add.reduceat(powered, starts, axis=-1) % f.q
 
 
 def split_decoded_width(width: int, k: int) -> tuple[int, int]:
@@ -113,6 +104,21 @@ def split_decoded_width(width: int, k: int) -> tuple[int, int]:
     raise ValueError(f"width {width} is not payload+hash for k={k}")
 
 
+def hash_consistent(rows, params: HashParams) -> np.ndarray:
+    """Whether every row's hash symbols match its payload, per matrix.
+
+    rows is (..., r, width), each row payload symbols followed by hash
+    symbols; the result is a bool array of shape rows.shape[:-2] (a 0-d
+    array for one matrix).
+    """
+    d = params.field._arr(rows)
+    if d.ndim < 2 or d.shape[-1] < 2:
+        raise ValueError("decoded matrix must be 2-D with payload and hash")
+    k_data, _ = split_decoded_width(d.shape[-1], params.k)
+    recomputed = gen_hash_append(d[..., :k_data], params)
+    return np.all(recomputed == d[..., k_data:], axis=(-2, -1))
+
+
 def gen_hash_verify(decoded: np.ndarray, params: HashParams) -> Verdict:
     """Check a decoded generation's rows for hash consistency.
 
@@ -120,13 +126,9 @@ def gen_hash_verify(decoded: np.ndarray, params: HashParams) -> Verdict:
     packet, payload symbols followed by hash symbols.
     """
     d = params.field._arr(decoded)
-    if d.ndim != 2 or d.shape[1] < 2:
+    if d.ndim != 2:
         raise ValueError("decoded matrix must be 2-D with payload and hash")
-    k_data, n_h = split_decoded_width(d.shape[1], params.k)
-    recomputed = gen_hash_append(d[:, :k_data], params)
-    if np.array_equal(recomputed, d[:, k_data:]):
-        return Verdict.VALID
-    return Verdict.CORRUPTED
+    return Verdict.VALID if hash_consistent(d, params) else Verdict.CORRUPTED
 
 
 def subspan_consistency(packets, params: HashParams):
@@ -141,11 +143,7 @@ def subspan_consistency(packets, params: HashParams):
         return Verdict.CORRUPTED, support, None
     if status == "underdetermined":
         return Verdict.INCONCLUSIVE, support, None
-    if rows is None or rows.shape[0] == 0:
-        return Verdict.VALID, support, rows
-    k_data, n_h = split_decoded_width(rows.shape[1], params.k)
-    recomputed = gen_hash_append(rows[:, :k_data], params)
-    if np.array_equal(recomputed, rows[:, k_data:]):
+    if rows is None or rows.shape[0] == 0 or hash_consistent(rows, params):
         return Verdict.VALID, support, rows
     return Verdict.CORRUPTED, support, rows
 

@@ -9,6 +9,14 @@ along under the same linear combinations.
 The module provides generation construction, random recoding,
 Gauss-Jordan decoding over any supported field, and sub-generation views
 for local checking at intermediate nodes.
+
+Two representations share the decoder's rules.  The packet path
+(:class:`Packet` lists, :func:`decode`, :func:`reduced_row_echelon`) is
+the reference and serves the relay and single-generation APIs.  The batch
+path stacks T generations' received wire rows into one (T, R, G + width)
+integer array, and :func:`decode_batch` runs Gauss-Jordan on all T at
+once with the same pivot choice, so its rows equal :func:`decode`'s bit
+for bit.
 """
 
 from __future__ import annotations
@@ -335,6 +343,46 @@ def decode(packets: list[Packet], G: int) -> np.ndarray:
     if len(pivots) < G:
         raise NotDecodable(rank=len(pivots), needed=G)
     return r[:G, G:]
+
+
+def decode_batch(field: FieldSpec, m, G: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`decode` of T stacked received matrices at once.
+
+    m is (T, R, G + width): trial t's R received wire rows.  Returns
+    (full_rank, rows): full_rank[t] is True exactly when decode would
+    succeed on trial t's rows, and rows[t] is then the (G, width) matrix
+    decode returns; rows of rank-deficient trials hold arbitrary field
+    elements.  Each column takes, per trial, the first nonzero entry at or
+    below the current row as pivot, as decode does; the row updates run
+    on all trials, with the pivot row masked out of the elimination.
+    """
+    m = field._arr(m).copy()
+    if m.ndim != 3 or m.shape[2] < G:
+        raise ValueError(f"expected (T, R, G + width) rows, got {m.shape}")
+    T, R, _ = m.shape
+    if R < G:
+        return np.zeros(T, dtype=bool), field._arr(np.zeros((T, G, m.shape[2] - G)))
+    full_rank = np.ones(T, dtype=bool)
+    trials = np.arange(T)
+    for c in range(G):
+        # Once columns < c hold pivots, row c is zero left of column c and
+        # every row update can start at column c.
+        nonzero = m[:, c:, c] != 0
+        found = nonzero.any(axis=1)
+        full_rank &= found
+        pivot_row = c + nonzero.argmax(axis=1)
+        move = trials[pivot_row != c]
+        if move.size:
+            src = pivot_row[move]
+            m[move, src], m[move, c] = m[move, c], m[move, src]
+        pivot = np.where(found, m[:, c, c], 1)
+        m[:, c, c:] = field.mul_arr(field.inv_arr(pivot)[:, None], m[:, c, c:])
+        factors = m[:, :, c].copy()
+        factors[:, c] = 0
+        m[:, :, c:] = field.sub_arr(
+            m[:, :, c:], field.mul_arr(factors[:, :, None], m[:, None, c, c:])
+        )
+    return full_rank, m[:, :G, G:]
 
 
 @dataclass(frozen=True)

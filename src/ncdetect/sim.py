@@ -15,6 +15,12 @@ accept/reject run (signature_error_counts), the optional real-hash
 detector inside simulate_node, and the six-node relay scenario in which
 intermediate nodes check sub-generations and drop polluted ones before
 they reach the sink.
+
+The miss-rate run uses the batch representation: T generations at once
+as (T, G, width) field arrays, mixed by one batched product, decoded by
+rlnc.decode_batch and checked by detect.hash_consistent.  The other
+experiments walk Packet lists through rlnc.decode and the detectors; that
+scalar path is the reference the batch kernels are tested against.
 """
 
 from __future__ import annotations
@@ -26,17 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .adversary import (
-    AttackModel,
-    blind_forge_with_rng,
-    corrupt_stream_with_rng,
-)
+from .adversary import AttackModel, _random_different, corrupt_stream_with_rng
 from .algebra import FieldSpec, binary_field, make_group, prime_field
 from .analytic import OverheadPoint, SchemeParams, overhead_point
 from .detect import (
     HashParams,
     Verdict,
+    gen_hash_append,
     gen_hash_verify,
+    hash_consistent,
     oracle_verify,
     sig_keygen,
     subspan_consistency,
@@ -49,6 +53,7 @@ from .rlnc import (
     NotDecodable,
     Packet,
     decode,
+    decode_batch,
     make_generation,
     random_combinations,
     random_payloads,
@@ -220,7 +225,7 @@ def _simulate_generation_with_hash(config: TrialConfig,
     """
     params = config.params
     f = config.detector_field or binary_field(8)
-    gp = GenerationParams.fit(int(params.n), params.G, f.w,
+    gp = GenerationParams.fit(int(params.n), params.G, _symbol_bits(f),
                               hash_k=config.detector_hash_k)
     hp = HashParams(k=config.detector_hash_k, s=1, field=f)
     g = params.G
@@ -312,6 +317,13 @@ class HashMissReport:
         return 1.0 - self.miss_rate
 
 
+# Elements of one (T, G, G + width) array in a chunk of the miss-rate run.
+# Chunks hold as many trials as fit, so peak memory does not grow with the
+# trial count.  2^14 keeps a chunk's arrays at a few hundred KiB and
+# still holds 18-34 trials at the hashbound criterion's shapes.
+_CHUNK_ELEMENTS = 1 << 14
+
+
 def estimate_hash_miss_rate(field: FieldSpec, G: int, k_data: int,
                             hash_k: int, s: int, trials: int,
                             seed: int) -> HashMissReport:
@@ -323,29 +335,63 @@ def estimate_hash_miss_rate(field: FieldSpec, G: int, k_data: int,
     receiver decodes and checks.  A miss is a Valid verdict on a polluted
     generation; the bound is ((k+1)/q)^s.  Singular mixing draws are
     redrawn (the receiver cannot check what it cannot decode).
+
+    Trials run in chunks on the batch representation: T generations as
+    (T, G, width) arrays, decoded by rlnc.decode_batch and checked by
+    detect.hash_consistent.  The forgery follows adversary's
+    "blind-s-packet" rewrite; the Packet path (decode, gen_hash_verify)
+    is the reference these kernels are tested against.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not 1 <= s <= G:
+        raise ValueError(f"s must lie in [1, G]; got s={s}, G={G}")
     hp = HashParams(k=hash_k, s=s, field=field)
-    gp = GenerationParams.from_symbols(
-        G, k_data, _symbol_bits(field), hp.hash_symbol_count(k_data)
-    )
+    width = k_data + hp.hash_symbol_count(k_data)
+    chunk = max(1, _CHUNK_ELEMENTS // (G * (G + width)))
     rng = _child_rng(seed)
     misses = redraws = 0
-    for t in range(trials):
-        payloads = random_payloads(field, G, k_data, rng)
-        _, src = make_generation(payloads, gp, field, hp, generation_id=t)
-        while True:
-            received = blind_forge_with_rng(
-                random_combinations(src, G, rng), s, rng
-            )
-            try:
-                decoded = decode(received, G)
-                break
-            except NotDecodable:
-                redraws += 1
-        if gen_hash_verify(decoded, hp) is Verdict.VALID:
-            misses += 1
+    for start in range(0, trials, chunk):
+        payloads = field.random_elements(rng, (min(chunk, trials - start), G, k_data))
+        src = np.concatenate([payloads, gen_hash_append(payloads, hp)], axis=-1)
+        decoded = np.empty_like(src)
+        todo = np.arange(len(src))
+        while todo.size:
+            full_rank, rows = _blind_forge_and_decode(field, src[todo], k_data, s, rng)
+            decoded[todo[full_rank]] = rows[full_rank]
+            todo = todo[~full_rank]
+            redraws += todo.size
+        misses += int(np.count_nonzero(hash_consistent(decoded, hp)))
     return HashMissReport(trials=trials, misses=misses,
                           bound=hp.miss_bound(), s=s, redraws=redraws)
+
+
+def _blind_forge_and_decode(field: FieldSpec, src: np.ndarray, k_data: int,
+                            s: int, rng: np.random.Generator):
+    """Mix, blind-forge and decode each of T generations once.
+
+    src is (T, G, width), the source (payload | hash) rows.  Each trial
+    draws G uniform combinations, then replaces s distinct victims'
+    payload and hash with uniform junk (one symbol changed if the junk
+    payload happens to equal the honest one).  Returns decode_batch's
+    (full_rank, rows).
+    """
+    T, G, width = src.shape
+    coeffs = field.random_elements(rng, (T, G, G))
+    # The operands are field arrays already, so skip matmul's conversion;
+    # this also keeps the 2-D matmul accounting of benchmarks/spans.py
+    # exact, as no batched product passes through FieldSpec.matmul.
+    data = field._matmul(coeffs, src)
+    # s distinct victims per trial: the first s of a random permutation.
+    victims = rng.permuted(np.broadcast_to(np.arange(G), (T, G)), axis=1)[:, :s, None]
+    junk = field.random_elements(rng, (T, s, width))
+    honest = np.take_along_axis(data, victims, axis=1)
+    same = np.all(junk[..., :k_data] == honest[..., :k_data], axis=-1)
+    for t, v in zip(*np.nonzero(same)):
+        j = int(rng.integers(0, k_data))
+        junk[t, v, j] = _random_different(field, int(junk[t, v, j]), rng)
+    np.put_along_axis(data, victims, junk, axis=1)
+    return decode_batch(field, np.concatenate([coeffs, data], axis=-1), G)
 
 
 def _symbol_bits(field: FieldSpec) -> int:

@@ -186,3 +186,10 @@ def test_missrate_rejects_s_above_g(capsys):
     rc = run(["missrate", "--G", "4", "--s", "5"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_missrate_rejects_zero_trials(capsys):
+    rc = run(["missrate", "--trials", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "trials" in err

@@ -161,6 +161,53 @@ def test_miss_rate_experiment_reports():
     assert rep.bound == pytest.approx((15 / 128) ** 2)
 
 
+def test_miss_rate_validates_input():
+    f = binary_field(7)
+    for trials, s in ((0, 2), (-1, 2), (10, 0), (10, 7)):
+        with pytest.raises(ValueError):
+            estimate_hash_miss_rate(f, G=6, k_data=14, hash_k=14, s=s,
+                                    trials=trials, seed=1)
+
+
+def test_miss_rate_single_packet_generation():
+    rep = estimate_hash_miss_rate(binary_field(4), G=1, k_data=3, hash_k=2,
+                                  s=1, trials=400, seed=3)
+    assert rep.trials == 400
+    assert rep.redraws > 0  # a 1x1 draw is singular with probability 1/16
+    assert rep.miss_rate <= rep.bound + 3 * math.sqrt(
+        rep.bound * (1 - rep.bound) / rep.trials
+    )
+
+
+def test_miss_rate_chunking_is_deterministic(monkeypatch):
+    import ncdetect.sim as sim_mod
+
+    args = dict(field=binary_field(3), G=3, k_data=4, hash_k=2, s=1,
+                trials=300, seed=5)
+    whole = estimate_hash_miss_rate(**args)
+    monkeypatch.setattr(sim_mod, "_CHUNK_ELEMENTS", 64)  # 7-trial chunks
+    chunked = estimate_hash_miss_rate(**args)
+    assert chunked == estimate_hash_miss_rate(**args)
+    assert chunked.trials == whole.trials == 300
+    # Frequent misses at q=8: both runs estimate the same rate.
+    sd = math.sqrt(whole.bound / 300)
+    assert abs(chunked.miss_rate - whole.miss_rate) <= 6 * sd
+    assert chunked.redraws > 0 and whole.redraws > 0
+
+
+def test_hash_detector_with_prime_field():
+    p = 0.05
+    cfg = TrialConfig(
+        scheme="generation", params=SchemeParams.defaults(p=p, n=999, G=10),
+        attack=AttackModel(p=p), trials=100, seed=4, use_hash_detector=True,
+        detector_field=prime_field(257),
+    )
+    rep = simulate_node(cfg)
+    assert rep.trials == 100
+    assert rep.false_rejects == 0
+    assert rep.false_accepts == 0
+
+
 def test_signature_error_counts_small():
     rep = signature_error_counts(accept_trials=500, reject_trials=200, seed=9)
     assert rep.false_rejects == 0
