@@ -17,7 +17,7 @@ This script tours both, with every value reproducible.
 
 import numpy as np
 
-from ncdetect import GF, make_group, mod_exp
+from ncdetect import GF, make_group
 from ncdetect.algebra import binary_field, prime_field
 
 print("=" * 70)
@@ -25,9 +25,8 @@ print("STEP 1: GF(2^8) with the fixed modulus x^8 + x^4 + x^3 + x + 1")
 print("=" * 70)
 
 f = binary_field(8)
-a, b = f.element(0x53), f.element(0xCA)
-print(f"addition is XOR:        0x53 + 0x53 = {(a + a).value}")
-print(f"multiplicative inverse: 0x53 * 0xCA = {(a * b).value}")
+print(f"addition is XOR:        0x53 + 0x53 = {f.add(0x53, 0x53)}")
+print(f"multiplicative inverse: 0x53 * 0xCA = {f.mul(0x53, 0xCA)}")
 print(f"inv(0x53)             = {hex(f.inv(0x53))}")
 print(f"a^255 = 1 for any a != 0: 0x53^255 = {f.pow(0x53, 255)}")
 print(f"convention for hashes:  0^0 = {f.pow(0, 0)}")
@@ -38,7 +37,7 @@ print("STEP 2: the same API over a prime field")
 print("=" * 70)
 
 p = prime_field(127)
-print(f"100 + 50 mod 127 = {(p.element(100) + p.element(50)).value}")
+print(f"100 + 50 mod 127 = {p.add(100, 50)}")
 print(f"inv(2) mod 127   = {p.inv(2)}  (2 * 64 = 128 = 1 mod 127)")
 print(f"GF() dispatches on the order: GF(256) -> {GF(256)}, GF(127) -> {GF(127)}")
 
@@ -65,9 +64,9 @@ group = make_group(bits_p=16, bits_q=24, rng=42)
 print(f"P = {group.order} (prime), Q = {group.modulus} (prime), "
       f"P | Q-1: {(group.modulus - 1) % group.order == 0}")
 print(f"generator g = {group.generator}")
-print(f"g^P mod Q = {mod_exp(group.generator, group.order, group.modulus)} "
+print(f"g^P mod Q = {pow(group.generator, group.order, group.modulus)} "
       "(the subgroup closes)")
-print(f"g^1 mod Q = {mod_exp(group.generator, 1, group.modulus)} != 1")
+print(f"g^1 mod Q = {group.generator} != 1")
 print()
 print("Cryptographic sizes (160/1024 bits) work too but take a few")
 print("seconds; the package warns when it is on that slow path.")

@@ -17,7 +17,7 @@ import numpy as np
 
 from ncdetect import GenerationParams, NotDecodable, decode, make_generation
 from ncdetect.algebra import binary_field
-from ncdetect.rlnc import random_combinations, random_combine, random_payloads
+from ncdetect.rlnc import random_combinations, random_payloads
 
 field = binary_field(8)
 rng = np.random.default_rng(7)

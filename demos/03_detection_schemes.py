@@ -16,28 +16,25 @@ decodes from a generation.  Two defenses:
    orthogonal to the source rows.  Any packet in the span verifies;
    anything else hits a 1/P lottery.  Checked per packet, no decoding.
 
-Plus the simulator's ground truth: an exact rank test for membership.
+Plus the simulator's ground truth: exact membership in the source span.
 ================================================================================
 """
 
 import numpy as np
 
 from ncdetect import (
-    AttackModel,
     HashParams,
     GenerationParams,
-    Verdict,
-    blind_forge_generation,
+    blind_forge_with_rng,
     decode,
     gen_hash_verify,
-    gen_hash_verify_subspan,
     make_generation,
     make_group,
     oracle_verify,
     sig_keygen,
     sig_verify,
-    subgeneration_view,
 )
+from ncdetect.detect import subspan_consistency
 from ncdetect.algebra import binary_field, prime_field
 from ncdetect.rlnc import random_combinations, random_payloads
 from ncdetect.sim import estimate_hash_miss_rate
@@ -66,7 +63,7 @@ print("=" * 70)
 print("STEP 2: a blind forger loses to mixing it never saw")
 print("=" * 70)
 
-forged = blind_forge_generation(received, 2, AttackModel(p=0, rng_seed=9))
+forged = blind_forge_with_rng(received, 2, np.random.default_rng(9))
 print("2 of the 8 packets hijacked in flight (claims kept, data junked)")
 print("verdict after decode:", gen_hash_verify(decode(forged, G), hp))
 
@@ -82,13 +79,13 @@ print("=" * 70)
 
 half = random_combinations(src[:4], 4, rng)
 print("a node holding combinations of half the generation:",
-      gen_hash_verify_subspan(subgeneration_view(half, 4), hp))
+      subspan_consistency(half, hp)[0])
 polluted = [half[0].replaced(payload=field.add_arr(half[0].payload, 1))] + half[1:]
 print("same node, one symbol polluted:",
-      gen_hash_verify_subspan(subgeneration_view(polluted, 4), hp))
+      subspan_consistency(polluted, hp)[0])
 one = random_combinations(src, 1, rng)
 print("a single dense combination is undecidable:",
-      gen_hash_verify_subspan(subgeneration_view(one, 1), hp))
+      subspan_consistency(one, hp)[0])
 
 print()
 print("=" * 70)
@@ -105,10 +102,10 @@ print(f"group order P ~ 2^{group.order.bit_length()}, "
 
 mixes = random_combinations(ssrc, 5, rng)
 print("random combinations all verify:",
-      all(sig_verify(p, key) for p in mixes))
+      all(sig_verify(p.wire(), key) for p in mixes))
 
 evil = mixes[0].replaced(payload=pf.add_arr(mixes[0].payload, 1))
-print("a one-symbol corruption verifies:", sig_verify(evil, key),
+print("a one-symbol corruption verifies:", sig_verify(evil.wire(), key),
       f"(false-accept odds are 1/P ~ 2^-{group.order.bit_length()})")
 
 print()
@@ -121,5 +118,6 @@ print("oracle says the corrupted packet is outside the span:",
 print("and every honest mix is inside:",
       all(oracle_verify(p, sgen) for p in mixes))
 print()
-print("The oracle is exact rank comparison; detectors never see it, the")
-print("simulator uses it to score what the schemes caught and missed.")
+print("The oracle checks d == c S for a packet (c | d) against the source")
+print("rows S; detectors never see it, the simulator uses it to score what")
+print("the schemes caught and missed.")

@@ -1,4 +1,4 @@
-"""
+r"""
 ================================================================================
 DEMO 5: LOCAL FILTERING IN A TWO-PATH RELAY
 ================================================================================

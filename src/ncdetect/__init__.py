@@ -3,7 +3,7 @@
 Library layout:
 
 * algebra   -- finite fields GF(2^w)/GF(q) and prime-order group arithmetic
-* rlnc      -- generations, random recoding, decoding, sub-generation views
+* rlnc      -- generations, random recoding, decoding, sub-span solving
 * detect    -- generation hash, subspace signature, exact span oracle
 * adversary -- in-flight corruption and blind forgery models
 * analytic  -- closed-form overhead ratios for the three countermeasures
@@ -13,17 +13,11 @@ Library layout:
 """
 
 from .algebra import (
-    FieldElement,
     FieldSpec,
     GroupSpec,
     GF,
     binary_field,
-    field_add,
-    field_inv,
-    field_mul,
-    field_pow,
     make_group,
-    mod_exp,
     prime_field,
 )
 from .analytic import (
@@ -40,14 +34,17 @@ from .analytic import (
     overhead_packet,
     peak_attack_probability,
 )
-from .adversary import AttackModel, blind_forge_generation, corrupt_stream
+from .adversary import (
+    AttackModel,
+    blind_forge_with_rng,
+    corrupt_stream_with_rng,
+)
 from .detect import (
     HashParams,
     SignatureKey,
     Verdict,
     gen_hash_append,
     gen_hash_verify,
-    gen_hash_verify_subspan,
     hash_consistent,
     oracle_verify,
     sig_keygen,
@@ -58,13 +55,10 @@ from .rlnc import (
     GenerationParams,
     NotDecodable,
     Packet,
-    SubGeneration,
     decode,
     decode_batch,
     make_generation,
-    random_combine,
     random_combinations,
-    subgeneration_view,
 )
 from .sim import (
     EmpiricalReport,

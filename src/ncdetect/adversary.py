@@ -35,7 +35,6 @@ class AttackModel:
 
     p: float
     mode: str = "random-symbol"
-    rng_seed: int = 0
     hash_params: HashParams | None = None
 
     def __post_init__(self):
@@ -84,18 +83,13 @@ def _rewrite(packet: Packet, mode: str, rng: np.random.Generator,
                            origin_tag=CORRUPTED)
 
 
-def corrupt_stream(packets: list[Packet], model: AttackModel) -> list[Packet]:
-    """Each packet is independently corrupted with probability model.p.
-
-    Reproducible: the same seed and model give the same corrupted stream.
-    Untouched packets pass through unchanged.
-    """
-    rng = np.random.default_rng(model.rng_seed)
-    return corrupt_stream_with_rng(packets, model, rng)
-
-
 def corrupt_stream_with_rng(packets: list[Packet], model: AttackModel,
                             rng: np.random.Generator) -> list[Packet]:
+    """Each packet is independently corrupted with probability model.p.
+
+    Reproducible for a given rng state; untouched packets pass through
+    unchanged.
+    """
     out = []
     for p in packets:
         if rng.random() < model.p:
@@ -105,8 +99,8 @@ def corrupt_stream_with_rng(packets: list[Packet], model: AttackModel,
     return out
 
 
-def blind_forge_generation(packets: list[Packet], s: int,
-                           model: AttackModel) -> list[Packet]:
+def blind_forge_with_rng(packets: list[Packet], s: int,
+                         rng: np.random.Generator) -> list[Packet]:
     """Replace s packets' (payload, hash) with blind forgeries.
 
     The forger picks junk without reading the other packets, and the
@@ -117,12 +111,6 @@ def blind_forge_generation(packets: list[Packet], s: int,
     """
     if s < 0 or s > len(packets):
         raise ValueError(f"cannot forge {s} of {len(packets)} packets")
-    rng = np.random.default_rng(model.rng_seed)
-    return blind_forge_with_rng(packets, s, rng)
-
-
-def blind_forge_with_rng(packets: list[Packet], s: int,
-                         rng: np.random.Generator) -> list[Packet]:
     if s == 0:
         return list(packets)
     idx = set(rng.choice(len(packets), size=s, replace=False).tolist())

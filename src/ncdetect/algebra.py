@@ -7,12 +7,13 @@ Two field kinds are supported:
   are stable across runs and implementations,
 * prime fields GF(q) for prime q.
 
-Scalar operations work on :class:`FieldElement`; the ``*_arr`` methods of
-:class:`FieldSpec` operate elementwise on integer numpy arrays and are what
-the coding hot paths use.  GF(2^w) products come from one q x q table for
-w <= 8 and from log/exp tables above that.  The multiplicative-group side
-(:func:`mod_exp`, :func:`make_group`) provides the prime-order subgroup of
-Z_Q^* needed by the subspace signature scheme.
+Scalar operations (``add``, ``mul``, ``inv``, ``pow``) take and return
+reduced ints; the ``*_arr`` methods of :class:`FieldSpec` operate
+elementwise on integer numpy arrays and are what the coding hot paths use.
+GF(2^w) products come from one q x q table for w <= 8 and from log/exp
+tables above that.  The multiplicative-group side (:class:`GroupSpec`,
+:func:`make_group`) provides the prime-order subgroup of Z_Q^* needed by
+the subspace signature scheme; its arithmetic is Python's ``pow``.
 """
 
 from __future__ import annotations
@@ -321,9 +322,6 @@ class FieldSpec:
         vals = rng.integers(1, self.q, size=size, dtype=np.uint64)
         return self._arr(vals.astype(object) if self.dtype == object else vals)
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(int(value) % self.q, self)
-
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -390,70 +388,6 @@ def GF(q: int) -> FieldSpec:
     if q > 2 and q & (q - 1) == 0:
         return binary_field(q.bit_length() - 1)
     return prime_field(q)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A reduced field element tied to its :class:`FieldSpec`."""
-
-    value: int
-    spec: FieldSpec
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or other.spec != self.spec:
-            raise ValueError("operands belong to different fields")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec.add(self.value, other.value), self.spec)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec.sub(self.value, other.value), self.spec)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.spec.mul(self.value, other.value), self.spec)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.spec.neg(self.value), self.spec)
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.spec.pow(self.value, e), self.spec)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec.inv(self.value), self.spec)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.value}:{self.spec!r}"
-
-
-def field_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def field_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def field_inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def field_pow(a: FieldElement, e: int) -> FieldElement:
-    return a**e
-
-
-def mod_exp(base: int, exp: int, modulus: int) -> int:
-    """Square-and-multiply modular exponentiation."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    if exp < 0:
-        raise ValueError("exponent must be >= 0")
-    return pow(base, exp, modulus)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ Two schemes plus an exact ground-truth oracle:
   A packet (coeffs | payload) verifies iff the product of h_i^(w_i) is 1,
   which holds exactly for members of the source span and for anything
   else only with probability 1/P over the key draw.
-* oracle_verify: an exact rank test against the source row space, used
-  for ground truth when scoring simulations.
+* oracle_verify: exact membership in the source span, used for ground
+  truth when scoring simulations.  The source rows are (e_i | S_i), so
+  w = (c | d) is in their span exactly when d = c S: one field product.
 """
 
 from __future__ import annotations
@@ -27,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FieldSpec, GroupSpec
-from .rlnc import (
-    Generation,
-    Packet,
-    SubGeneration,
-    matrix_rank,
-    recover_subspan,
-)
+from .rlnc import Generation, Packet, recover_subspan
 
 
 class Verdict(enum.Enum):
@@ -132,11 +127,16 @@ def gen_hash_verify(decoded: np.ndarray, params: HashParams) -> Verdict:
 
 
 def subspan_consistency(packets, params: HashParams):
-    """Verdict plus solved rows for a sub-generation.
+    """Check the received combinations of a sub-generation.
+
+    Solves for a consistent source preimage within the local span: if the
+    touched source rows are uniquely determined, their hashes decide
+    Valid/Corrupted; if the received data cannot be any linear image of a
+    source matrix, Corrupted; otherwise Inconclusive (not enough rank to
+    decide -- an empty sub-generation is vacuously valid).
 
     Returns (verdict, support, rows); rows is None unless the span pins
-    the touched source rows down uniquely (then the verdict comes from
-    hashing those rows).
+    the touched source rows down uniquely.
     """
     status, support, rows = recover_subspan(list(packets))
     if status == "inconsistent":
@@ -146,19 +146,6 @@ def subspan_consistency(packets, params: HashParams):
     if rows is None or rows.shape[0] == 0 or hash_consistent(rows, params):
         return Verdict.VALID, support, rows
     return Verdict.CORRUPTED, support, rows
-
-
-def gen_hash_verify_subspan(subgen: SubGeneration, params: HashParams) -> Verdict:
-    """Check the received combinations of a sub-generation.
-
-    Solves for a consistent source preimage within the local span: if the
-    touched source rows are uniquely determined, their hashes decide
-    Valid/Corrupted; if the received data cannot be any linear image of a
-    source matrix, Corrupted; otherwise Inconclusive (not enough rank to
-    decide -- an empty sub-generation is vacuously valid).
-    """
-    verdict, _, _ = subspan_consistency(subgen.packets, params)
-    return verdict
 
 
 @dataclass(frozen=True)
@@ -205,19 +192,19 @@ def sig_keygen(generation: Generation, group: GroupSpec,
     return SignatureKey(group=group, h_vec=h_vec)
 
 
-def sig_verify(packet: Packet, key: SignatureKey) -> bool:
-    """Accept iff prod_i h_i^(w_i) = 1 (mod Q) for w = (coeffs | payload).
+def sig_verify(w, key: SignatureKey) -> bool:
+    """Accept iff prod_i h_i^(w_i) = 1 (mod Q) for the wire vector w.
 
-    Every linear combination of signed source packets accepts; anything
-    outside the span accepts only if it happens to be orthogonal to the
-    secret u, probability 1/P over the key draw.  The all-zero vector
-    accepts trivially (it lies in every subspace); simulations treat zero
-    packets as erasures, not forgeries.
+    w is (coeffs | payload), a packet's wire(): signature generations
+    carry no hash symbols.  Every linear combination of signed source
+    packets accepts; anything outside the span accepts only if it happens
+    to be orthogonal to the secret u, probability 1/P over the key draw.
+    The all-zero vector accepts trivially (it lies in every subspace);
+    simulations treat zero packets as erasures, not forgeries.
     """
-    w = np.concatenate([packet.coeffs, packet.payload])
     if len(w) != len(key.h_vec):
         raise ValueError(
-            f"packet vector length {len(w)} does not match key length "
+            f"vector length {len(w)} does not match key length "
             f"{len(key.h_vec)}"
         )
     q_mod = key.group.modulus
@@ -230,20 +217,25 @@ def sig_verify(packet: Packet, key: SignatureKey) -> bool:
 def oracle_verify(packet: Packet, generation: Generation) -> bool:
     """Exact ground truth: is the packet's wire vector in the source span?
 
-    Decided by rank comparison against the augmented source matrix; used
-    for simulation scoring, never by the schemes under test.
+    The source rows are (e_i | S_i), so w = (c | d) lies in their span
+    exactly when d = c S.  Used for simulation scoring, never by the
+    schemes under test.
     """
-    rows = generation.augmented_rows()
-    w = packet.wire()
-    if len(w) != rows.shape[1]:
-        raise ValueError("packet width does not match the generation")
     f = generation.field
-    base_rank = generation.params.G  # identity block guarantees full rank
-    stacked = np.vstack([rows, f._arr(w)[None, :]])
-    return matrix_rank(f, stacked) == base_rank
+    s = generation.source_rows()
+    g = generation.params.G
+    w = f._arr(packet.wire())
+    if w.shape != (g + s.shape[1],):
+        raise ValueError("packet width does not match the generation")
+    return bool(np.array_equal(f.matmul(w[None, :g], s)[0], w[g:]))
 
 
 # -- conformance test vectors ------------------------------------------------
+
+
+def _vector_verdict(row: np.ndarray, params: HashParams) -> str:
+    """A record's verdict: whether payload | hash is hash-consistent."""
+    return "accept" if hash_consistent(row[None, :], params) else "reject"
 
 
 def write_hash_test_vectors(path, params: HashParams, k_data: int,
@@ -266,11 +258,7 @@ def write_hash_test_vectors(path, params: HashParams, k_data: int,
                 bump = int(rng.integers(1, f.q))
                 h = h.copy()
                 h[j] = f.add(int(h[j]), bump)
-            verdict = (
-                "accept"
-                if np.array_equal(gen_hash_append(payload, params), h)
-                else "reject"
-            )
+            verdict = _vector_verdict(np.concatenate([payload, h]), params)
             rec = {
                 "q": f.q,
                 "k": params.k,
@@ -291,11 +279,8 @@ def check_hash_test_vectors(path, params: HashParams) -> tuple[int, int]:
             rec = json.loads(line)
             if rec["q"] != params.field.q or rec["k"] != params.k:
                 raise ValueError("test vectors use different hash parameters")
-            h = gen_hash_append(np.array(rec["payload"]), params)
-            verdict = "accept" if np.array_equal(
-                h, params.field._arr(rec["hash"])
-            ) else "reject"
-            if verdict == rec["verdict"]:
+            row = params.field._arr(rec["payload"] + rec["hash"])
+            if _vector_verdict(row, params) == rec["verdict"]:
                 ok += 1
             else:
                 bad += 1

@@ -7,8 +7,8 @@ source packets), payload symbols, and optional hash symbols that ride
 along under the same linear combinations.
 
 The module provides generation construction, random recoding,
-Gauss-Jordan decoding over any supported field, and sub-generation views
-for local checking at intermediate nodes.
+Gauss-Jordan decoding over any supported field, and the partial solve
+(:func:`recover_subspan`) behind local checks at intermediate nodes.
 
 Two representations share the decoder's rules.  The packet path
 (:class:`Packet` lists, :func:`decode`, :func:`reduced_row_echelon`) is
@@ -83,6 +83,8 @@ class GenerationParams:
         With hash_k set, each packet carries one hash symbol per hash_k
         payload symbols (rounded up).
         """
+        if hash_k is not None and hash_k < 1:
+            raise ValueError("hash_k must be >= 1")
         if n % symbol_bits:
             raise ValueError(f"n={n} is not a multiple of symbol_bits={symbol_bits}")
         total = n // symbol_bits
@@ -113,11 +115,6 @@ class Packet:
         """The transmitted symbol vector: coeffs | payload | hash."""
         return np.concatenate([self.coeffs, self.payload, self.hash_syms])
 
-    @property
-    def data(self) -> np.ndarray:
-        """Payload and hash symbols (everything after the encoding vector)."""
-        return np.concatenate([self.payload, self.hash_syms])
-
     def replaced(self, **kw) -> "Packet":
         fields = dict(
             coeffs=self.coeffs, payload=self.payload, hash_syms=self.hash_syms,
@@ -138,15 +135,13 @@ class Generation:
     params: GenerationParams
     field: FieldSpec
 
-    def augmented_rows(self) -> np.ndarray:
-        """Source rows as (identity | payload | hash), the valid row space."""
-        eye = np.zeros((self.params.G, self.params.G), dtype=np.int64)
-        np.fill_diagonal(eye, 1)
-        return np.hstack([
-            self.field._arr(eye),
-            self.field._arr(self.source_payloads),
-            self.field._arr(self.source_hashes),
-        ])
+    def source_rows(self) -> np.ndarray:
+        """The G x (k_data + hash_symbols) source (payload | hash) matrix S.
+
+        Source packet i is (e_i | S_i), so the valid row space is that of
+        (I | S).
+        """
+        return np.hstack([self.source_payloads, self.source_hashes])
 
     def source_packets(self) -> list[Packet]:
         out = []
@@ -223,26 +218,30 @@ def _check_stream(packets: list[Packet]) -> Packet:
     return first
 
 
-def combine_with_coefficients(packets: list[Packet], coeffs) -> Packet:
-    """Deterministic linear combination of packets with given coefficients."""
+def combine_with_coefficients(packets: list[Packet], coeffs) -> list[Packet]:
+    """One linear combination of packets per row of coeffs.
+
+    coeffs is (count, len(packets)).  A combination is tagged corrupted
+    when it gives a corrupted input a nonzero coefficient.
+    """
     first = _check_stream(packets)
     f = first.field
     c = f._arr(coeffs)
-    if c.shape != (len(packets),):
-        raise ValueError("one coefficient per packet required")
-    wires = np.vstack([p.wire() for p in packets])
-    out = f.matmul(c[None, :], wires)[0]
+    if c.ndim != 2 or c.shape[1] != len(packets):
+        raise ValueError("coefficient matrix needs one column per packet")
+    out = f.matmul(c, np.vstack([p.wire() for p in packets]))
     g = len(first.coeffs)
     k = len(first.payload)
-    corrupted = any(
-        p.origin_tag == CORRUPTED and int(ci) != 0
-        for p, ci in zip(packets, c)
-    )
-    return Packet(
-        coeffs=out[:g], payload=out[g : g + k], hash_syms=out[g + k :],
-        field=f, generation_id=first.generation_id,
-        origin_tag=CORRUPTED if corrupted else VALID,
-    )
+    tainted = [i for i, p in enumerate(packets) if p.origin_tag == CORRUPTED]
+    hit = np.not_equal(c[:, tainted], 0).any(axis=1)
+    return [
+        Packet(
+            coeffs=row[:g], payload=row[g : g + k], hash_syms=row[g + k :],
+            field=f, generation_id=first.generation_id,
+            origin_tag=CORRUPTED if h else VALID,
+        )
+        for row, h in zip(out, hit)
+    ]
 
 
 def random_combinations(packets: list[Packet], count: int,
@@ -253,32 +252,10 @@ def random_combinations(packets: list[Packet], count: int,
     draws are not resampled, so rank-deficient outcomes surface downstream
     as NotDecodable and erasure accounting stays faithful.
     """
-    first = _check_stream(packets)
-    f = first.field
-    c = f.random_elements(rng, (count, len(packets)))
-    wires = np.vstack([p.wire() for p in packets])
-    out = f.matmul(c, wires)
-    g = len(first.coeffs)
-    k = len(first.payload)
-    tainted = np.array([p.origin_tag == CORRUPTED for p in packets])
-    if tainted.any():
-        hit = (np.not_equal(c[:, tainted], 0)).any(axis=1)
-    else:
-        hit = np.zeros(count, dtype=bool)
-    return [
-        Packet(
-            coeffs=out[i, :g], payload=out[i, g : g + k],
-            hash_syms=out[i, g + k :], field=f,
-            generation_id=first.generation_id,
-            origin_tag=CORRUPTED if hit[i] else VALID,
-        )
-        for i in range(count)
-    ]
-
-
-def random_combine(packets: list[Packet], rng: np.random.Generator) -> Packet:
-    """One fresh random combination (uniform coefficients, zero included)."""
-    return random_combinations(packets, 1, rng)[0]
+    f = _check_stream(packets).field
+    return combine_with_coefficients(
+        packets, f.random_elements(rng, (count, len(packets)))
+    )
 
 
 # -- linear algebra over a FieldSpec ----------------------------------------
@@ -319,11 +296,6 @@ def reduced_row_echelon(field: FieldSpec, matrix,
         pivots.append(col)
         r += 1
     return m, pivots
-
-
-def matrix_rank(field: FieldSpec, matrix) -> int:
-    _, pivots = reduced_row_echelon(field, matrix)
-    return len(pivots)
 
 
 def decode(packets: list[Packet], G: int) -> np.ndarray:
@@ -383,25 +355,6 @@ def decode_batch(field: FieldSpec, m, G: int) -> tuple[np.ndarray, np.ndarray]:
             m[:, :, c:], field.mul_arr(factors[:, :, None], m[:, None, c, c:])
         )
     return full_rank, m[:, :G, G:]
-
-
-@dataclass(frozen=True)
-class SubGeneration:
-    """Received combinations from one generation, checkable as a unit."""
-
-    packets: tuple[Packet, ...]
-    expected_count: int
-
-    def __post_init__(self):
-        if self.expected_count < 0:
-            raise ValueError("expected_count must be >= 0")
-        if self.packets:
-            _check_stream(list(self.packets))
-
-
-def subgeneration_view(packets: list[Packet], expected_count: int) -> SubGeneration:
-    """View a batch of received combinations as one checkable sub-generation."""
-    return SubGeneration(packets=tuple(packets), expected_count=expected_count)
 
 
 def recover_subspan(packets: list[Packet]):

@@ -43,6 +43,7 @@ from .detect import (
     hash_consistent,
     oracle_verify,
     sig_keygen,
+    sig_verify,
     subspan_consistency,
 )
 from .rlnc import (
@@ -430,20 +431,12 @@ def signature_error_counts(accept_trials: int, reject_trials: int,
     rng = _child_rng(seed)
     gen, _ = make_generation(random_payloads(f, G, k_data, rng), gp, f)
     key = sig_keygen(gen, group, rng)
-    q_mod = group.modulus
-    h_vec = key.h_vec
-
-    def verify_vec(w) -> bool:
-        acc = 1
-        for h, wi in zip(h_vec, w):
-            acc = acc * pow(h, int(wi), q_mod) % q_mod
-        return acc == 1
 
     false_rejects = 0
     coeffs = f.random_elements(rng, (accept_trials, G))
     data = f.matmul(coeffs, gen.source_payloads)
     for i in range(accept_trials):
-        if not verify_vec(np.concatenate([coeffs[i], data[i]])):
+        if not sig_verify(np.concatenate([coeffs[i], data[i]]), key):
             false_rejects += 1
 
     false_accepts = 0
@@ -455,7 +448,7 @@ def signature_error_counts(accept_trials: int, reject_trials: int,
         j = int(rng.integers(G, width))  # corrupt a payload symbol
         delta = int(rng.integers(1, f.q))
         w[j] = f.add(int(w[j]), delta)
-        if verify_vec(w):
+        if sig_verify(w, key):
             false_accepts += 1
 
     return SignatureReport(
@@ -547,7 +540,7 @@ def _corrupt_edge(packets, edge: str, probs: dict, mode: str,
 
 def _row_packets(gen: Generation, support, rows) -> dict:
     """Pseudo-source packets for recovered rows, ground-truth tagged."""
-    truth = np.hstack([gen.source_payloads, gen.source_hashes])
+    truth = gen.source_rows()
     f = gen.field
     g = gen.params.G
     k = gen.params.k_data
@@ -607,6 +600,8 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
     """
     if G % 4:
         raise ValueError("G must be divisible by 4")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     probs = _normalize_edges(p_per_edge)
     f = field or binary_field(8)
     hp = HashParams(k=hash_k, s=1, field=f)
@@ -670,8 +665,7 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
             try:
                 decoded = decode(to_f, G)
                 f_decodable = True
-                truth = np.hstack([gen.source_payloads, gen.source_hashes])
-                f_matches = bool(np.array_equal(decoded, truth))
+                f_matches = bool(np.array_equal(decoded, gen.source_rows()))
             except NotDecodable:
                 pass
         f_clean = all(oracle_verify(pk, gen) for pk in to_f)

@@ -7,8 +7,8 @@ import pytest
 
 from ncdetect.adversary import (
     AttackModel,
-    blind_forge_generation,
-    corrupt_stream,
+    blind_forge_with_rng,
+    corrupt_stream_with_rng,
 )
 from ncdetect.algebra import binary_field
 from ncdetect.detect import HashParams, gen_hash_append
@@ -20,6 +20,10 @@ from ncdetect.rlnc import (
 )
 
 GF256 = binary_field(8)
+
+
+def seeded(seed):
+    return np.random.default_rng(seed)
 
 
 def sources(G=4, k_data=3, hash_k=None, seed=0, count=None):
@@ -38,19 +42,19 @@ def sources(G=4, k_data=3, hash_k=None, seed=0, count=None):
 
 def test_p_zero_leaves_stream_unchanged():
     src, _ = sources()
-    out = corrupt_stream(src, AttackModel(p=0.0, rng_seed=1))
+    out = corrupt_stream_with_rng(src, AttackModel(p=0.0), seeded(1))
     assert all(o is p for o, p in zip(out, src))
 
 
 def test_p_one_corrupts_everything():
     src, _ = sources()
-    out = corrupt_stream(src, AttackModel(p=1.0, rng_seed=2))
+    out = corrupt_stream_with_rng(src, AttackModel(p=1.0), seeded(2))
     assert all(o.origin_tag == CORRUPTED for o in out)
 
 
 def test_binomial_concentration_at_scale():
     src, _ = sources(G=4, k_data=1, count=100_000, seed=3)
-    out = corrupt_stream(src, AttackModel(p=0.1, rng_seed=4))
+    out = corrupt_stream_with_rng(src, AttackModel(p=0.1), seeded(4))
     hits = sum(o.origin_tag == CORRUPTED for o in out)
     sigma = math.sqrt(100_000 * 0.1 * 0.9)
     assert abs(hits - 10_000) <= 3 * sigma
@@ -58,9 +62,9 @@ def test_binomial_concentration_at_scale():
 
 def test_identical_seed_identical_stream():
     src, _ = sources(hash_k=3)
-    model = AttackModel(p=0.5, rng_seed=5)
-    out1 = corrupt_stream(src, model)
-    out2 = corrupt_stream(src, model)
+    model = AttackModel(p=0.5)
+    out1 = corrupt_stream_with_rng(src, model, seeded(5))
+    out2 = corrupt_stream_with_rng(src, model, seeded(5))
     for a, b in zip(out1, out2):
         assert np.array_equal(a.wire(), b.wire())
         assert a.origin_tag == b.origin_tag
@@ -69,14 +73,14 @@ def test_identical_seed_identical_stream():
 def test_corrupted_packet_always_differs():
     for mode in ("random-symbol", "random-payload", "blind-s-packet"):
         src, _ = sources(hash_k=3, seed=6)
-        out = corrupt_stream(src, AttackModel(p=1.0, mode=mode, rng_seed=7))
+        out = corrupt_stream_with_rng(src, AttackModel(p=1.0, mode=mode), seeded(7))
         for before, after in zip(src, out):
             assert not np.array_equal(before.wire(), after.wire())
 
 
 def test_random_symbol_touches_one_payload_symbol_only():
     src, _ = sources(hash_k=3, seed=8)
-    out = corrupt_stream(src, AttackModel(p=1.0, rng_seed=9))
+    out = corrupt_stream_with_rng(src, AttackModel(p=1.0), seeded(9))
     for before, after in zip(src, out):
         assert np.array_equal(before.coeffs, after.coeffs)
         assert np.array_equal(before.hash_syms, after.hash_syms)  # left stale
@@ -86,9 +90,8 @@ def test_random_symbol_touches_one_payload_symbol_only():
 
 def test_hash_aware_forgery_is_self_consistent():
     src, hp = sources(hash_k=3, seed=10)
-    model = AttackModel(p=1.0, mode="hash-aware-forgery", rng_seed=11,
-                        hash_params=hp)
-    for pkt in corrupt_stream(src, model):
+    model = AttackModel(p=1.0, mode="hash-aware-forgery", hash_params=hp)
+    for pkt in corrupt_stream_with_rng(src, model, seeded(11)):
         assert np.array_equal(pkt.hash_syms, gen_hash_append(pkt.payload, hp))
 
 
@@ -106,13 +109,13 @@ def test_model_validation():
 
 def test_blind_forge_zero_is_noop():
     src, _ = sources(hash_k=3, seed=12)
-    out = blind_forge_generation(src, 0, AttackModel(p=0.0, rng_seed=13))
+    out = blind_forge_with_rng(src, 0, seeded(13))
     assert all(o is p for o, p in zip(out, src))
 
 
 def test_blind_forge_all():
     src, _ = sources(hash_k=3, seed=14)
-    out = blind_forge_generation(src, len(src), AttackModel(p=0.0, rng_seed=15))
+    out = blind_forge_with_rng(src, len(src), seeded(15))
     assert all(o.origin_tag == CORRUPTED for o in out)
     for before, after in zip(src, out):
         assert np.array_equal(before.coeffs, after.coeffs)  # claims stay
@@ -120,7 +123,8 @@ def test_blind_forge_all():
 
 def test_blind_forge_count_and_bounds():
     src, _ = sources(G=8, k_data=3, seed=16)
-    out = blind_forge_generation(src, 3, AttackModel(p=0.0, rng_seed=17))
+    out = blind_forge_with_rng(src, 3, seeded(17))
     assert sum(o.origin_tag == CORRUPTED for o in out) == 3
-    with pytest.raises(ValueError):
-        blind_forge_generation(src, 9, AttackModel(p=0.0, rng_seed=18))
+    for s in (-1, 9):
+        with pytest.raises(ValueError, match="cannot forge"):
+            blind_forge_with_rng(src, s, seeded(18))

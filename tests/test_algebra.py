@@ -13,17 +13,11 @@ import pytest
 from ncdetect import algebra
 from ncdetect.algebra import (
     GF,
-    FieldElement,
     GroupSpec,
     IRREDUCIBLE_POLY,
     binary_field,
-    field_add,
-    field_inv,
-    field_mul,
-    field_pow,
     is_prime,
     make_group,
-    mod_exp,
     prime_field,
 )
 
@@ -61,7 +55,7 @@ def test_char2_self_inverse_and_identity():
 
 def test_prime_add_example():
     f = prime_field(127)
-    assert (f.element(100) + f.element(50)).value == 23
+    assert f.add(100, 50) == 23
 
 
 def test_mul_identities():
@@ -161,20 +155,6 @@ def test_field_axioms_random_triples(f):
     assert np.all(f.add_arr(f.sub_arr(a, b), b) == a)
 
 
-def test_field_element_operators_and_mismatch():
-    f8, f7 = binary_field(8), binary_field(7)
-    a, b = f8.element(17), f8.element(90)
-    assert field_add(a, b).value == f8.add(17, 90)
-    assert field_mul(a, b).value == f8.mul(17, 90)
-    assert field_inv(b).value == f8.inv(90)
-    assert field_pow(a, 3).value == f8.pow(17, 3)
-    assert (-a).value == 17  # characteristic 2
-    with pytest.raises(ValueError):
-        field_add(a, f7.element(1))
-    with pytest.raises(ValueError):
-        field_mul(a, f7.element(1))
-
-
 def test_object_dtype_prime_field_paths():
     # Order above the int64-safe threshold exercises the object-dtype path.
     q = 4294967311  # first prime above 2^32
@@ -211,15 +191,6 @@ def test_unsupported_fields_rejected():
         algebra.FieldSpec("weird", 7)
     with pytest.raises(ValueError):
         binary_field(17)
-
-
-def test_mod_exp_examples():
-    assert mod_exp(2, 10, 1000) == 24
-    assert mod_exp(12345, 0, 97) == 1
-    with pytest.raises(ValueError):
-        mod_exp(2, 3, 1)
-    with pytest.raises(ValueError):
-        mod_exp(2, -1, 7)
 
 
 def test_irreducible_polynomials_pass_rabin():
@@ -274,8 +245,8 @@ def test_make_group_small():
     g = make_group(8, 16, rng=99)
     assert is_prime(g.order) and is_prime(g.modulus)
     assert (g.modulus - 1) % g.order == 0
-    assert mod_exp(g.generator, g.order, g.modulus) == 1
-    assert mod_exp(g.generator, 1, g.modulus) != 1
+    assert pow(g.generator, g.order, g.modulus) == 1
+    assert g.generator % g.modulus != 1
     assert g.modulus.bit_length() == 16 and g.order.bit_length() == 8
 
 

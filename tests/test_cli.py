@@ -193,3 +193,14 @@ def test_missrate_rejects_zero_trials(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and "trials" in err
+
+
+@pytest.mark.parametrize("args, word", [
+    (["fig2", "--trials", "0"], "trials"),
+    (["accounting", "--k", "0"], "hash_k"),
+])
+def test_bad_counts_exit_2_without_traceback(capsys, args, word):
+    rc = run(args)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and word in err

@@ -5,16 +5,23 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncdetect.adversary import AttackModel, blind_forge_generation
-from ncdetect.algebra import binary_field, make_group, prime_field
+from ncdetect.adversary import blind_forge_with_rng
+from ncdetect.algebra import (
+    _INT64_SAFE_Q,
+    binary_field,
+    is_prime,
+    make_group,
+    prime_field,
+)
 from ncdetect.detect import (
     HashParams,
     Verdict,
     check_hash_test_vectors,
     gen_hash_append,
     gen_hash_verify,
-    gen_hash_verify_subspan,
     oracle_verify,
     sig_keygen,
     sig_verify,
@@ -29,9 +36,8 @@ from ncdetect.rlnc import (
     decode,
     make_generation,
     random_combinations,
-    random_combine,
     random_payloads,
-    subgeneration_view,
+    reduced_row_echelon,
 )
 
 GF256 = binary_field(8)
@@ -146,7 +152,7 @@ def test_blind_forgery_is_caught_after_mixing():
     caught = trials = 0
     for t in range(100):
         rx = random_combinations(src, 8, rng)
-        forged = blind_forge_generation(rx, 3, AttackModel(p=0.0, rng_seed=t))
+        forged = blind_forge_with_rng(rx, 3, np.random.default_rng(t))
         try:
             decoded = decode(forged, 8)
         except Exception:
@@ -166,7 +172,7 @@ def test_blind_forgery_of_entire_generation_detected():
     caught = trials = 0
     for t in range(100):
         rx = random_combinations(src, 6, rng)
-        forged = blind_forge_generation(rx, 6, AttackModel(p=0.0, rng_seed=t))
+        forged = blind_forge_with_rng(rx, 6, np.random.default_rng(t))
         try:
             decoded = decode(forged, 6)
         except Exception:
@@ -180,12 +186,12 @@ def test_blind_forgery_of_entire_generation_detected():
 def test_subspan_valid_packets():
     gen, src, hp, rng = build(8, 6, seed=6)
     half = random_combinations(src[:4], 4, rng)
-    view = subgeneration_view(half, 4)
-    assert gen_hash_verify_subspan(view, hp) in (Verdict.VALID, Verdict.INCONCLUSIVE)
+    verdict, _, _ = subspan_consistency(half, hp)
+    assert verdict in (Verdict.VALID, Verdict.INCONCLUSIVE)
     # full-rank draws decide; force one by retrying
     for _ in range(20):
         half = random_combinations(src[:4], 4, rng)
-        if gen_hash_verify_subspan(subgeneration_view(half, 4), hp) is Verdict.VALID:
+        if subspan_consistency(half, hp)[0] is Verdict.VALID:
             return
     pytest.fail("no full-rank half-generation draw in 20 tries")
 
@@ -193,8 +199,7 @@ def test_subspan_valid_packets():
 def test_subspan_equivalent_to_full_check_at_size_g():
     gen, src, hp, rng = build(8, 6, seed=7)
     rx = random_combinations(src, 8, rng)
-    view = subgeneration_view(rx, 8)
-    sub = gen_hash_verify_subspan(view, hp)
+    sub, _, _ = subspan_consistency(rx, hp)
     try:
         full = gen_hash_verify(decode(rx, 8), hp)
     except Exception:
@@ -213,9 +218,7 @@ def test_subspan_flags_corruption_with_sufficient_rank():
         bad = half[0].replaced(
             payload=GF128.add_arr(half[0].payload, 1), origin_tag=CORRUPTED
         )
-        verdict = gen_hash_verify_subspan(
-            subgeneration_view([bad] + half[1:], 4), hp
-        )
+        verdict, _, _ = subspan_consistency([bad] + half[1:], hp)
         if verdict is Verdict.INCONCLUSIVE:
             continue
         checks += 1
@@ -226,32 +229,30 @@ def test_subspan_flags_corruption_with_sufficient_rank():
 
 def test_subspan_single_combination_inconclusive():
     gen, src, hp, rng = build(8, 6, seed=9)
-    one = random_combine(src, rng)
+    one = random_combinations(src, 1, rng)[0]
     while np.count_nonzero(one.coeffs) < 2:
-        one = random_combine(src, rng)
-    view = subgeneration_view([one], 1)
-    assert gen_hash_verify_subspan(view, hp) is Verdict.INCONCLUSIVE
+        one = random_combinations(src, 1, rng)[0]
+    assert subspan_consistency([one], hp)[0] is Verdict.INCONCLUSIVE
 
 
 def test_subspan_empty_is_vacuously_valid():
-    view = subgeneration_view([], 0)
     hp = HashParams(k=4, s=1, field=GF256)
-    assert gen_hash_verify_subspan(view, hp) is Verdict.VALID
+    assert subspan_consistency([], hp)[0] is Verdict.VALID
 
 
 def test_subspan_linear_inconsistency_is_corrupted():
     # Two packets claiming the same combination but carrying different
     # data cannot both be images of any source matrix.
     gen, src, hp, rng = build(8, 6, seed=10)
-    pkt = random_combine(src, rng)
+    pkt = random_combinations(src, 1, rng)[0]
     clash = pkt.replaced(payload=GF256.add_arr(pkt.payload, 3))
-    verdict = gen_hash_verify_subspan(subgeneration_view([pkt, clash], 2), hp)
+    verdict, _, _ = subspan_consistency([pkt, clash], hp)
     assert verdict is Verdict.CORRUPTED
 
 
 def test_subspan_solves_scaled_source_packet():
     gen, src, hp, rng = build(8, 6, seed=11)
-    scaled = combine_with_coefficients([src[2]], [5])
+    scaled = combine_with_coefficients([src[2]], [[5]])[0]
     verdict, support, rows = subspan_consistency([scaled], hp)
     assert verdict is Verdict.VALID
     assert list(support) == [2]
@@ -262,8 +263,8 @@ def test_verdicts_ignore_origin_tags():
     gen, src, hp, rng = build(8, 6, seed=12)
     rx = random_combinations(src, 8, rng)
     lied = [p.replaced(origin_tag=CORRUPTED) for p in rx]
-    v1 = gen_hash_verify_subspan(subgeneration_view(rx, 8), hp)
-    v2 = gen_hash_verify_subspan(subgeneration_view(lied, 8), hp)
+    v1, _, _ = subspan_consistency(rx, hp)
+    v2, _, _ = subspan_consistency(lied, hp)
     assert v1 is v2
     assert oracle_verify(rx[0], gen) == oracle_verify(lied[0], gen)
 
@@ -310,13 +311,13 @@ def sig_setup():
 
 def test_sig_accepts_source_packets(sig_setup):
     _, _, gen, src, key, _ = sig_setup
-    assert all(sig_verify(p, key) for p in src)
+    assert all(sig_verify(p.wire(), key) for p in src)
 
 
 def test_sig_accepts_random_combinations(sig_setup):
     _, _, gen, src, key, rng = sig_setup
     for pkt in random_combinations(src, 200, rng):
-        assert sig_verify(pkt, key)
+        assert sig_verify(pkt.wire(), key)
 
 
 def test_sig_accepts_zero_vector(sig_setup):
@@ -325,7 +326,7 @@ def test_sig_accepts_zero_vector(sig_setup):
         coeffs=field._arr(np.zeros(3, dtype=np.int64)),
         payload=field._arr(np.zeros(4, dtype=np.int64)),
     )
-    assert sig_verify(zero, key)  # zero lies in every subspace
+    assert sig_verify(zero.wire(), key)  # zero lies in every subspace
 
 
 def test_sig_rejects_corruptions(sig_setup):
@@ -334,7 +335,7 @@ def test_sig_rejects_corruptions(sig_setup):
         j = int(rng.integers(0, 4))
         payload = pkt.payload.copy()
         payload[j] = field.add(int(payload[j]), 1 + int(rng.integers(0, field.q - 1)))
-        assert not sig_verify(pkt.replaced(payload=payload), key)
+        assert not sig_verify(pkt.replaced(payload=payload).wire(), key)
 
 
 def test_sig_linearity_exact(sig_setup):
@@ -343,8 +344,8 @@ def test_sig_linearity_exact(sig_setup):
     w2 = random_combinations(src, 1, rng)[0]
     for _ in range(20):
         c1, c2 = (int(v) for v in field.random_elements(rng, 2))
-        mix = combine_with_coefficients([w1, w2], [c1, c2])
-        assert sig_verify(mix, key)
+        mix = combine_with_coefficients([w1, w2], [[c1, c2]])[0]
+        assert sig_verify(mix.wire(), key)
 
 
 def test_sig_key_size_accounting(sig_setup):
@@ -357,7 +358,7 @@ def test_sig_length_mismatch_rejected(sig_setup):
     _, field, _, src, key, _ = sig_setup
     short = src[0].replaced(payload=src[0].payload[:-1])
     with pytest.raises(ValueError):
-        sig_verify(short, key)
+        sig_verify(short.wire(), key)
 
 
 def test_sig_keygen_minimal_dimensions():
@@ -370,7 +371,7 @@ def test_sig_keygen_minimal_dimensions():
     gen, src = make_generation(random_payloads(field, 2, 2, rng), gp, field)
     key = sig_keygen(gen, group, rng)
     assert len(key.h_vec) == 4
-    assert all(sig_verify(p, key) for p in src)
+    assert all(sig_verify(p.wire(), key) for p in src)
 
 
 def test_sig_keygen_preconditions():
@@ -406,6 +407,47 @@ def test_oracle_rejects_any_flip():
         payload = pkt.payload.copy()
         payload[j] = GF256.add(int(payload[j]), 1 + int(rng.integers(0, 255)))
         assert not oracle_verify(pkt.replaced(payload=payload), gen)
+
+
+def _prime_near(q: int, step: int) -> int:
+    while not is_prime(q):
+        q += step
+    return q
+
+
+# Every binary field, and primes on both the int64 and the object-dtype path.
+ORACLE_FIELDS = [binary_field(w) for w in range(2, 17)] + [
+    prime_field(q) for q in (2, 257, _prime_near(_INT64_SAFE_Q, -1),
+                             _prime_near(_INT64_SAFE_Q + 1, 1))
+]
+
+
+@pytest.mark.parametrize("f", ORACLE_FIELDS, ids=repr)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), G=st.integers(1, 5),
+       k_data=st.integers(1, 6), hash_k=st.integers(1, 4))
+def test_oracle_matches_rank_oracle(f, seed, G, k_data, hash_k):
+    # The direct check d == c S must agree with the rank test: w is in
+    # the span of the source rows iff appending it leaves the rank at G.
+    rng = np.random.default_rng(seed)
+    hp = HashParams(k=hash_k, s=1, field=f)
+    gp = GenerationParams.from_symbols(G, k_data, f.q.bit_length(),
+                                       hp.hash_symbol_count(k_data))
+    gen, src = make_generation(random_payloads(f, G, k_data, rng), gp, f, hp)
+    rows = np.hstack([f._arr(np.eye(G, dtype=np.int64)), gen.source_rows()])
+
+    def in_span_by_rank(w):
+        return len(reduced_row_echelon(f, np.vstack([rows, w[None, :]]))[1]) == G
+
+    for pkt in random_combinations(src, 3, rng):
+        assert oracle_verify(pkt, gen)
+        assert in_span_by_rank(pkt.wire())
+        w = pkt.wire().copy()
+        j = int(rng.integers(0, len(w)))
+        w[j] = f.add(int(w[j]), int(rng.integers(1, f.q)))
+        bad = pkt.replaced(coeffs=w[:G], payload=w[G : G + k_data],
+                           hash_syms=w[G + k_data :])
+        assert oracle_verify(bad, gen) == in_span_by_rank(w)
 
 
 def test_oracle_width_mismatch():

@@ -13,11 +13,9 @@ from ncdetect.rlnc import (
     combine_with_coefficients,
     decode,
     make_generation,
-    matrix_rank,
     random_combinations,
-    random_combine,
     random_payloads,
-    subgeneration_view,
+    reduced_row_echelon,
 )
 
 GF256 = binary_field(8)
@@ -53,6 +51,8 @@ def test_fit_solves_layout():
     assert -(-gp.k_data // 50) == gp.hash_symbols
     with pytest.raises(ValueError):
         GenerationParams.fit(1001, G=10, symbol_bits=8)
+    with pytest.raises(ValueError, match="hash_k"):
+        GenerationParams.fit(1000, G=10, symbol_bits=8, hash_k=0)
 
 
 def test_single_packet_generation():
@@ -88,15 +88,15 @@ def test_make_generation_dimension_mismatch():
 
 def test_singleton_combine_is_scaling():
     gen, src, rng = build(4, 5, seed=1)
-    out = random_combine([src[2]], rng)
+    out = random_combinations([src[2]], 1, rng)[0]
     c = int(out.coeffs[2])
-    expect = combine_with_coefficients([src[2]], [c])
+    expect = combine_with_coefficients([src[2]], [[c]])[0]
     assert np.array_equal(out.wire(), expect.wire())
 
 
 def test_combine_of_two_sources_has_their_support():
     gen, src, rng = build(8, 5, seed=2)
-    out = random_combine([src[1], src[6]], rng)
+    out = random_combinations([src[1], src[6]], 1, rng)[0]
     support = set(np.nonzero(out.coeffs)[0].tolist())
     assert support <= {1, 6}
 
@@ -105,7 +105,7 @@ def test_combine_stays_in_span():
     gen, src, rng = build(8, 6, hash_k=3, seed=3)
     pool = list(src)
     for _ in range(20):
-        pkt = random_combine(pool, rng)
+        pkt = random_combinations(pool, 1, rng)[0]
         assert oracle_verify(pkt, gen)
         pool.append(pkt)  # recoded recodings stay in the span too
 
@@ -114,7 +114,7 @@ def test_mixing_generations_rejected():
     _, src_a, rng = build(4, 3, seed=4, gen_id=0)
     _, src_b, _ = build(4, 3, seed=5, gen_id=1)
     with pytest.raises(ValueError):
-        random_combine([src_a[0], src_b[0]], rng)
+        random_combinations([src_a[0], src_b[0]], 1, rng)
 
 
 def test_decode_of_source_packets_is_identity():
@@ -189,23 +189,16 @@ def test_hash_symbols_ride_the_same_combination():
     assert np.array_equal(got[:, 6:], gen.source_hashes)
 
 
-def test_subgeneration_views():
-    gen, src, rng = build(8, 4, seed=11)
-    full = subgeneration_view(src, 8)
-    assert len(full.packets) == 8 and full.expected_count == 8
-    empty = subgeneration_view([], 0)
-    assert empty.packets == ()
-    with pytest.raises(ValueError):
-        subgeneration_view(src, -1)
-
-
 def test_matrix_rank_over_fields():
+    def rank(field, m):
+        return len(reduced_row_echelon(field, m)[1])
+
     f = prime_field(127)
     m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    assert matrix_rank(f, m) == 2
+    assert rank(f, m) == 2
     f2 = binary_field(2)
-    assert matrix_rank(f2, [[1, 1], [1, 1]]) == 1
-    assert matrix_rank(f2, [[1, 0], [0, 1]]) == 2
+    assert rank(f2, [[1, 1], [1, 1]]) == 1
+    assert rank(f2, [[1, 0], [0, 1]]) == 2
 
 
 def test_wire_size_accounting():
@@ -218,7 +211,13 @@ def test_wire_size_accounting():
 def test_origin_tag_propagates_through_combines():
     gen, src, rng = build(4, 3, seed=12)
     tainted = src[1].replaced(origin_tag=CORRUPTED)
-    out = combine_with_coefficients([src[0], tainted], [1, 1])
-    assert out.origin_tag == CORRUPTED
-    out = combine_with_coefficients([src[0], tainted], [1, 0])
-    assert out.origin_tag == "valid"
+    out = combine_with_coefficients([src[0], tainted], [[1, 1], [1, 0]])
+    assert out[0].origin_tag == CORRUPTED
+    assert out[1].origin_tag == "valid"
+
+
+def test_combine_needs_one_column_per_packet():
+    gen, src, rng = build(4, 3, seed=13)
+    for coeffs in ([1, 1], [[1, 1, 1]]):
+        with pytest.raises(ValueError, match="one column per packet"):
+            combine_with_coefficients(src[:2], coeffs)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ncdetect import analytic
-from ncdetect.adversary import AttackModel, corrupt_stream
+from ncdetect import analytic, sim
+from ncdetect.adversary import AttackModel, corrupt_stream_with_rng
 from ncdetect.algebra import binary_field, make_group, prime_field
 from ncdetect.analytic import SchemeParams
 from ncdetect.detect import Verdict, oracle_verify, sig_keygen, sig_verify
@@ -208,8 +208,25 @@ def test_hash_detector_with_prime_field():
     assert rep.false_accepts == 0
 
 
-def test_signature_error_counts_small():
-    rep = signature_error_counts(accept_trials=500, reject_trials=200, seed=9)
+# Group order and coding-field dtype per seed: seed 9 draws P above the
+# int64-safe limit, so its symbols run on the object-dtype path.
+SIGNATURE_PATHS = {1: (2273265413, np.int64), 9: (3738826463, object)}
+
+
+@pytest.mark.parametrize("seed", sorted(SIGNATURE_PATHS))
+def test_signature_error_counts_small(seed, monkeypatch):
+    order, dtype = SIGNATURE_PATHS[seed]
+    verified = []
+
+    def counting_verify(w, key):
+        verified.append(len(w))
+        return sig_verify(w, key)
+
+    monkeypatch.setattr(sim, "sig_verify", counting_verify)
+    rep = signature_error_counts(accept_trials=500, reject_trials=200, seed=seed)
+    assert rep.group_order == order
+    assert prime_field(order).dtype == dtype
+    assert verified == [8] * 700  # every vector goes through sig_verify
     assert rep.false_rejects == 0
     assert rep.false_accepts == 0
     assert rep.group_order.bit_length() == 32
@@ -225,9 +242,10 @@ def test_packet_filter_soundness_with_signature():
     gen, src = make_generation(random_payloads(f, 4, 4, rng), gp, f)
     key = sig_keygen(gen, group, rng)
     stream = random_combinations(src, 300, rng)
-    stream = corrupt_stream(stream, AttackModel(p=0.3, rng_seed=12))
-    forwarded = [p for p in stream if sig_verify(p, key)]
-    dropped = [p for p in stream if not sig_verify(p, key)]
+    stream = corrupt_stream_with_rng(stream, AttackModel(p=0.3),
+                                     np.random.default_rng(12))
+    forwarded = [p for p in stream if sig_verify(p.wire(), key)]
+    dropped = [p for p in stream if not sig_verify(p.wire(), key)]
     assert all(oracle_verify(p, gen) for p in forwarded)
     assert all(p.origin_tag == CORRUPTED for p in dropped)
     assert len(forwarded) + len(dropped) == 300
@@ -281,6 +299,11 @@ def test_relay_conservation_of_packets_at_sink():
 def test_relay_requires_divisible_g():
     with pytest.raises(ValueError):
         simulate_relay(G=6, p_per_edge={}, seed=0)
+
+
+def test_relay_requires_a_trial():
+    with pytest.raises(ValueError, match="trials"):
+        simulate_relay(G=8, p_per_edge={}, seed=0, trials=0)
 
 
 def test_relay_edge_name_validation():
