@@ -38,6 +38,7 @@ from .adversary import (
     AttackModel,
     blind_forge_with_rng,
     corrupt_stream_with_rng,
+    rewrite_rows,
 )
 from .detect import (
     HashParams,

@@ -3,9 +3,10 @@
 Corruption happens in flight, upstream of the observing node: each packet
 is independently rewritten with probability p.  The rewrite never touches
 the encoding vector -- the attacker hijacks a packet's data while its
-claimed coefficients stay plausible -- and hash symbols are left stale
-except in the hash-aware mode, which recomputes them so the forged row
-looks self-consistent in isolation.
+claimed coefficients stay plausible.  Hash symbols are left stale, except
+that the hash-aware mode recomputes them so the forged row looks
+self-consistent in isolation, and the blind mode replaces them with junk.
+rewrite_rows is the one corruption kernel; the Packet functions use it.
 """
 
 from __future__ import annotations
@@ -46,41 +47,49 @@ class AttackModel:
             raise ValueError("hash-aware-forgery needs hash_params")
 
 
-def _random_different(field, current: int, rng: np.random.Generator) -> int:
-    """Uniform draw over the q-1 values different from current."""
-    r = int(rng.integers(0, field.q - 1))
-    return r + 1 if r >= current else r
+def _change_one_symbol(field, rows: np.ndarray, k_data: int,
+                       rng: np.random.Generator) -> None:
+    """In place, move one uniform payload symbol per row to a uniform other value."""
+    at = (np.arange(len(rows)), rng.integers(0, k_data, size=len(rows)))
+    r = rng.integers(0, field.q - 1, size=len(rows))
+    rows[at] = field._arr(np.where(r >= rows[at], r + 1, r))
+
+
+def rewrite_rows(field, rows, k_data: int, mode: str, rng: np.random.Generator,
+                 hash_params: HashParams | None = None) -> np.ndarray:
+    """Corrupt N (payload | hash) rows under one of the MODES.
+
+    rows is (N, width), payload symbols first, in the caller's order; the
+    draws are spent in that order.  Returns new rows whose payloads all
+    differ from the input: random-symbol changes one symbol, the other
+    modes draw junk (one symbol changed if it equals the honest payload).
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown attack mode {mode!r}")
+    if mode == "hash-aware-forgery" and hash_params is None:
+        raise ValueError("hash-aware-forgery needs hash_params")
+    rows = field._arr(rows)
+    if rows.ndim != 2 or not 1 <= k_data <= rows.shape[1]:
+        raise ValueError(f"expected (N, width >= {k_data}) rows, got {rows.shape}")
+    out = rows.copy()
+    if mode == "random-symbol":
+        _change_one_symbol(field, out, k_data, rng)
+        return out
+    width = out.shape[1] if mode == "blind-s-packet" else k_data
+    out[:, :width] = field.random_elements(rng, (len(out), width))
+    for i in np.flatnonzero(np.all(out[:, :k_data] == rows[:, :k_data], axis=1)):
+        _change_one_symbol(field, out[i : i + 1], k_data, rng)
+    if mode == "hash-aware-forgery" and out.shape[1] > k_data:
+        out[:, k_data:] = gen_hash_append(out[:, :k_data], hash_params)
+    return out
 
 
 def _rewrite(packet: Packet, mode: str, rng: np.random.Generator,
              hash_params: HashParams | None) -> Packet:
-    f = packet.field
-    if mode == "random-symbol":
-        payload = packet.payload.copy()
-        j = int(rng.integers(0, len(payload)))
-        payload[j] = _random_different(f, int(payload[j]), rng)
-        return packet.replaced(payload=payload, origin_tag=CORRUPTED)
-
-    payload = f.random_elements(rng, len(packet.payload))
-    if np.array_equal(payload, packet.payload):
-        j = int(rng.integers(0, len(payload)))
-        payload[j] = _random_different(f, int(payload[j]), rng)
-
-    if mode == "random-payload":
-        return packet.replaced(payload=payload, origin_tag=CORRUPTED)
-    if mode == "hash-aware-forgery":
-        hash_syms = packet.hash_syms
-        if len(hash_syms):
-            hash_syms = gen_hash_append(payload, hash_params)
-        return packet.replaced(payload=payload, hash_syms=hash_syms,
-                               origin_tag=CORRUPTED)
-    # blind-s-packet: junk payload and junk hash, chosen without looking
-    # at anything else in the stream.
-    hash_syms = packet.hash_syms
-    if len(hash_syms):
-        hash_syms = f.random_elements(rng, len(hash_syms))
-    return packet.replaced(payload=payload, hash_syms=hash_syms,
-                           origin_tag=CORRUPTED)
+    k = len(packet.payload)
+    row = np.concatenate([packet.payload, packet.hash_syms])[None]
+    (out,) = rewrite_rows(packet.field, row, k, mode, rng, hash_params)
+    return packet.replaced(payload=out[:k], hash_syms=out[k:], origin_tag=CORRUPTED)
 
 
 def corrupt_stream_with_rng(packets: list[Packet], model: AttackModel,
@@ -90,13 +99,10 @@ def corrupt_stream_with_rng(packets: list[Packet], model: AttackModel,
     Reproducible for a given rng state; untouched packets pass through
     unchanged.
     """
-    out = []
-    for p in packets:
-        if rng.random() < model.p:
-            out.append(_rewrite(p, model.mode, rng, model.hash_params))
-        else:
-            out.append(p)
-    return out
+    return [
+        _rewrite(p, model.mode, rng, model.hash_params) if rng.random() < model.p else p
+        for p in packets
+    ]
 
 
 def blind_forge_with_rng(packets: list[Packet], s: int,
@@ -111,8 +117,6 @@ def blind_forge_with_rng(packets: list[Packet], s: int,
     """
     if s < 0 or s > len(packets):
         raise ValueError(f"cannot forge {s} of {len(packets)} packets")
-    if s == 0:
-        return list(packets)
     idx = set(rng.choice(len(packets), size=s, replace=False).tolist())
     return [
         _rewrite(p, "blind-s-packet", rng, None) if i in idx else p

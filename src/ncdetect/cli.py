@@ -267,8 +267,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_accounting(args) -> int:
-    if args.G < 1:
-        raise ValueError("G must be >= 1")
+    if min(args.G, args.bits_p, args.bits_q) < 1:
+        raise ValueError("G, bits_p and bits_q must be >= 1")
     params = _params_for(args)
     f = binary_field(args.logq)
     gp = GenerationParams.fit(int(args.n), args.G, args.logq, hash_k=args.k)

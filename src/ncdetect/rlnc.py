@@ -376,7 +376,7 @@ def recover_subspan(packets: list[Packet]):
     f = first.field
     g = len(first.coeffs)
     m = np.vstack([p.wire() for p in packets])
-    support = np.nonzero([np.any(m[:, j] != 0) for j in range(g)])[0]
+    support = np.flatnonzero(np.any(m[:, :g] != 0, axis=0))
     r, pivots = reduced_row_echelon(f, m, pivot_width=g)
     # Rows whose encoding part eliminated to zero must carry zero data,
     # else rank([C|D]) > rank(C) and no linear preimage exists.

@@ -9,18 +9,18 @@ estimator assembles the per-time-unit expectation from the simulated
 corruption and drop frequencies, with the clamp at zero applied to that
 estimate, so it converges to the analytic ratio without clamping bias.
 
-The packet-level experiments exercise the actual machinery: the blind
-forgery miss-rate run (estimate_hash_miss_rate), the signature
-accept/reject run (signature_error_counts), the optional real-hash
-detector inside simulate_node, and the six-node relay scenario in which
-intermediate nodes check sub-generations and drop polluted ones before
-they reach the sink.
+The other experiments exercise the actual machinery: the blind forgery
+miss-rate run (estimate_hash_miss_rate), the signature accept/reject run
+(signature_error_counts), the optional real-hash detector inside
+simulate_node, and the six-node relay scenario in which intermediate nodes
+check sub-generations and drop polluted ones before they reach the sink.
 
-The miss-rate run uses the batch representation: T generations at once
-as (T, G, width) field arrays, mixed by one batched product, decoded by
-rlnc.decode_batch and checked by detect.hash_consistent.  The other
-experiments walk Packet lists through rlnc.decode and the detectors; that
-scalar path is the reference the batch kernels are tested against.
+The miss-rate run and the hash-detector node run share one batch
+pipeline: T generations at once as (T, G, width) field arrays, mixed by
+one batched product, corrupted by adversary.rewrite_rows, decoded by
+rlnc.decode_batch and checked by detect.hash_consistent.  The relay walks
+Packet lists through rlnc.decode and the detectors; that scalar path is
+the reference the batch kernels are tested against.
 """
 
 from __future__ import annotations
@@ -32,14 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .adversary import AttackModel, _random_different, corrupt_stream_with_rng
+from .adversary import AttackModel, corrupt_stream_with_rng, rewrite_rows
 from .algebra import FieldSpec, binary_field, make_group, prime_field
 from .analytic import OverheadPoint, SchemeParams, overhead_point
 from .detect import (
     HashParams,
     Verdict,
     gen_hash_append,
-    gen_hash_verify,
     hash_consistent,
     oracle_verify,
     sig_keygen,
@@ -61,6 +60,8 @@ from .rlnc import (
 )
 
 _STDERR_BLOCKS = 50
+# Payload symbols per hash symbol in simulate_node's hash detector.
+_DETECTOR_HASH_K = 50
 
 
 def _child_rng(*keys: int) -> np.random.Generator:
@@ -77,9 +78,10 @@ class TrialConfig:
 
     trials counts packets for the error-correction and packet schemes and
     generations for the generation scheme.  use_hash_detector switches the
-    generation scheme to a packet-level run where the node really decodes
-    and hash-checks each generation (detector misses are then reported as
-    false_accepts; overhead is still scored from ground truth).
+    generation scheme to a run where the node really decodes and
+    hash-checks each generation over detector_field, GF(2^8) by default
+    (detector misses are then reported as false_accepts; overhead is still
+    scored from ground truth).
     """
 
     scheme: str
@@ -88,7 +90,6 @@ class TrialConfig:
     trials: int
     seed: int
     use_hash_detector: bool = False
-    detector_hash_k: int = 50
     detector_field: FieldSpec | None = None
 
     def __post_init__(self):
@@ -128,7 +129,6 @@ def _block_stderr(values: np.ndarray) -> float:
 def _generation_report(params: SchemeParams, x_counts: np.ndarray,
                        scored_drops: np.ndarray, *, bits_transmitted: int,
                        false_accepts: int = 0, false_rejects: int = 0,
-                       packets_dropped: int | None = None,
                        undecodable: int = 0) -> EmpiricalReport:
     trials = len(x_counts)
     n, g = params.n, params.G
@@ -143,15 +143,13 @@ def _generation_report(params: SchemeParams, x_counts: np.ndarray,
         pb = float(xs.sum()) / (len(xs) * g)
         gb = float(ds.sum()) / len(xs)
         u_blocks.append(hfrac + gb * (1.0 - pb) - pb)
-    if packets_dropped is None:
-        packets_dropped = int(scored_drops.sum()) * g
     return EmpiricalReport(
         scheme="generation",
         overhead_ratio=max(0.0, unclamped),
         stderr=_block_stderr(np.asarray(u_blocks)),
         goodput_fraction=analytic.goodput_fraction_generation(n, g, params.h_g),
         generations_dropped=int(scored_drops.sum()),
-        packets_dropped=packets_dropped,
+        packets_dropped=int(scored_drops.sum()) * g,
         false_accepts=false_accepts,
         false_rejects=false_rejects,
         bits_transmitted=bits_transmitted,
@@ -219,44 +217,37 @@ def _simulate_generation_with_hash(config: TrialConfig,
                                    rng: np.random.Generator) -> EmpiricalReport:
     """Generation scheme with the node really decoding and hash-checking.
 
-    Each generation is materialized, mixed, corrupted in flight, then the
-    node decodes and verifies.  Forwarding follows the detector's verdict
-    (undecodable generations pass through unverified); overhead is still
-    scored from ground truth per the model's definition.
+    Chunks of generations are materialized and mixed, each received packet
+    is corrupted in flight with probability p, then the node decodes and
+    verifies.  Forwarding follows the detector's verdict (undecodable
+    generations are counted and pass through unverified); overhead is
+    still scored from ground truth per the model's definition.
     """
-    params = config.params
+    params, attack = config.params, config.attack
     f = config.detector_field or binary_field(8)
-    gp = GenerationParams.fit(int(params.n), params.G, _symbol_bits(f),
-                              hash_k=config.detector_hash_k)
-    hp = HashParams(k=config.detector_hash_k, s=1, field=f)
     g = params.G
-    x_counts = np.zeros(config.trials, dtype=np.int64)
-    truth_drops = np.zeros(config.trials, dtype=np.int64)
-    false_accepts = false_rejects = undecodable = 0
-    bits = 0
-    for t in range(config.trials):
-        payloads = random_payloads(f, g, gp.k_data, rng)
-        _, src = make_generation(payloads, gp, f, hp, generation_id=t)
-        received = random_combinations(src, g, rng)
-        received = corrupt_stream_with_rng(received, config.attack, rng)
-        bad = sum(pk.origin_tag == CORRUPTED for pk in received)
-        x_counts[t] = bad
-        truth_drops[t] = bad > 0
-        verdict = None
-        try:
-            verdict = gen_hash_verify(decode(received, g), hp)
-        except NotDecodable:
-            undecodable += 1
-        if verdict is Verdict.VALID and bad:
-            false_accepts += 1
-        if verdict is Verdict.CORRUPTED and not bad:
-            false_rejects += 1
-        if verdict is not Verdict.CORRUPTED:
-            bits += round(params.n * g)
+    k_data = GenerationParams.fit(int(params.n), g, _symbol_bits(f),
+                                  hash_k=_DETECTOR_HASH_K).k_data
+    hp = HashParams(k=_DETECTOR_HASH_K, s=1, field=f)
+    x_counts, verdicts = [], []
+    for src in _source_chunks(f, g, k_data, hp, config.trials, rng):
+        coeffs, data = _mix(f, src, rng)
+        hit = rng.random(data.shape[:2]) < attack.p
+        data[hit] = rewrite_rows(f, data[hit], k_data, attack.mode, rng,
+                                 attack.hash_params)
+        full_rank, rows = decode_batch(f, np.concatenate([coeffs, data], axis=-1), g)
+        x_counts.append(hit.sum(axis=1))
+        # 1 Valid, 0 Corrupted, -1 undecodable.
+        verdicts.append(np.where(full_rank, hash_consistent(rows, hp), -1))
+    x_counts = np.concatenate(x_counts)
+    verdict = np.concatenate(verdicts)
+    bad = x_counts > 0
     return _generation_report(
-        params, x_counts, truth_drops, bits_transmitted=bits,
-        false_accepts=false_accepts, false_rejects=false_rejects,
-        undecodable=undecodable,
+        params, x_counts, bad.astype(np.int64),
+        bits_transmitted=int(np.count_nonzero(verdict != 0)) * round(params.n * g),
+        false_accepts=int(np.count_nonzero((verdict == 1) & bad)),
+        false_rejects=int(np.count_nonzero((verdict == 0) & ~bad)),
+        undecodable=int(np.count_nonzero(verdict < 0)),
     )
 
 
@@ -318,11 +309,31 @@ class HashMissReport:
         return 1.0 - self.miss_rate
 
 
-# Elements of one (T, G, G + width) array in a chunk of the miss-rate run.
+# Elements of one (T, G, G + width) array in a chunk of a batch run.
 # Chunks hold as many trials as fit, so peak memory does not grow with the
 # trial count.  2^14 keeps a chunk's arrays at a few hundred KiB and
 # still holds 18-34 trials at the hashbound criterion's shapes.
 _CHUNK_ELEMENTS = 1 << 14
+
+
+def _source_chunks(field: FieldSpec, G: int, k_data: int, hp: HashParams,
+                   trials: int, rng: np.random.Generator):
+    """Yield fresh (T, G, width) source (payload | hash) rows per chunk."""
+    width = k_data + hp.hash_symbol_count(k_data)
+    chunk = max(1, _CHUNK_ELEMENTS // (G * (G + width)))
+    for start in range(0, trials, chunk):
+        payloads = field.random_elements(rng, (min(chunk, trials - start), G, k_data))
+        yield np.concatenate([payloads, gen_hash_append(payloads, hp)], axis=-1)
+
+
+def _mix(field: FieldSpec, src: np.ndarray, rng: np.random.Generator):
+    """G uniform combinations of each trial's source rows: (coeffs, data)."""
+    T, G, _ = src.shape
+    coeffs = field.random_elements(rng, (T, G, G))
+    # The operands are field arrays already, so skip matmul's conversion;
+    # this also keeps the 2-D matmul accounting of benchmarks/spans.py
+    # exact, as no batched product passes through FieldSpec.matmul.
+    return coeffs, field._matmul(coeffs, src)
 
 
 def estimate_hash_miss_rate(field: FieldSpec, G: int, k_data: int,
@@ -337,24 +348,17 @@ def estimate_hash_miss_rate(field: FieldSpec, G: int, k_data: int,
     generation; the bound is ((k+1)/q)^s.  Singular mixing draws are
     redrawn (the receiver cannot check what it cannot decode).
 
-    Trials run in chunks on the batch representation: T generations as
-    (T, G, width) arrays, decoded by rlnc.decode_batch and checked by
-    detect.hash_consistent.  The forgery follows adversary's
-    "blind-s-packet" rewrite; the Packet path (decode, gen_hash_verify)
-    is the reference these kernels are tested against.
+    Trials run in chunks on the batch pipeline of the module docstring,
+    with adversary.rewrite_rows's "blind-s-packet" mode as the forgery.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 1 <= s <= G:
         raise ValueError(f"s must lie in [1, G]; got s={s}, G={G}")
     hp = HashParams(k=hash_k, s=s, field=field)
-    width = k_data + hp.hash_symbol_count(k_data)
-    chunk = max(1, _CHUNK_ELEMENTS // (G * (G + width)))
     rng = _child_rng(seed)
     misses = redraws = 0
-    for start in range(0, trials, chunk):
-        payloads = field.random_elements(rng, (min(chunk, trials - start), G, k_data))
-        src = np.concatenate([payloads, gen_hash_append(payloads, hp)], axis=-1)
+    for src in _source_chunks(field, G, k_data, hp, trials, rng):
         decoded = np.empty_like(src)
         todo = np.arange(len(src))
         while todo.size:
@@ -372,26 +376,16 @@ def _blind_forge_and_decode(field: FieldSpec, src: np.ndarray, k_data: int,
     """Mix, blind-forge and decode each of T generations once.
 
     src is (T, G, width), the source (payload | hash) rows.  Each trial
-    draws G uniform combinations, then replaces s distinct victims'
-    payload and hash with uniform junk (one symbol changed if the junk
-    payload happens to equal the honest one).  Returns decode_batch's
+    draws G uniform combinations, then s distinct victims' rows go through
+    one rewrite_rows call, in victim order.  Returns decode_batch's
     (full_rank, rows).
     """
-    T, G, width = src.shape
-    coeffs = field.random_elements(rng, (T, G, G))
-    # The operands are field arrays already, so skip matmul's conversion;
-    # this also keeps the 2-D matmul accounting of benchmarks/spans.py
-    # exact, as no batched product passes through FieldSpec.matmul.
-    data = field._matmul(coeffs, src)
+    T, G, _ = src.shape
+    coeffs, data = _mix(field, src, rng)
     # s distinct victims per trial: the first s of a random permutation.
-    victims = rng.permuted(np.broadcast_to(np.arange(G), (T, G)), axis=1)[:, :s, None]
-    junk = field.random_elements(rng, (T, s, width))
-    honest = np.take_along_axis(data, victims, axis=1)
-    same = np.all(junk[..., :k_data] == honest[..., :k_data], axis=-1)
-    for t, v in zip(*np.nonzero(same)):
-        j = int(rng.integers(0, k_data))
-        junk[t, v, j] = _random_different(field, int(junk[t, v, j]), rng)
-    np.put_along_axis(data, victims, junk, axis=1)
+    victims = rng.permuted(np.broadcast_to(np.arange(G), (T, G)), axis=1)[:, :s]
+    hit = (np.repeat(np.arange(T), s), victims.ravel())
+    data[hit] = rewrite_rows(field, data[hit], k_data, "blind-s-packet", rng)
     return decode_batch(field, np.concatenate([coeffs, data], axis=-1), G)
 
 

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncdetect.adversary import (
+    MODES,
     AttackModel,
     blind_forge_with_rng,
     corrupt_stream_with_rng,
+    rewrite_rows,
 )
-from ncdetect.algebra import binary_field
-from ncdetect.detect import HashParams, gen_hash_append
+from ncdetect.algebra import _INT64_SAFE_Q, binary_field, is_prime, prime_field
+from ncdetect.detect import HashParams, gen_hash_append, hash_consistent
 from ncdetect.rlnc import (
     CORRUPTED,
     GenerationParams,
@@ -128,3 +132,68 @@ def test_blind_forge_count_and_bounds():
     for s in (-1, 9):
         with pytest.raises(ValueError, match="cannot forge"):
             blind_forge_with_rng(src, s, seeded(18))
+
+
+# -- the row kernel -----------------------------------------------------------
+
+
+def _prime_near(q: int, step: int) -> int:
+    while not is_prime(q):
+        q += step
+    return q
+
+
+# Every binary field, and primes on both the int64 and the object-dtype path.
+KERNEL_FIELDS = [binary_field(w) for w in range(2, 17)] + [
+    prime_field(q) for q in (2, 257, _prime_near(_INT64_SAFE_Q, -1),
+                             _prime_near(_INT64_SAFE_Q + 1, 1))
+]
+
+
+@pytest.mark.parametrize("f", KERNEL_FIELDS, ids=repr)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       k_data=st.integers(1, 5), hash_k=st.integers(1, 3))
+def test_rewrite_rows_modes(f, seed, n, k_data, hash_k):
+    rng = np.random.default_rng(seed)
+    hp = HashParams(k=hash_k, s=1, field=f)
+    payload = f.random_elements(rng, (n, k_data))
+    rows = np.concatenate([payload, gen_hash_append(payload, hp)], axis=1)
+    before = rows.copy()
+    for mode in MODES:
+        out = rewrite_rows(f, rows, k_data, mode, rng, hp)
+        assert np.array_equal(rows, before)  # the input is not modified
+        assert out.shape == rows.shape and out.dtype == f.dtype
+        assert all(0 <= int(v) < f.q for v in out.ravel())
+        if f.dtype == object:  # np.int64 elements would wrap silently
+            assert all(type(v) is int for v in out.ravel())
+        changed = np.not_equal(out[:, :k_data], rows[:, :k_data]).sum(axis=1)
+        assert np.all(changed >= 1)  # every mode really corrupts the payload
+        if mode == "random-symbol":
+            assert np.all(changed == 1)
+            assert np.array_equal(out[:, k_data:], rows[:, k_data:])  # stale
+        if mode == "hash-aware-forgery":
+            assert np.all(hash_consistent(out[:, None], hp))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_rewrite_rows_empty_stack_is_a_noop(mode):
+    rng = seeded(19)
+    state = rng.bit_generator.state
+    hp = HashParams(k=3, s=1, field=GF256)
+    out = rewrite_rows(GF256, np.zeros((0, 4), dtype=np.uint8), 3, mode, rng, hp)
+    assert out.shape == (0, 4)
+    assert rng.bit_generator.state == state
+
+
+def test_rewrite_rows_rejects_bad_input():
+    rows = np.zeros((2, 4), dtype=np.uint8)
+    with pytest.raises(ValueError, match="unknown attack mode"):
+        rewrite_rows(GF256, rows, 3, "downgrade", seeded(20))
+    with pytest.raises(ValueError, match="needs hash_params"):
+        rewrite_rows(GF256, rows, 3, "hash-aware-forgery", seeded(20))
+    for k_data in (0, 5):
+        with pytest.raises(ValueError, match="expected"):
+            rewrite_rows(GF256, rows, k_data, "random-symbol", seeded(20))
+    with pytest.raises(ValueError, match="expected"):
+        rewrite_rows(GF256, rows[0], 3, "random-symbol", seeded(20))

@@ -12,6 +12,7 @@ import pytest
 
 from ncdetect import algebra
 from ncdetect.algebra import (
+    _INT64_SAFE_Q,
     GF,
     GroupSpec,
     IRREDUCIBLE_POLY,
@@ -28,6 +29,22 @@ FIELDS = [
     prime_field(127),
     prime_field(2**31 - 1),  # largest int64-safe Mersenne prime
 ]
+
+
+def _prime_near(q: int, step: int) -> int:
+    while not is_prime(q):
+        q += step
+    return q
+
+
+# FIELDS plus every other binary field, and primes on both sides of the
+# int64 limit (the object-dtype path lies above it).
+AXIOM_FIELDS = (
+    FIELDS
+    + [binary_field(w) for w in range(2, 17) if w not in (4, 7, 8)]
+    + [prime_field(q) for q in (2, 257, _prime_near(_INT64_SAFE_Q, -1),
+                                _prime_near(_INT64_SAFE_Q + 1, 1))]
+)
 
 
 def bitpoly_mul(a: int, b: int, poly: int, w: int) -> int:
@@ -129,7 +146,7 @@ def test_pow_additive_in_exponent():
         assert np.all(left == right)
 
 
-@pytest.mark.parametrize("f", FIELDS, ids=repr)
+@pytest.mark.parametrize("f", AXIOM_FIELDS, ids=repr)
 def test_field_axioms_random_triples(f):
     rng = np.random.default_rng(6)
     count = 10_000

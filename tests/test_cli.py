@@ -198,6 +198,9 @@ def test_missrate_rejects_zero_trials(capsys):
 @pytest.mark.parametrize("args, word", [
     (["fig2", "--trials", "0"], "trials"),
     (["accounting", "--k", "0"], "hash_k"),
+    (["accounting", "--bits-p", "0"], "bits_p"),
+    (["accounting", "--bits-p", "-5"], "bits_p"),
+    (["accounting", "--bits-q", "0"], "bits_q"),
 ])
 def test_bad_counts_exit_2_without_traceback(capsys, args, word):
     rc = run(args)

@@ -6,13 +6,31 @@ import numpy as np
 import pytest
 
 from ncdetect import analytic, sim
-from ncdetect.adversary import AttackModel, corrupt_stream_with_rng
-from ncdetect.algebra import binary_field, make_group, prime_field
+from ncdetect.adversary import MODES, AttackModel, corrupt_stream_with_rng
+from ncdetect.algebra import (
+    _INT64_SAFE_Q,
+    binary_field,
+    is_prime,
+    make_group,
+    prime_field,
+)
 from ncdetect.analytic import SchemeParams
-from ncdetect.detect import Verdict, oracle_verify, sig_keygen, sig_verify
+from ncdetect.detect import (
+    HashParams,
+    Verdict,
+    gen_hash_verify,
+    hash_consistent,
+    oracle_verify,
+    sig_keygen,
+    sig_verify,
+)
 from ncdetect.rlnc import (
     CORRUPTED,
     GenerationParams,
+    NotDecodable,
+    Packet,
+    decode,
+    decode_batch,
     make_generation,
     random_combinations,
     random_payloads,
@@ -206,6 +224,92 @@ def test_hash_detector_with_prime_field():
     assert rep.trials == 100
     assert rep.false_rejects == 0
     assert rep.false_accepts == 0
+
+
+PRIME_ABOVE = next(q for q in range(_INT64_SAFE_Q + 1, _INT64_SAFE_Q + 1000)
+                   if is_prime(q))  # object-dtype path
+# (detector field, n, G, p): GF(2^2) is often singular and often misses.
+NODE_CASES = {
+    "GF(2^8)": (binary_field(8), 1000, 10, 0.2),
+    "GF(2^2)": (binary_field(2), 64, 4, 0.3),
+    "G=1": (binary_field(8), 1000, 1, 0.3),
+    "GF(257)": (prime_field(257), 999, 6, 0.2),
+    "object": (prime_field(PRIME_ABOVE), 1280, 4, 0.3),
+}
+
+
+def _node_config(case, p, trials, seed, mode="random-symbol"):
+    f, n, G, _ = NODE_CASES[case]
+    hp = HashParams(k=sim._DETECTOR_HASH_K, s=1, field=f)
+    attack = AttackModel(p=p, mode=mode, hash_params=hp)
+    return TrialConfig(
+        scheme="generation", params=SchemeParams.defaults(p=p, n=n, G=G),
+        attack=attack, trials=trials, seed=seed, use_hash_detector=True,
+        detector_field=f,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(NODE_CASES))
+@pytest.mark.parametrize("mode", MODES)
+def test_hash_detector_verdicts_match_packet_reference(case, mode, monkeypatch):
+    # Every batched verdict equals decode + gen_hash_verify on that
+    # trial's received rows.
+    f, n, G, p = NODE_CASES[case]
+    hp = HashParams(k=sim._DETECTOR_HASH_K, s=1, field=f)
+    chunks = []
+
+    def decode_spy(field, m, g):
+        full_rank, rows = decode_batch(field, m, g)
+        chunks.append([m.copy(), full_rank])
+        return full_rank, rows
+
+    def consistent_spy(rows, params):
+        ok = hash_consistent(rows, params)
+        chunks[-1].append(ok)
+        return ok
+
+    monkeypatch.setattr(sim, "decode_batch", decode_spy)
+    monkeypatch.setattr(sim, "hash_consistent", consistent_spy)
+    rep = simulate_node(_node_config(case, p, trials=60, seed=21, mode=mode))
+    verdicts = []
+    for m, full_rank, ok in chunks:
+        for t, rows in enumerate(m):
+            packets = [Packet(coeffs=r[:G], payload=r[G:], hash_syms=r[:0], field=f)
+                       for r in rows]
+            try:
+                ref = gen_hash_verify(decode(packets, G), hp)
+            except NotDecodable:
+                ref = None
+            got = None
+            if full_rank[t]:
+                got = Verdict.VALID if ok[t] else Verdict.CORRUPTED
+            assert got == ref
+            verdicts.append(ref)
+    assert len(verdicts) == rep.trials == 60
+    assert rep.undecodable == verdicts.count(None)
+    assert rep.false_accepts <= verdicts.count(Verdict.VALID)
+    assert rep.false_rejects == 0
+    assert rep.bits_transmitted == (
+        (60 - verdicts.count(Verdict.CORRUPTED)) * round(n * G)
+    )
+    if case == "GF(2^2)" and mode == "random-symbol":
+        assert set(verdicts) == {None, Verdict.VALID, Verdict.CORRUPTED}
+
+
+@pytest.mark.parametrize("case", sorted(NODE_CASES))
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_hash_detector_at_p_extremes(case, p):
+    _, n, G, _ = NODE_CASES[case]
+    rep = simulate_node(_node_config(case, p, trials=40, seed=22))
+    assert rep.trials == 40
+    assert rep.false_rejects == 0  # honest generations are never flagged
+    if p == 0.0:
+        assert rep.generations_dropped == rep.false_accepts == 0
+        assert rep.bits_transmitted == 40 * round(n * G)
+    else:
+        assert rep.generations_dropped == 40
+        flagged = 40 - rep.false_accepts - rep.undecodable
+        assert rep.bits_transmitted == (40 - flagged) * round(n * G)
 
 
 # Group order and coding-field dtype per seed: seed 9 draws P above the
