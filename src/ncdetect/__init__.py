@@ -50,6 +50,7 @@ from .detect import (
     oracle_verify,
     sig_keygen,
     sig_verify,
+    sig_verify_batch,
 )
 from .rlnc import (
     Generation,

@@ -442,15 +442,20 @@ def make_group(bits_p: int, bits_q: int, rng: random.Random | int) -> GroupSpec:
         if k_lo > k_hi:
             continue
         q = 0
+        # Narrow k ranges redraw the same candidate many times (k is
+        # always 2 at 32/33 bits); the draws are still made, so the
+        # result does not depend on this memo.
+        composite = set()
         for _ in range(4 * bits_q):
             k = rng.randrange(k_lo, k_hi + 1)
             k -= k % 2
-            if k < k_lo:
+            if k < k_lo or k in composite:
                 continue
             cand = k * p + 1
             if is_prime(cand):
                 q = cand
                 break
+            composite.add(k)
         if not q:
             continue
         cofactor = (q - 1) // p

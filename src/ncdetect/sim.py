@@ -18,9 +18,11 @@ check sub-generations and drop polluted ones before they reach the sink.
 The miss-rate run and the hash-detector node run share one batch
 pipeline: T generations at once as (T, G, width) field arrays, mixed by
 one batched product, corrupted by adversary.rewrite_rows, decoded by
-rlnc.decode_batch and checked by detect.hash_consistent.  The relay walks
-Packet lists through rlnc.decode and the detectors; that scalar path is
-the reference the batch kernels are tested against.
+rlnc.decode_batch and checked by detect.hash_consistent.  The signature
+run verifies all valid combinations in one detect.sig_verify_batch call
+and all corrupted vectors in another.  The relay walks Packet lists
+through rlnc.decode and the detectors; that scalar path, with
+detect.sig_verify, is the reference the batch kernels are tested against.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .detect import (
     hash_consistent,
     oracle_verify,
     sig_keygen,
-    sig_verify,
+    sig_verify_batch,
     subspan_consistency,
 )
 from .rlnc import (
@@ -81,7 +83,8 @@ class TrialConfig:
     generation scheme to a run where the node really decodes and
     hash-checks each generation over detector_field, GF(2^8) by default
     (detector misses are then reported as false_accepts; overhead is still
-    scored from ground truth).
+    scored from ground truth).  A hash-aware-forgery attack in that run
+    must carry a hash over detector_field with the detector's width.
     """
 
     scheme: str
@@ -101,6 +104,18 @@ class TrialConfig:
             raise ValueError("attack.p and params.p must agree")
         if self.use_hash_detector and self.scheme != "generation":
             raise ValueError("the hash detector applies to the generation scheme")
+        if self.use_hash_detector and self.attack.mode == "hash-aware-forgery":
+            f, k_data = _detector_layout(self)
+            forged = self.attack.hash_params
+            got = forged.hash_symbol_count(k_data)
+            want = -(-k_data // _DETECTOR_HASH_K)
+            if forged.field != f or got != want:
+                raise ValueError(
+                    f"hash-aware-forgery hash gives {got} symbols over "
+                    f"{forged.field!r}, but the detector's hash (k = "
+                    f"{_DETECTOR_HASH_K}) gives {want} over {f!r} for "
+                    f"{k_data} payload symbols"
+                )
 
 
 @dataclass(frozen=True)
@@ -213,6 +228,13 @@ def simulate_node(config: TrialConfig) -> EmpiricalReport:
     return _generation_report(params, x_counts, drops, bits_transmitted=bits)
 
 
+def _detector_layout(config: TrialConfig) -> tuple[FieldSpec, int]:
+    """The hash-detector node run's field and payload symbols per packet."""
+    f = config.detector_field or binary_field(8)
+    return f, GenerationParams.fit(int(config.params.n), config.params.G,
+                                   _symbol_bits(f), hash_k=_DETECTOR_HASH_K).k_data
+
+
 def _simulate_generation_with_hash(config: TrialConfig,
                                    rng: np.random.Generator) -> EmpiricalReport:
     """Generation scheme with the node really decoding and hash-checking.
@@ -224,10 +246,8 @@ def _simulate_generation_with_hash(config: TrialConfig,
     still scored from ground truth per the model's definition.
     """
     params, attack = config.params, config.attack
-    f = config.detector_field or binary_field(8)
     g = params.G
-    k_data = GenerationParams.fit(int(params.n), g, _symbol_bits(f),
-                                  hash_k=_DETECTOR_HASH_K).k_data
+    f, k_data = _detector_layout(config)
     hp = HashParams(k=_DETECTOR_HASH_K, s=1, field=f)
     x_counts, verdicts = [], []
     for src in _source_chunks(f, g, k_data, hp, config.trials, rng):
@@ -417,7 +437,8 @@ def signature_error_counts(accept_trials: int, reject_trials: int,
 
     Valid combinations must all accept (completeness); corrupted vectors
     accept only with probability 1/P, so at desk scale every one of them
-    must reject.
+    must reject.  Each side is verified in one sig_verify_batch call; the
+    corruption draws are made per vector, in order.
     """
     group = make_group(bits_p, bits_q, random.Random(seed))
     f = prime_field(group.order)
@@ -426,24 +447,17 @@ def signature_error_counts(accept_trials: int, reject_trials: int,
     gen, _ = make_generation(random_payloads(f, G, k_data, rng), gp, f)
     key = sig_keygen(gen, group, rng)
 
-    false_rejects = 0
     coeffs = f.random_elements(rng, (accept_trials, G))
-    data = f.matmul(coeffs, gen.source_payloads)
-    for i in range(accept_trials):
-        if not sig_verify(np.concatenate([coeffs[i], data[i]]), key):
-            false_rejects += 1
+    w = np.concatenate([coeffs, f.matmul(coeffs, gen.source_payloads)], axis=1)
+    false_rejects = int(np.count_nonzero(~sig_verify_batch(w, key)))
 
-    false_accepts = 0
     coeffs = f.random_elements(rng, (reject_trials, G))
-    data = f.matmul(coeffs, gen.source_payloads)
-    width = G + k_data
-    for i in range(reject_trials):
-        w = np.concatenate([coeffs[i], data[i]])
-        j = int(rng.integers(G, width))  # corrupt a payload symbol
+    w = np.concatenate([coeffs, f.matmul(coeffs, gen.source_payloads)], axis=1)
+    for row in w:  # per-vector draws, in row order: they fix the outcomes
+        j = int(rng.integers(G, G + k_data))  # corrupt a payload symbol
         delta = int(rng.integers(1, f.q))
-        w[j] = f.add(int(w[j]), delta)
-        if sig_verify(w, key):
-            false_accepts += 1
+        row[j] = f.add(int(row[j]), delta)
+    false_accepts = int(np.count_nonzero(sig_verify_batch(w, key)))
 
     return SignatureReport(
         accept_trials=accept_trials, false_rejects=false_rejects,

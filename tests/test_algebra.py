@@ -271,6 +271,47 @@ def test_make_group_deterministic():
     assert make_group(10, 20, rng=5) == make_group(10, 20, rng=5)
 
 
+def _make_group_reference(bits_p, bits_q, rng):
+    """make_group's search loop before it skipped known-composite candidates."""
+    rng = random.Random(rng)
+    while True:
+        p = rng.getrandbits(bits_p) | (1 << (bits_p - 1)) | 1
+        if not is_prime(p):
+            continue
+        k_lo = -(-(1 << (bits_q - 1)) // p)  # ceil
+        k_hi = ((1 << bits_q) - 1) // p
+        k_lo += k_lo % 2  # Q odd needs k even
+        if k_lo > k_hi:
+            continue
+        q = 0
+        for _ in range(4 * bits_q):
+            k = rng.randrange(k_lo, k_hi + 1)
+            k -= k % 2
+            if k < k_lo:
+                continue
+            cand = k * p + 1
+            if is_prime(cand):
+                q = cand
+                break
+        if not q:
+            continue
+        cofactor = (q - 1) // p
+        while True:
+            h = rng.randrange(2, q - 1)
+            g = pow(h, cofactor, q)
+            if g != 1:
+                return GroupSpec(modulus=q, order=p, generator=g)
+
+
+@pytest.mark.parametrize("bits_p, bits_q, seeds", [
+    (32, 33, 60), (16, 24, 300), (20, 40, 300), (8, 12, 300), (64, 65, 6),
+])
+def test_make_group_matches_reference_search(bits_p, bits_q, seeds):
+    for seed in range(seeds):
+        assert make_group(bits_p, bits_q, seed) == _make_group_reference(
+            bits_p, bits_q, seed)
+
+
 def test_safe_prime_shortcut_group():
     # Q = 2P + 1 with P = 11: 4 has order 11 mod 23, verified by
     # enumerating its powers.

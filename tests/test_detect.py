@@ -1,5 +1,6 @@
 """Generation hash, subspace signature and the span oracle."""
 
+import functools
 import math
 import random
 
@@ -25,6 +26,7 @@ from ncdetect.detect import (
     oracle_verify,
     sig_keygen,
     sig_verify,
+    sig_verify_batch,
     split_decoded_width,
     subspan_consistency,
     write_hash_test_vectors,
@@ -388,6 +390,114 @@ def test_sig_keygen_preconditions():
     genh, _ = make_generation(random_payloads(field, 3, 4, rng), gph, field, hp)
     with pytest.raises(ValueError):
         sig_keygen(genh, group, rng)  # hash symbols present
+
+
+# -- batched signature check --------------------------------------------------
+
+# (bits_p, bits_q, make_group seed) per table path.  Seeds 1 and 9 are the
+# signature_error_counts groups whose coding fields run on int64 and on
+# object arrays; 32/48 bits puts Q above 2^40, on the Python-int tables.
+SIG_GROUPS = {
+    "int64": (32, 33, 1),
+    "object": (32, 33, 9),
+    "small": (16, 20, 21),
+    "python-int": (32, 48, 5),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def sig_case(name, G=4, k_data=4):
+    bits_p, bits_q, seed = SIG_GROUPS[name]
+    group = make_group(bits_p, bits_q, random.Random(seed))
+    field = prime_field(group.order)
+    rng = np.random.default_rng(seed)
+    gp = GenerationParams.from_symbols(G, k_data, (field.q - 1).bit_length())
+    gen, _ = make_generation(random_payloads(field, G, k_data, rng), gp, field)
+    return field, gen, sig_keygen(gen, group, rng)
+
+
+def sig_rows(field, gen, rng, count):
+    """In-span rows, one-symbol corruptions of them, zero and uniform rows."""
+    G = gen.params.G
+    c = field.random_elements(rng, (count, G))
+    good = np.concatenate([c, field.matmul(c, gen.source_payloads)], axis=1)
+    bad = good.copy()
+    for row in bad:
+        j = int(rng.integers(0, len(row)))
+        row[j] = field.add(int(row[j]), int(rng.integers(1, field.q)))
+    zero = np.zeros_like(good[:1])
+    uniform = field.random_elements(rng, good.shape)
+    return np.concatenate([good, bad, zero, uniform])
+
+
+def test_sig_batch_paths():
+    assert prime_field(sig_case("int64")[2].group.order).dtype == np.int64
+    assert prime_field(sig_case("object")[2].group.order).dtype == object
+    assert sig_case("int64")[2]._tables.dtype == np.uint64
+    assert sig_case("object")[2]._tables.dtype == np.uint64
+    key = sig_case("python-int")[2]
+    assert key.group.modulus >= 2**40
+    assert key._tables.dtype == object
+
+
+@pytest.mark.parametrize("name", sorted(SIG_GROUPS))
+def test_sig_batch_equals_scalar(name):
+    field, gen, key = sig_case(name)
+    rows = sig_rows(field, gen, np.random.default_rng(3), 150)
+    verdicts = sig_verify_batch(rows, key)
+    assert verdicts.dtype == bool and verdicts.shape == (len(rows),)
+    assert verdicts.tolist() == [sig_verify(w, key) for w in rows]
+    # In-span and zero rows accept, one-symbol corruptions reject.
+    assert verdicts[:150].all() and verdicts[300]
+    assert not verdicts[150:300].any()
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(SIG_GROUPS)), seed=st.integers(0, 2**32 - 1),
+       count=st.integers(0, 12), G=st.integers(1, 4), k_data=st.integers(1, 4))
+def test_sig_batch_matches_scalar_property(name, seed, count, G, k_data):
+    field, gen, key = sig_case(name, G, k_data)
+    rows = sig_rows(field, gen, np.random.default_rng(seed), count)
+    assert sig_verify_batch(rows, key).tolist() == [sig_verify(w, key) for w in rows]
+
+
+@pytest.mark.parametrize("name", sorted(SIG_GROUPS))
+def test_sig_batch_tables(name):
+    _, _, key = sig_case(name)
+    q, n = key.group.modulus, len(key.h_vec)
+    t = key._tables
+    assert t.shape == (n, -(-(key.group.order - 1).bit_length() // 8), 256)
+    assert key._tables is t  # built once per key
+    rng = np.random.default_rng(4)
+    for i, m, j in zip(rng.integers(0, n, 50), rng.integers(0, t.shape[1], 50),
+                       rng.integers(0, 256, 50)):
+        assert int(t[i, m, j]) == pow(key.h_vec[i], int(j) << (8 * int(m)), q)
+    assert key == type(key)(group=key.group, h_vec=key.h_vec)
+
+
+def test_sig_batch_exponents_reduced_mod_order():
+    # Any integers give sig_verify's verdicts: negative, >= P and small dtypes.
+    field, gen, key = sig_case("int64")
+    rows = sig_rows(field, gen, np.random.default_rng(5), 20)
+    p = key.group.order
+    for shifted in (rows - p, rows + 3 * p, rows.astype(object) + 2**70):
+        got = sig_verify_batch(shifted, key).tolist()
+        assert got == [sig_verify(w, key) for w in shifted]
+    small = np.arange(64, dtype=np.uint8).reshape(8, 8)
+    assert sig_verify_batch(small, key).tolist() == [sig_verify(w, key) for w in small]
+
+
+def test_sig_batch_empty_and_bad_shapes():
+    _, _, key = sig_case("int64")
+    n = len(key.h_vec)
+    out = sig_verify_batch(np.zeros((0, n), dtype=np.int64), key)
+    assert out.dtype == bool and out.shape == (0,)
+    with pytest.raises(ValueError, match="wire vectors"):
+        sig_verify_batch(np.zeros((3, n - 1), dtype=np.int64), key)
+    with pytest.raises(ValueError, match="wire vectors"):
+        sig_verify_batch(np.zeros(n, dtype=np.int64), key)
+    with pytest.raises(ValueError, match="integers"):
+        sig_verify_batch(np.zeros((2, n)), key)
 
 
 # -- oracle -------------------------------------------------------------------

@@ -23,6 +23,7 @@ from ncdetect.detect import (
     oracle_verify,
     sig_keygen,
     sig_verify,
+    sig_verify_batch,
 )
 from ncdetect.rlnc import (
     CORRUPTED,
@@ -226,6 +227,33 @@ def test_hash_detector_with_prime_field():
     assert rep.false_accepts == 0
 
 
+def test_hash_detector_rejects_mismatched_forgery_hash():
+    # The forged rows must carry the detector's hash symbols: k = 10
+    # gives 12 where the detector's k = 50 gives 3.
+    p = 0.1
+    params = SchemeParams.defaults(p=p, n=1000, G=10)
+
+    def cfg(hp, field=None, n=1000):
+        return TrialConfig(
+            scheme="generation", params=SchemeParams.defaults(p=p, n=n, G=10),
+            attack=AttackModel(p=p, mode="hash-aware-forgery", hash_params=hp),
+            trials=5, seed=1, use_hash_detector=True, detector_field=field,
+        )
+
+    with pytest.raises(ValueError, match="gives 12 symbols.* gives 3 "):
+        cfg(HashParams(k=10, s=1, field=binary_field(8)))
+    with pytest.raises(ValueError, match="GF\\(257\\)"):
+        cfg(HashParams(k=sim._DETECTOR_HASH_K, s=1, field=binary_field(8)),
+            field=prime_field(257), n=999)
+    ok = cfg(HashParams(k=sim._DETECTOR_HASH_K, s=1, field=binary_field(8)))
+    assert simulate_node(ok).trials == 5
+    # Other modes ignore hash_params, so any hash passes there.
+    TrialConfig(scheme="generation", params=params,
+                attack=AttackModel(p=p, hash_params=HashParams(k=10, s=1,
+                                                               field=binary_field(8))),
+                trials=5, seed=1, use_hash_detector=True)
+
+
 PRIME_ABOVE = next(q for q in range(_INT64_SAFE_Q + 1, _INT64_SAFE_Q + 1000)
                    if is_prime(q))  # object-dtype path
 # (detector field, n, G, p): GF(2^2) is often singular and often misses.
@@ -322,15 +350,16 @@ def test_signature_error_counts_small(seed, monkeypatch):
     order, dtype = SIGNATURE_PATHS[seed]
     verified = []
 
-    def counting_verify(w, key):
-        verified.append(len(w))
-        return sig_verify(w, key)
+    def counting_verify(W, key):
+        verified.append(np.shape(W))
+        return sig_verify_batch(W, key)
 
-    monkeypatch.setattr(sim, "sig_verify", counting_verify)
+    monkeypatch.setattr(sim, "sig_verify_batch", counting_verify)
     rep = signature_error_counts(accept_trials=500, reject_trials=200, seed=seed)
     assert rep.group_order == order
     assert prime_field(order).dtype == dtype
-    assert verified == [8] * 700  # every vector goes through sig_verify
+    # Every vector is verified, one batch per side.
+    assert verified == [(500, 8), (200, 8)]
     assert rep.false_rejects == 0
     assert rep.false_accepts == 0
     assert rep.group_order.bit_length() == 32
