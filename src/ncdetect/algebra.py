@@ -11,14 +11,18 @@ Scalar operations (``add``, ``mul``, ``inv``, ``pow``) take and return
 reduced ints; the ``*_arr`` methods of :class:`FieldSpec` operate
 elementwise on integer numpy arrays and are what the coding hot paths use.
 GF(2^w) products come from one q x q table for w <= 8 and from log/exp
-tables above that.  The multiplicative-group side (:class:`GroupSpec`,
-:func:`make_group`) provides the prime-order subgroup of Z_Q^* needed by
-the subspace signature scheme; its arithmetic is Python's ``pow``.
+tables above that.  Prime fields up to 2^32 hold int64 arrays and form
+products in uint64, exact because (q-1)^2 < 2^64; larger primes fall back
+to Python ints in object arrays.  The multiplicative-group side
+(:class:`GroupSpec`, :func:`make_group`) provides the prime-order subgroup
+of Z_Q^* needed by the subspace signature scheme; its arithmetic is
+Python's ``pow``.
 """
 
 from __future__ import annotations
 
-import math
+import bisect
+import functools
 import random
 import warnings
 from dataclasses import dataclass
@@ -47,21 +51,36 @@ IRREDUCIBLE_POLY = {
     16: 0b10001000000001011,
 }
 
-# Largest prime modulus for which int64 products cannot overflow.
-_INT64_SAFE_Q = 3_037_000_499
+# Largest modulus whose elements stay in int64 arrays: products of two
+# elements below 2^32 fit uint64.
+_INT64_SAFE_Q = 1 << 32
 
 # Largest w for which GF(2^w) keeps a full q x q product table (64 KiB at
 # w = 8; 4 GiB at w = 16, so log/exp serves w > 8).
 _MUL_TABLE_MAX_W = 8
 
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+# psi_j (OEIS A014233): the least odd composite that is a strong pseudoprime
+# to each of the first j prime bases (Jaeschke, Math. Comp. 1993; Sorenson
+# & Webster, Math. Comp. 2017).  Below psi_j the first j bases decide.
+_MILLER_RABIN_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test.
+    """Miller-Rabin primality test on a ladder of witness sets.
 
-    Deterministic for n < 3.3e24 with the fixed witness set; a strong
-    probable-prime test beyond that (error probability < 4^-12).
+    n is tested against the first j bases of _MILLER_RABIN_BASES, j the
+    smallest index with n < psi_j: 4 or 5 witnesses at 32/33 bits.
+    Deterministic for n < psi_13 = 3317044064679887385961981 (about
+    3.3e24); from there on all 14 bases, 2..43, make it a strong
+    probable-prime test (error probability < 4^-14) that still rejects
+    psi_13 itself.
     """
     if n < 2:
         return False
@@ -72,7 +91,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MILLER_RABIN_BASES:
+    for a in _MILLER_RABIN_BASES[: bisect.bisect_right(_MILLER_RABIN_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -105,7 +124,9 @@ class FieldSpec:
     :func:`binary_field`, :func:`prime_field` or :func:`GF`.  Elements are
     reduced integer representatives in [0, q).  Arrays of them have dtype
     ``dtype``: uint8 for GF(2^w) with w <= 8, uint16 up to w = 16, int64
-    for primes up to ``_INT64_SAFE_Q`` and Python ints (object) above.
+    for primes up to ``_INT64_SAFE_Q`` = 2^32 and Python ints (object)
+    above.  int64 products are formed in uint64 and reduced there; sums
+    stay below 2^33 and need no widening.
     """
 
     def __init__(self, kind: str, q: int, poly: int = 0):
@@ -243,7 +264,13 @@ class FieldSpec:
             # Gathering logs before broadcasting keeps a scalar-times-row
             # product at two full-size passes.
             return self._exp[self._log[a] + self._log[b]]
-        return a * b % self.q
+        if self.dtype == object:
+            return a * b % self.q
+        # Reduced operands are below 2^32, so the uint64 product is exact;
+        # the reduced result is below 2^32 again and views back as int64.
+        prod = np.multiply(a, b, dtype=np.uint64, casting="unsafe")
+        prod %= np.uint64(self.q)
+        return prod.view(np.int64)
 
     def inv_arr(self, a) -> np.ndarray:
         a = self._arr(a)
@@ -365,22 +392,17 @@ def _poly_pow(a: int, e: int, poly: int, w: int) -> int:
     return r
 
 
-_FIELD_CACHE: dict[tuple, FieldSpec] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def binary_field(w: int) -> FieldSpec:
     """GF(2^w) with the module's fixed irreducible polynomial."""
-    key = ("binary-extension", 1 << w)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = FieldSpec("binary-extension", 1 << w)
-    return _FIELD_CACHE[key]
+    return FieldSpec("binary-extension", 1 << w)
 
 
+# Every signature run draws a fresh group order, so prime fields, which
+# carry no tables, are kept only for the most recently used orders.
+@functools.lru_cache(maxsize=256)
 def prime_field(q: int) -> FieldSpec:
-    key = ("prime", q)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = FieldSpec("prime", q)
-    return _FIELD_CACHE[key]
+    return FieldSpec("prime", q)
 
 
 def GF(q: int) -> FieldSpec:
@@ -412,6 +434,32 @@ class GroupSpec:
         return (self.modulus - 1).bit_length()
 
 
+def check_group_bits(bits_p: int, bits_q: int) -> None:
+    """Raise ValueError unless make_group accepts these sizes."""
+    if bits_p < 8:
+        raise ValueError("bits_p must be >= 8")
+    if bits_q <= bits_p:
+        raise ValueError("bits_q must exceed bits_p")
+
+
+def _skip_randrange(rng: random.Random, width: int, count: int) -> None:
+    """Advance rng exactly as count calls of rng.randrange(a, a + width).
+
+    Once every candidate k is known composite, make_group's remaining
+    search iterations cannot find Q, but their draws are still consumed:
+    every later P, Q and generator comes from the state they leave, so
+    skipping them would change the groups.  randrange(a, a + width) is
+    a + _randbelow(width), and CPython's _randbelow redraws
+    getrandbits(width.bit_length()) until the value is below width; this
+    makes the same getrandbits calls without the per-call overhead.
+    """
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
+    for _ in range(count):
+        while getrandbits(k) >= width:
+            pass
+
+
 def make_group(bits_p: int, bits_q: int, rng: random.Random | int) -> GroupSpec:
     """Generate a GroupSpec with P of bits_p bits and Q of bits_q bits.
 
@@ -420,10 +468,7 @@ def make_group(bits_p: int, bits_q: int, rng: random.Random | int) -> GroupSpec:
     given rng state.  Requests at cryptographic sizes (e.g. 160/1024 bits)
     are honored but slow; a warning marks that path.
     """
-    if bits_p < 8:
-        raise ValueError("bits_p must be >= 8")
-    if bits_q <= bits_p:
-        raise ValueError("bits_q must exceed bits_p")
+    check_group_bits(bits_p, bits_q)
     if bits_q >= 512:
         warnings.warn(
             f"group generation at {bits_p}/{bits_q} bits is a slow path",
@@ -442,11 +487,11 @@ def make_group(bits_p: int, bits_q: int, rng: random.Random | int) -> GroupSpec:
         if k_lo > k_hi:
             continue
         q = 0
-        # Narrow k ranges redraw the same candidate many times (k is
-        # always 2 at 32/33 bits); the draws are still made, so the
-        # result does not depend on this memo.
+        # Narrow k ranges redraw the same candidate many times (k is 2 or
+        # 4 at 32/33 bits), so known composites are not retested.
         composite = set()
-        for _ in range(4 * bits_q):
+        evens = (k_hi - k_lo) // 2 + 1
+        for i in range(4 * bits_q):
             k = rng.randrange(k_lo, k_hi + 1)
             k -= k % 2
             if k < k_lo or k in composite:
@@ -456,6 +501,9 @@ def make_group(bits_p: int, bits_q: int, rng: random.Random | int) -> GroupSpec:
                 q = cand
                 break
             composite.add(k)
+            if len(composite) == evens:  # the rest can only draw
+                _skip_randrange(rng, k_hi + 1 - k_lo, 4 * bits_q - i - 1)
+                break
         if not q:
             continue
         cofactor = (q - 1) // p

@@ -23,7 +23,7 @@ import argparse
 import sys
 
 from . import acceptance, analytic
-from .algebra import binary_field
+from .algebra import binary_field, check_group_bits
 from .analytic import SchemeParams
 from .detect import HashParams
 from .rlnc import GenerationParams
@@ -267,8 +267,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_accounting(args) -> int:
-    if min(args.G, args.bits_p, args.bits_q) < 1:
-        raise ValueError("G, bits_p and bits_q must be >= 1")
+    if args.G < 1:
+        raise ValueError("G must be >= 1")
+    check_group_bits(args.bits_p, args.bits_q)
     params = _params_for(args)
     f = binary_field(args.logq)
     gp = GenerationParams.fit(int(args.n), args.G, args.logq, hash_k=args.k)

@@ -143,9 +143,12 @@ def _prime_near(q: int, step: int) -> int:
     return q
 
 
-# Every binary field, and primes on both the int64 and the object-dtype path.
+# Every binary field, and primes on both the int64 and the object-dtype
+# path; the two near sqrt(2^63) ~ 3037000499 straddle the point where
+# int64 products overflow and are formed in uint64.
 KERNEL_FIELDS = [binary_field(w) for w in range(2, 17)] + [
-    prime_field(q) for q in (2, 257, _prime_near(_INT64_SAFE_Q, -1),
+    prime_field(q) for q in (2, 257, 3_037_000_493, 3_037_000_507,
+                             _prime_near(_INT64_SAFE_Q, -1),
                              _prime_near(_INT64_SAFE_Q + 1, 1))
 ]
 

@@ -37,12 +37,15 @@ def _prime_near(q: int, step: int) -> int:
     return q
 
 
-# FIELDS plus every other binary field, and primes on both sides of the
-# int64 limit (the object-dtype path lies above it).
+# FIELDS plus every other binary field, primes either side of
+# sqrt(2^63) ~ 3037000499 (int64 products of the larger overflow and are
+# formed in uint64), and primes on both sides of the int64 limit (the
+# object-dtype path lies above it).
 AXIOM_FIELDS = (
     FIELDS
     + [binary_field(w) for w in range(2, 17) if w not in (4, 7, 8)]
-    + [prime_field(q) for q in (2, 257, _prime_near(_INT64_SAFE_Q, -1),
+    + [prime_field(q) for q in (2, 257, 3_037_000_493, 3_037_000_507,
+                                _prime_near(_INT64_SAFE_Q, -1),
                                 _prime_near(_INT64_SAFE_Q + 1, 1))]
 )
 
@@ -273,7 +276,6 @@ def test_make_group_deterministic():
 
 def _make_group_reference(bits_p, bits_q, rng):
     """make_group's search loop before it skipped known-composite candidates."""
-    rng = random.Random(rng)
     while True:
         p = rng.getrandbits(bits_p) | (1 << (bits_p - 1)) | 1
         if not is_prime(p):
@@ -307,9 +309,24 @@ def _make_group_reference(bits_p, bits_q, rng):
     (32, 33, 60), (16, 24, 300), (20, 40, 300), (8, 12, 300), (64, 65, 6),
 ])
 def test_make_group_matches_reference_search(bits_p, bits_q, seeds):
+    # Same groups and the same generator state after each of two calls on
+    # one rng: every draw of the reference loop is still consumed.
     for seed in range(seeds):
-        assert make_group(bits_p, bits_q, seed) == _make_group_reference(
-            bits_p, bits_q, seed)
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(2):
+            assert make_group(bits_p, bits_q, rng) == _make_group_reference(
+                bits_p, bits_q, ref)
+            assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 2**31 - 1, 2**31])
+def test_skip_randrange_consumes_the_same_draws(width):
+    for count in range(201):
+        rng, ref = random.Random(count), random.Random(count)
+        algebra._skip_randrange(rng, width, count)
+        for _ in range(count):
+            ref.randrange(5, 5 + width)
+        assert rng.getstate() == ref.getstate()
 
 
 def test_safe_prime_shortcut_group():
@@ -345,3 +362,63 @@ def test_make_group_argument_validation():
         make_group(4, 16, rng=0)
     with pytest.raises(ValueError):
         make_group(16, 16, rng=0)
+
+
+# psi_j (OEIS A014233), the least odd composite that is a strong pseudoprime
+# to each of the first j prime bases; the last two as their factors.
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051,
+    399165290221 * 798330580441, 1287836182261 * 2575672364521,
+)
+
+
+def _is_prime_12_bases(n):
+    """is_prime with the full 12-base witness set on every n."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_rejects_every_psi():
+    assert algebra._MILLER_RABIN_PSI == PSI
+    for psi in PSI:
+        assert not is_prime(psi)
+    # psi_12 passes all of 2..37, so the 12-base test alone accepts it.
+    assert _is_prime_12_bases(PSI[11])
+
+
+def test_is_prime_ladder_equals_12_base_test():
+    rng = random.Random(41)
+    for _ in range(10**5):
+        n = rng.getrandbits(rng.randint(8, 64))
+        assert is_prime(n) == _is_prime_12_bases(n)
+
+
+def test_prime_field_cache_stays_bounded():
+    f16 = binary_field(16)
+    primes = (q for q in range(10**9, 2 * 10**9) if is_prime(q))
+    for _, q in zip(range(2000), primes):
+        prime_field(q)
+    info = prime_field.cache_info()
+    assert info.currsize <= info.maxsize < 2000
+    assert binary_field(16) is f16  # binary fields, with their tables, stay

@@ -29,9 +29,12 @@ def _prime_near(q: int, step: int) -> int:
 
 PRIME_BELOW = _prime_near(_INT64_SAFE_Q, -1)  # int64 path
 PRIME_ABOVE = _prime_near(_INT64_SAFE_Q + 1, 1)  # object-dtype path
+# Primes either side of sqrt(2^63) ~ 3037000499: products of the larger
+# overflow int64, so both int64-path cases check the uint64 products.
+SQRT_INT64_PRIMES = (3_037_000_493, 3_037_000_507)
 FIELDS = (
     [binary_field(w) for w in range(2, 17)]
-    + [prime_field(q) for q in (2, 257, PRIME_BELOW, PRIME_ABOVE)]
+    + [prime_field(q) for q in (2, 257, *SQRT_INT64_PRIMES, PRIME_BELOW, PRIME_ABOVE)]
 )
 FIELD_IDS = [repr(f) for f in FIELDS]
 
@@ -49,6 +52,27 @@ def _ints(a):
 def test_prime_fields_straddle_the_int64_limit():
     assert prime_field(PRIME_BELOW).dtype == np.int64
     assert prime_field(PRIME_ABOVE).dtype == object
+
+
+@PROPERTY
+@given(data=st.data())
+def test_int64_products_below_2_32_equal_python_ints(data):
+    q = PRIME_BELOW
+    f = prime_field(q)
+    r, m, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    elem = st.one_of(st.integers(0, q - 1), st.just(q - 1))
+    a = [[data.draw(elem) for _ in range(m)] for _ in range(r)]
+    b = [[data.draw(elem) for _ in range(c)] for _ in range(m)]
+    a[0][0] = b[0][0] = q - 1  # (q-1)(q-1), the largest product
+    A, B = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    prod = f.mul_arr(A[:, :, None], B[None, :, :])  # prod[i, j, k] = a_ij b_jk
+    assert prod.dtype == np.int64
+    assert prod.tolist() == [[[x * y % q for y in b[j]] for j, x in enumerate(row)]
+                             for row in a]
+    got = f.matmul(A, B)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[sum(row[j] * b[j][k] for j in range(m)) % q
+                             for k in range(c)] for row in a]
 
 
 @pytest.mark.parametrize("w", range(2, 9))
@@ -223,6 +247,7 @@ def test_hash_consistent_matches_gen_hash_verify(f, seed, T, R, k_data):
 
 
 @pytest.mark.parametrize("f", [binary_field(2), binary_field(16), prime_field(257),
+                               prime_field(SQRT_INT64_PRIMES[1]),
                                prime_field(PRIME_ABOVE)], ids=repr)
 def test_miss_rate_run_on_every_field_kind(f):
     args = dict(field=f, G=3, k_data=4, hash_k=2, s=2, trials=40, seed=9)

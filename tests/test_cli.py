@@ -201,6 +201,9 @@ def test_missrate_rejects_zero_trials(capsys):
     (["accounting", "--bits-p", "0"], "bits_p"),
     (["accounting", "--bits-p", "-5"], "bits_p"),
     (["accounting", "--bits-q", "0"], "bits_q"),
+    (["accounting", "--bits-p", "20", "--bits-q", "10"], "bits_q must exceed bits_p"),
+    (["accounting", "--bits-p", "20", "--bits-q", "20"], "bits_q must exceed bits_p"),
+    (["accounting", "--bits-p", "4", "--bits-q", "16"], "bits_p must be >= 8"),
 ])
 def test_bad_counts_exit_2_without_traceback(capsys, args, word):
     rc = run(args)

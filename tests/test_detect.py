@@ -394,12 +394,15 @@ def test_sig_keygen_preconditions():
 
 # -- batched signature check --------------------------------------------------
 
-# (bits_p, bits_q, make_group seed) per table path.  Seeds 1 and 9 are the
-# signature_error_counts groups whose coding fields run on int64 and on
-# object arrays; 32/48 bits puts Q above 2^40, on the Python-int tables.
+# (bits_p, bits_q, make_group seed) per table path.  These are the
+# signature_error_counts groups of its seeds 1, 9 and 3: coding fields on
+# int64 arrays, on int64 arrays with P above 3_037_000_499 (uint64
+# products) and, for a 36-bit P, on object arrays; 32/48 bits puts Q above
+# 2^40, on the Python-int tables.
 SIG_GROUPS = {
     "int64": (32, 33, 1),
-    "object": (32, 33, 9),
+    "int64-high": (32, 33, 9),
+    "object": (36, 37, 3),
     "small": (16, 20, 21),
     "python-int": (32, 48, 5),
 }
@@ -432,7 +435,10 @@ def sig_rows(field, gen, rng, count):
 
 def test_sig_batch_paths():
     assert prime_field(sig_case("int64")[2].group.order).dtype == np.int64
+    assert prime_field(sig_case("int64-high")[2].group.order).dtype == np.int64
+    assert sig_case("int64-high")[2].group.order > 3_037_000_499
     assert prime_field(sig_case("object")[2].group.order).dtype == object
+    assert sig_case("object")[2].group.modulus < 2**40
     assert sig_case("int64")[2]._tables.dtype == np.uint64
     assert sig_case("object")[2]._tables.dtype == np.uint64
     key = sig_case("python-int")[2]
@@ -525,9 +531,12 @@ def _prime_near(q: int, step: int) -> int:
     return q
 
 
-# Every binary field, and primes on both the int64 and the object-dtype path.
+# Every binary field, and primes on both the int64 and the object-dtype
+# path; the two near sqrt(2^63) ~ 3037000499 straddle the point where
+# int64 products overflow and are formed in uint64.
 ORACLE_FIELDS = [binary_field(w) for w in range(2, 17)] + [
-    prime_field(q) for q in (2, 257, _prime_near(_INT64_SAFE_Q, -1),
+    prime_field(q) for q in (2, 257, 3_037_000_493, 3_037_000_507,
+                             _prime_near(_INT64_SAFE_Q, -1),
                              _prime_near(_INT64_SAFE_Q + 1, 1))
 ]
 

@@ -262,7 +262,7 @@ NODE_CASES = {
     "GF(2^2)": (binary_field(2), 64, 4, 0.3),
     "G=1": (binary_field(8), 1000, 1, 0.3),
     "GF(257)": (prime_field(257), 999, 6, 0.2),
-    "object": (prime_field(PRIME_ABOVE), 1280, 4, 0.3),
+    "object": (prime_field(PRIME_ABOVE), 1320, 4, 0.3),  # 40 33-bit symbols
 }
 
 
@@ -340,14 +340,20 @@ def test_hash_detector_at_p_extremes(case, p):
         assert rep.bits_transmitted == (40 - flagged) * round(n * G)
 
 
-# Group order and coding-field dtype per seed: seed 9 draws P above the
-# int64-safe limit, so its symbols run on the object-dtype path.
-SIGNATURE_PATHS = {1: (2273265413, np.int64), 9: (3738826463, object)}
+# Order bits, group order and coding-field dtype per seed, with
+# bits_q = bits_p + 1.  Seed 9 draws P above 3_037_000_499, whose int64
+# products overflow int64 and are formed in uint64; seed 3's 36-bit P lies
+# above 2^32, so its symbols run on the object-dtype path.
+SIGNATURE_PATHS = {
+    1: (32, 2273265413, np.int64),
+    3: (36, 60686552753, object),
+    9: (32, 3738826463, np.int64),
+}
 
 
 @pytest.mark.parametrize("seed", sorted(SIGNATURE_PATHS))
 def test_signature_error_counts_small(seed, monkeypatch):
-    order, dtype = SIGNATURE_PATHS[seed]
+    bits_p, order, dtype = SIGNATURE_PATHS[seed]
     verified = []
 
     def counting_verify(W, key):
@@ -355,14 +361,15 @@ def test_signature_error_counts_small(seed, monkeypatch):
         return sig_verify_batch(W, key)
 
     monkeypatch.setattr(sim, "sig_verify_batch", counting_verify)
-    rep = signature_error_counts(accept_trials=500, reject_trials=200, seed=seed)
+    rep = signature_error_counts(accept_trials=500, reject_trials=200, seed=seed,
+                                 bits_p=bits_p, bits_q=bits_p + 1)
     assert rep.group_order == order
     assert prime_field(order).dtype == dtype
     # Every vector is verified, one batch per side.
     assert verified == [(500, 8), (200, 8)]
     assert rep.false_rejects == 0
     assert rep.false_accepts == 0
-    assert rep.group_order.bit_length() == 32
+    assert rep.group_order.bit_length() == bits_p
 
 
 def test_packet_filter_soundness_with_signature():
