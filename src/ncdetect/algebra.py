@@ -10,10 +10,11 @@ Two field kinds are supported:
 Scalar operations (``add``, ``mul``, ``inv``, ``pow``) take and return
 reduced ints; the ``*_arr`` methods of :class:`FieldSpec` operate
 elementwise on integer numpy arrays and are what the coding hot paths use.
-GF(2^w) products come from one q x q table for w <= 8 and from log/exp
-tables above that.  Prime fields up to 2^32 hold int64 arrays and form
-products in uint64, exact because (q-1)^2 < 2^64; larger primes fall back
-to Python ints in object arrays.  The multiplicative-group side
+GF(2^w) for w <= 8 keeps q x q product and power tables and a q-entry
+inverse table, so a product, a power or an inverse is one gather; above
+w = 8 log/exp tables serve.  Prime fields up to 2^32 hold int64 arrays
+and form products in uint64, exact because (q-1)^2 < 2^64; larger primes
+fall back to Python ints in object arrays.  The multiplicative-group side
 (:class:`GroupSpec`, :func:`make_group`) provides the prime-order subgroup
 of Z_Q^* needed by the subspace signature scheme; its arithmetic is
 Python's ``pow``.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import operator
 import random
 import warnings
 from dataclasses import dataclass
@@ -55,8 +57,8 @@ IRREDUCIBLE_POLY = {
 # elements below 2^32 fit uint64.
 _INT64_SAFE_Q = 1 << 32
 
-# Largest w for which GF(2^w) keeps a full q x q product table (64 KiB at
-# w = 8; 4 GiB at w = 16, so log/exp serves w > 8).
+# Largest w for which GF(2^w) keeps full q x q product and power tables
+# (64 KiB each at w = 8; 4 GiB at w = 16, so log/exp serves w > 8).
 _MUL_TABLE_MAX_W = 8
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
@@ -104,6 +106,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _as_int(value, what: str) -> int:
+    """value as a Python int; numpy integers pass, floats and strings do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _carryless_mul_mod(a: int, b: int, poly: int, w: int) -> int:
     """Polynomial multiplication of a and b modulo poly, over GF(2)."""
     r = 0
@@ -127,9 +137,19 @@ class FieldSpec:
     for primes up to ``_INT64_SAFE_Q`` = 2^32 and Python ints (object)
     above.  int64 products are formed in uint64 and reduced there; sums
     stay below 2^33 and need no widening.
+
+    GF(2^w) with w <= ``_MUL_TABLE_MAX_W`` carries three flat tables
+    (Plank, Greenan & Miller, FAST 2013): products at (a << w) | b; powers
+    at (r << w) | x, row r holding x^r for every x (row 0 all ones, so
+    0^0 = 1, and 0^r = 0 for r > 0); and inverses, with 0 at index 0.
+    The underscore operations (``_add``, ``_sub``, ``_mul``, ``_inv``,
+    ``_pow``, ``_matmul``) take operands already in array form and skip
+    conversion and checks; the public ``*_arr`` methods convert, check
+    and call them.
     """
 
     def __init__(self, kind: str, q: int, poly: int = 0):
+        q = _as_int(q, "field order")
         if kind == "binary-extension":
             w = q.bit_length() - 1
             if q != 1 << w or w not in IRREDUCIBLE_POLY:
@@ -144,7 +164,7 @@ class FieldSpec:
             self.w = 0
             self.poly = 0
             self.dtype = np.dtype(np.int64 if q <= _INT64_SAFE_Q else object)
-            self._mul_table = None
+            self._mul_table = self._pow_table = self._inv_table = None
         else:
             raise ValueError(f"unknown field kind {kind!r}")
         self.kind = kind
@@ -179,16 +199,24 @@ class FieldSpec:
         self._exp = exp
         self._log = log
         self.generator = g
-        # A full product table, flat and indexed by (a << w) | b, makes a
-        # product one gather instead of two log gathers, an add and an exp
-        # gather (Plank, Greenan & Miller, FAST 2013).  One byte per entry
-        # keeps it at 64 KiB for w = 8.
-        self._mul_table = None
+        # Full product and power tables make a product or a power one
+        # gather instead of two log gathers, an add and an exp gather, or
+        # a log gather, a multiply, a modulo, an exp gather and two masks.
+        # One byte per entry keeps each at 64 KiB for w = 8.
+        self._mul_table = self._pow_table = self._inv_table = None
         if self.w <= _MUL_TABLE_MAX_W:
             table = np.empty(q * q, dtype=np.uint8)
             for a in range(q):  # row by row: no q x q index temporary
                 table[a * q : (a + 1) * q] = exp[log[a] + log]
             self._mul_table = table
+            # log[0]'s sentinel times r is 0 mod q - 1, so column 0 reads
+            # exp[0] = 1: right in row 0 (0^0 = 1), cleared below it.
+            powers = exp[np.arange(q)[:, None] * log % (q - 1)]
+            powers[1:, 0] = 0
+            self._pow_table = powers.ravel()
+            inverses = np.zeros(q, dtype=np.uint8)
+            inverses[1:] = exp[(q - 1) - log[1:]]
+            self._inv_table = inverses
 
     # -- scalar operations -------------------------------------------------
 
@@ -230,7 +258,8 @@ class FieldSpec:
         if a == 0:
             return 0
         if self.kind == "binary-extension":
-            return int(self._exp[self._log[a] * e % (self.q - 1)])
+            # Reducing e first keeps log(a) * e below 2^32.
+            return int(self._exp[self._log[a] * (e % (self.q - 1)) % (self.q - 1)])
         return pow(a, e, self.q)
 
     # -- array operations ---------------------------------------------------
@@ -245,21 +274,46 @@ class FieldSpec:
         return out.reshape(a.shape)
 
     def add_arr(self, a, b) -> np.ndarray:
-        a, b = self._arr(a), self._arr(b)
+        return self._add(self._arr(a), self._arr(b))
+
+    def sub_arr(self, a, b) -> np.ndarray:
+        return self._sub(self._arr(a), self._arr(b))
+
+    def mul_arr(self, a, b) -> np.ndarray:
+        return self._mul(self._arr(a), self._arr(b))
+
+    def inv_arr(self, a) -> np.ndarray:
+        a = self._arr(a)
+        if np.any(a == 0):
+            raise ZeroDivisionError("zero has no multiplicative inverse")
+        return self._inv(a)
+
+    def pow_arr(self, a, e) -> np.ndarray:
+        """Elementwise a**e; e may be a scalar or an array of exponents >= 0.
+
+        Follows the same 0**0 = 1 convention as :meth:`pow`.
+        """
+        e = np.asarray(e, dtype=np.int64)
+        if np.any(e < 0):
+            raise ValueError("negative exponent")
+        return self._pow(self._arr(a), e)
+
+    def _add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.kind == "binary-extension":
             return a ^ b
         return (a + b) % self.q
 
-    def sub_arr(self, a, b) -> np.ndarray:
-        a, b = self._arr(a), self._arr(b)
+    def _sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.kind == "binary-extension":
             return a ^ b
         return (a - b) % self.q
 
-    def mul_arr(self, a, b) -> np.ndarray:
-        a, b = self._arr(a), self._arr(b)
+    def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self._mul_table is not None:
-            return self._mul_table[np.left_shift(a, self.w, dtype=np.intp) | b]
+            # Table indices stay below 2^16, so the index pass can write
+            # uint16; take() gathers with such an index much faster than
+            # fancy indexing does.
+            return self._mul_table.take(np.left_shift(a, self.w, dtype=np.uint16) | b)
         if self.kind == "binary-extension":
             # Gathering logs before broadcasting keeps a scalar-times-row
             # product at two full-size passes.
@@ -272,43 +326,38 @@ class FieldSpec:
         prod %= np.uint64(self.q)
         return prod.view(np.int64)
 
-    def inv_arr(self, a) -> np.ndarray:
-        a = self._arr(a)
-        if np.any(a == 0):
-            raise ZeroDivisionError("zero has no multiplicative inverse")
+    def _inv(self, a: np.ndarray) -> np.ndarray:
+        """Elementwise inverse, with 0 taken to 0 rather than rejected."""
+        if self._inv_table is not None:
+            return self._inv_table.take(a)
         if self.kind == "binary-extension":
+            # log[0] = 2(q-1) makes the index -(q-1), which numpy reads
+            # from the end of exp, inside its run of zeros.
             return self._exp[(self.q - 1) - self._log[a]]
         flat = [pow(int(v), self.q - 2, self.q) for v in np.ravel(a)]
         return self._arr(flat).reshape(np.shape(a))
 
-    def pow_arr(self, a, e) -> np.ndarray:
-        """Elementwise a**e; e may be a scalar or an array of exponents >= 0.
-
-        Follows the same 0**0 = 1 convention as :meth:`pow`.
-        """
-        a = self._arr(a)
-        e = np.asarray(e, dtype=np.int64)
-        if np.any(e < 0):
-            raise ValueError("negative exponent")
+    def _pow(self, a: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """Elementwise a**e for int64 exponents e >= 0, broadcast against a."""
         if self.kind == "binary-extension":
-            a, e = np.broadcast_arrays(a, e)
-            idx = self._log[a]  # a fresh array: reduce it in place
-            idx *= e
+            # x^e = x^r for r = ((e - 1) mod (q - 1)) + 1 when e > 0; r >= 1
+            # keeps 0^e = 0, and r = q - 1 gives x^(k(q-1)) = 1 for x != 0.
+            r = np.where(e > 0, (e - 1) % (self.q - 1) + 1, 0)
+            if self._pow_table is not None:
+                return self._pow_table.take(np.left_shift(r, self.w).astype(np.uint16) | a)
+            idx = self._log[a] * r  # a fresh array: reduce it in place
             idx %= self.q - 1
-            out = self._exp[idx]
-            out[(a == 0) & (e > 0)] = 0
-            out[e == 0] = 1
-            return out
+            return np.where((a == 0) & (r > 0), 0, self._exp[idx])
         a, e = np.broadcast_arrays(a, e)
         out = np.ones_like(a)
         base = a.copy()
         e = e.copy()
         while np.any(e > 0):
             odd = (e & 1) == 1
-            out[odd] = self.mul_arr(out[odd], base[odd])
+            out[odd] = self._mul(out[odd], base[odd])
             e >>= 1
             live = e > 0
-            base[live] = self.mul_arr(base[live], base[live])
+            base[live] = self._mul(base[live], base[live])
         return out
 
     def matmul(self, a, b) -> np.ndarray:
@@ -335,10 +384,9 @@ class FieldSpec:
         if m == 0:
             shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
             return np.zeros(shape + (a.shape[-2], b.shape[-1]), dtype=self.dtype)
-        out = self.mul_arr(a[..., :, :1], b[..., :1, :])
+        out = self._mul(a[..., :, :1], b[..., :1, :])
         for j in range(1, m):
-            out = self.add_arr(out, self.mul_arr(a[..., :, j : j + 1],
-                                                 b[..., j : j + 1, :]))
+            out = self._add(out, self._mul(a[..., :, j : j + 1], b[..., j : j + 1, :]))
         return out
 
     def random_elements(self, rng: np.random.Generator, size) -> np.ndarray:
@@ -392,21 +440,23 @@ def _poly_pow(a: int, e: int, poly: int, w: int) -> int:
     return r
 
 
-@functools.lru_cache(maxsize=None)
+# Typed caches: 8.0 must not find the entry for 8, nor 7.0 that for 7.
+@functools.lru_cache(maxsize=None, typed=True)
 def binary_field(w: int) -> FieldSpec:
     """GF(2^w) with the module's fixed irreducible polynomial."""
-    return FieldSpec("binary-extension", 1 << w)
+    return FieldSpec("binary-extension", 1 << _as_int(w, "extension degree"))
 
 
 # Every signature run draws a fresh group order, so prime fields, which
 # carry no tables, are kept only for the most recently used orders.
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def prime_field(q: int) -> FieldSpec:
     return FieldSpec("prime", q)
 
 
 def GF(q: int) -> FieldSpec:
     """Field of order q: a power of two gives GF(2^w), a prime gives GF(q)."""
+    q = _as_int(q, "field order")
     if q > 2 and q & (q - 1) == 0:
         return binary_field(q.bit_length() - 1)
     return prime_field(q)

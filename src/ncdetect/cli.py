@@ -37,19 +37,26 @@ def _fmt(x: float) -> str:
 
 
 def _parse_p_values(text: str) -> list[float]:
-    """Grid syntax: 'lo:hi:step' or a comma-separated list."""
+    """Grid syntax: 'lo:hi:step' or a non-empty comma-separated list."""
     if ":" in text:
-        lo, hi, step = (float(v) for v in text.split(":"))
-        if step <= 0 or hi < lo:
+        parts = [float(v) for v in text.split(":")]
+        if len(parts) != 3 or parts[2] <= 0 or parts[1] < parts[0]:
             raise ValueError("grid must be lo:hi:step with step > 0, hi >= lo")
+        lo, hi, step = parts
         count = int(round((hi - lo) / step)) + 1
         vals = [lo + i * step for i in range(count)]
         return [round(v, 12) for v in vals if v <= hi + 1e-12]
-    return [float(v) for v in text.split(",") if v.strip()]
+    return _nonempty([float(v) for v in text.split(",") if v.strip()], "--p")
 
 
 def _parse_g_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    return _nonempty([int(v) for v in text.split(",") if v.strip()], "--G-list")
+
+
+def _nonempty(values: list, option: str) -> list:
+    if not values:
+        raise ValueError(f"{option} lists no values")
+    return values
 
 
 def _parse_edge_probs(text: str | None) -> dict:
@@ -189,7 +196,8 @@ def _params_for(args, G: int | None = None) -> SchemeParams:
 
 
 def _cmd_sweep(args) -> int:
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    schemes = _nonempty([s.strip() for s in args.schemes.split(",") if s.strip()],
+                        "--schemes")
     for s in schemes:
         if s not in analytic.SCHEMES:
             raise ValueError(f"unknown scheme {s!r}")

@@ -325,8 +325,13 @@ def decode_batch(field: FieldSpec, m, G: int) -> tuple[np.ndarray, np.ndarray]:
     succeed on trial t's rows, and rows[t] is then the (G, width) matrix
     decode returns; rows of rank-deficient trials hold arbitrary field
     elements.  Each column takes, per trial, the first nonzero entry at or
-    below the current row as pivot, as decode does; the row updates run
-    on all trials, with the pivot row masked out of the elimination.
+    below the current row as pivot, as decode does, and a trial without
+    one is rank-deficient.  Pivot rows are not normalised per column:
+    every other row loses m[r, c] / pivot times the pivot row, and the G
+    pivot rows are scaled once at the end, which leaves the unique reduced
+    form of a full-rank trial, decode's rows, bit for bit.  A zero pivot's
+    inverse reads as 0, so rank-deficient trials run the same updates as
+    no-ops instead of raising.
     """
     m = field._arr(m).copy()
     if m.ndim != 3 or m.shape[2] < G:
@@ -339,22 +344,21 @@ def decode_batch(field: FieldSpec, m, G: int) -> tuple[np.ndarray, np.ndarray]:
     for c in range(G):
         # Once columns < c hold pivots, row c is zero left of column c and
         # every row update can start at column c.
-        nonzero = m[:, c:, c] != 0
-        found = nonzero.any(axis=1)
-        full_rank &= found
-        pivot_row = c + nonzero.argmax(axis=1)
-        move = trials[pivot_row != c]
-        if move.size:
+        pivot = m[:, c, c]  # a view: it sees the swaps below
+        if not pivot.all():
+            pivot_row = c + (m[:, c:, c] != 0).argmax(axis=1)
+            move = trials[pivot_row != c]
             src = pivot_row[move]
             m[move, src], m[move, c] = m[move, c], m[move, src]
-        pivot = np.where(found, m[:, c, c], 1)
-        m[:, c, c:] = field.mul_arr(field.inv_arr(pivot)[:, None], m[:, c, c:])
-        factors = m[:, :, c].copy()
+            full_rank &= pivot != 0  # no nonzero entry at or below row c
+        factors = field._mul(m[:, :, c], field._inv(pivot)[:, None])
         factors[:, c] = 0
-        m[:, :, c:] = field.sub_arr(
-            m[:, :, c:], field.mul_arr(factors[:, :, None], m[:, None, c, c:])
+        m[:, :, c:] = field._sub(
+            m[:, :, c:], field._mul(factors[:, :, None], m[:, None, c, c:])
         )
-    return full_rank, m[:, :G, G:]
+    diag = np.arange(G)
+    return full_rank, field._mul(field._inv(m[:, diag, diag])[:, :, None],
+                                 m[:, :G, G:])
 
 
 def recover_subspan(packets: list[Packet]):

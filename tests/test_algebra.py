@@ -9,6 +9,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncdetect import algebra
 from ncdetect.algebra import (
@@ -422,3 +424,62 @@ def test_prime_field_cache_stays_bounded():
     info = prime_field.cache_info()
     assert info.currsize <= info.maxsize < 2000
     assert binary_field(16) is f16  # binary fields, with their tables, stay
+
+
+def _pow_by_squaring(f, a: int, e: int) -> int:
+    """a**e from the field's scalar mul alone, 0**0 = 1."""
+    out = 1
+    while e:
+        if e & 1:
+            out = f.mul(out, a)
+        a = f.mul(a, a)
+        e >>= 1
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.integers(2, 16), a=st.integers(0, 2**16 - 1),
+       e=st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 3 * 2**16),
+                   st.integers(1, 2**47).map(lambda k: k * (2**16 - 1))))
+def test_binary_pow_matches_square_and_multiply(w, a, e):
+    # e up to 2^63 - 1: log(a) * e used to overflow int64 and come back wrong.
+    f = binary_field(w)
+    a %= f.q
+    want = _pow_by_squaring(f, a, e)
+    assert f.pow(a, e) == want
+    assert int(f.pow_arr(a, e)) == want  # 0-d operands too
+    got = f.pow_arr(np.array([a, 0, 1]), np.array([e, e, e]))
+    assert got.tolist() == [want, 0 if e else 1, 1]
+
+
+def test_binary_pow_large_exponent_regression():
+    f = binary_field(16)
+    e = 2**58 + 3
+    assert f.pow(3, e) == f.pow(3, e % 65535) == 25767
+    assert f.pow_arr(np.array([3]), e).tolist() == [25767]
+    for w in (2, 8, 16):
+        g = binary_field(w)
+        k = (2**62 // (g.q - 1)) * (g.q - 1)  # a multiple of q - 1 near 2^62
+        assert g.pow(5 % g.q, k) == 1 and g.pow(0, k) == 0
+        assert g.pow_arr(np.arange(g.q), k).tolist() == [0] + [1] * (g.q - 1)
+
+
+@pytest.mark.parametrize("cast", [np.int64, np.uint32, np.uint64, int])
+def test_numpy_integer_field_orders(cast):
+    q = 4294967291  # the largest prime below 2^32
+    assert prime_field(cast(q)) == prime_field(q)
+    assert type(prime_field(cast(q)).q) is int
+    assert GF(cast(q)) == prime_field(q)
+    assert GF(cast(256)) == binary_field(8) == binary_field(cast(8))
+    assert type(GF(cast(256)).q) is int
+    assert algebra.FieldSpec("prime", cast(257)) == prime_field(257)
+
+
+@pytest.mark.parametrize("make, value", [
+    (GF, 7.0), (GF, "7"), (GF, None), (prime_field, 7.0), (prime_field, 7.5),
+    (binary_field, 8.0), (lambda q: algebra.FieldSpec("prime", q), 7.0),
+])
+def test_non_integer_field_orders_raise(make, value):
+    prime_field(7), binary_field(8)  # a cached 7 or 8 must not answer for 7.0 or 8.0
+    with pytest.raises(TypeError, match="must be an integer"):
+        make(value)

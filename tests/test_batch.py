@@ -2,6 +2,8 @@
 
 Each property runs on GF(2^w) for every w in 2..16 and on prime fields on
 both sides of the int64 limit, so the object-dtype path is covered too.
+The miss-rate and hash-detector runs are also pinned to recorded outcomes,
+so a faster kernel cannot move one draw or verdict unnoticed.
 """
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncdetect.adversary import AttackModel
 from ncdetect.algebra import (
     _INT64_SAFE_Q,
     _carryless_mul_mod,
@@ -16,9 +19,10 @@ from ncdetect.algebra import (
     is_prime,
     prime_field,
 )
+from ncdetect.analytic import SchemeParams
 from ncdetect.detect import HashParams, gen_hash_append, gen_hash_verify, hash_consistent
 from ncdetect.rlnc import NotDecodable, Packet, decode, decode_batch
-from ncdetect.sim import estimate_hash_miss_rate
+from ncdetect.sim import _DETECTOR_HASH_K, TrialConfig, estimate_hash_miss_rate, simulate_node
 
 
 def _prime_near(q: int, step: int) -> int:
@@ -125,8 +129,13 @@ def test_decode_batch_matches_decode(f, seed, T, G, extra_rows, width, deficit):
     full_rank, rows = decode_batch(f, m, G)
     assert full_rank.shape == (T,)
     assert rows.shape == (T, G, width)
+    _assert_decode_batch_equals_decode(f, m, G, full_rank, rows)
+
+
+def _assert_decode_batch_equals_decode(f, m, G, full_rank, rows):
+    """Each trial's rows equal decode's, or decode raises NotDecodable."""
     empty = f._arr(np.zeros(0, dtype=np.int64))
-    for t in range(T):
+    for t in range(len(m)):
         packets = [Packet(coeffs=r[:G], payload=r[G:], hash_syms=empty, field=f)
                    for r in m[t]]
         try:
@@ -255,3 +264,121 @@ def test_miss_rate_run_on_every_field_kind(f):
     assert rep == estimate_hash_miss_rate(**args)
     assert rep.trials == 40 and 0 <= rep.misses <= 40
     assert rep.bound == pytest.approx((3 / f.q) ** 2)
+
+
+@pytest.mark.parametrize("w", range(2, 9))
+def test_pow_table_matches_log_exp_reference(w):
+    # Every a against every e in [0, 3q]: 0, q - 1 and its multiples too.
+    f = binary_field(w)
+    q = f.q
+    a, e = np.divmod(np.arange(q * (3 * q + 1)), 3 * q + 1)
+    ref = np.where(a == 0, (e == 0).astype(np.int64),
+                   f._exp[f._log[a] * e % (q - 1)])
+    assert np.array_equal(f.pow_arr(a, e), ref)
+    table = f._pow_table.reshape(q, q)
+    assert np.all(table[0] == 1) and np.all(table[1:, 0] == 0)
+    assert np.array_equal(table[:, 1:], ref.reshape(q, 3 * q + 1)[1:, :q].T)
+
+
+@pytest.mark.parametrize("w", range(2, 9))
+def test_inverse_table_times_a_is_one(w):
+    f = binary_field(w)
+    a = np.arange(1, f.q)
+    assert np.all(f.mul_arr(a, f._inv_table[a]) == 1)
+    assert f._inv_table[0] == 0
+    assert np.array_equal(f.inv_arr(a), f._inv_table[a])
+
+
+# Hand-built stacks for decode_batch: (R, G) coefficient rows per trial.
+DECODE_EDGE_CASES = {
+    # Column 1 is zero in every row: a zero pivot mid-way, then column 2.
+    "zero column": [[[1, 0, 2], [3, 0, 1], [1, 0, 1], [2, 0, 3]]],
+    # Row 0 starts with 0: the pivot comes from below; extra rows repeat.
+    "swap, R > G": [[[0, 1, 1], [1, 1, 0], [1, 0, 1], [1, 1, 0], [0, 2, 3]]],
+    # Repeated rows (rank 2 of 3 in most fields), next to a full-rank trial.
+    "repeats": [[[1, 2, 3], [1, 2, 3], [0, 1, 1], [2, 4, 6]],
+                [[1, 2, 3], [0, 1, 1], [0, 0, 1], [0, 0, 0]]],
+    # G = 1: zero rows before the first nonzero coefficient.
+    "G=1": [[[0], [0], [3]], [[0], [0], [0]]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECODE_EDGE_CASES))
+@pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
+def test_decode_batch_edge_cases_match_decode(f, case):
+    coeffs = f._arr(np.array(DECODE_EDGE_CASES[case]) % f.q)
+    T, R, G = coeffs.shape
+    data = f.random_elements(_rng(len(case)), (T, R, 3))
+    m = np.concatenate([coeffs, data], axis=-1)
+    _assert_decode_batch_equals_decode(f, m, G, *decode_batch(f, m, G))
+
+
+# (misses, redraws) of estimate_hash_miss_rate at seeds 1, 2 and 11, as
+# recorded before the table-driven kernels: the draws and verdicts of this
+# run must not move.  Small fields and G = 1 make misses frequent.
+MISS_RATE_GOLDEN = {
+    "GF(2^2)": (binary_field(2), dict(G=3, k_data=4, hash_k=2, s=1, trials=200),
+                [(3, 107), (2, 108), (1, 87)]),
+    "GF(2^3)": (binary_field(3), dict(G=2, k_data=2, hash_k=2, s=1, trials=400),
+                [(14, 70), (20, 65), (18, 72)]),
+    "GF(2^7)": (binary_field(7), dict(G=1, k_data=3, hash_k=3, s=1, trials=1000),
+                [(11, 5), (10, 10), (7, 5)]),
+    "GF(2^7) criterion": (binary_field(7),
+                          dict(G=8, k_data=50, hash_k=50, s=5, trials=200),
+                          [(0, 0), (0, 3), (0, 0)]),
+    "GF(2^8)": (binary_field(8), dict(G=1, k_data=3, hash_k=3, s=1, trials=2000),
+                [(8, 12), (9, 6), (7, 7)]),
+    "GF(2^8) criterion": (binary_field(8),
+                          dict(G=8, k_data=100, hash_k=100, s=5, trials=200),
+                          [(0, 0), (0, 0), (0, 0)]),
+    "GF(257)": (prime_field(257), dict(G=1, k_data=3, hash_k=3, s=1, trials=2000),
+                [(9, 12), (8, 6), (6, 7)]),
+    "GF(4294967291)": (prime_field(4294967291),
+                       dict(G=3, k_data=4, hash_k=2, s=1, trials=100),
+                       [(0, 0), (0, 0), (0, 0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISS_RATE_GOLDEN))
+def test_miss_rate_run_is_pinned(case):
+    f, args, want = MISS_RATE_GOLDEN[case]
+    got = [estimate_hash_miss_rate(f, seed=seed, **args) for seed in (1, 2, 11)]
+    assert [(r.misses, r.redraws) for r in got] == want
+
+
+# (false accepts, false rejects, undecodable, generations dropped, bits
+# transmitted) of the hash-detector node run, 300 generations at seed 5,
+# as recorded before the table-driven kernels.
+NODE_GOLDEN = {
+    ("GF(2^8)", "random-symbol"): (0, 0, 0, 246, 540000),
+    ("GF(2^8)", "random-payload"): (0, 0, 0, 268, 320000),
+    ("GF(2^8)", "hash-aware-forgery"): (0, 0, 0, 268, 320000),
+    ("GF(2^8)", "blind-s-packet"): (0, 0, 1, 271, 300000),
+    ("GF(2^2)", "random-symbol"): (8, 0, 89, 239, 34816),
+    ("GF(2^2)", "random-payload"): (5, 0, 96, 228, 37376),
+    ("GF(2^2)", "hash-aware-forgery"): (4, 0, 96, 228, 37120),
+    ("GF(2^2)", "blind-s-packet"): (6, 0, 92, 237, 35328),
+    ("GF(257)", "random-symbol"): (0, 0, 0, 231, 413586),
+    ("GF(257)", "random-payload"): (0, 0, 0, 217, 497502),
+    ("GF(257)", "hash-aware-forgery"): (0, 0, 0, 217, 497502),
+    ("GF(257)", "blind-s-packet"): (0, 0, 1, 223, 461538),
+}
+NODE_SHAPES = {  # field, n, G, p
+    "GF(2^8)": (binary_field(8), 1000, 10, 0.2),
+    "GF(2^2)": (binary_field(2), 64, 4, 0.3),
+    "GF(257)": (prime_field(257), 999, 6, 0.2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NODE_GOLDEN))
+def test_hash_detector_node_run_is_pinned(case):
+    name, mode = case
+    f, n, G, p = NODE_SHAPES[name]
+    hp = HashParams(k=_DETECTOR_HASH_K, s=1, field=f)
+    rep = simulate_node(TrialConfig(
+        scheme="generation", params=SchemeParams.defaults(p=p, n=n, G=G),
+        attack=AttackModel(p=p, mode=mode, hash_params=hp), trials=300, seed=5,
+        use_hash_detector=True, detector_field=f,
+    ))
+    assert (rep.false_accepts, rep.false_rejects, rep.undecodable,
+            rep.generations_dropped, rep.bits_transmitted) == NODE_GOLDEN[case]

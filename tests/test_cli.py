@@ -210,3 +210,40 @@ def test_bad_counts_exit_2_without_traceback(capsys, args, word):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and word in err
+
+
+def _exit_code(args):
+    try:
+        return run(args)
+    except SystemExit as exc:  # argparse's own usage errors
+        return exc.code
+
+
+@pytest.mark.parametrize("args, word", [
+    (["sweep", "--p", ""], "--p lists no values"),
+    (["sweep", "--p", " , ,"], "--p lists no values"),
+    (["sweep", "--schemes", "", "--p", "0.1"], "--schemes lists no values"),
+    (["sweep", "--schemes", ",", "--p", "0.1"], "--schemes lists no values"),
+    (["sweep", "--p", "0:1"], "lo:hi:step"),
+    (["sweep", "--p", "abc"], "could not convert"),
+    (["sweep", "--p", "2", "--trials", "0"], "outside [0, 1]"),
+    (["sweep", "--p", "0.1", "--trials", "-1"], "trials"),
+    (["sweep", "--p", "0.1", "--n", "0"], "n must be positive"),
+    (["figure3", "--G-list", ""], "--G-list lists no values"),
+    (["figure3", "--G-list", "5", "--p", ""], "--p lists no values"),
+    (["figure3", "--G-list", "0", "--p", "0.1"], "G must be >= 1"),
+    (["figure3", "--G-list", "x"], "invalid literal"),
+    (["figure45", "--trials", "-3"], "trials"),
+    (["figure45", "--G", "0"], "G must be >= 1"),
+    (["figure45", "--hg-frac", "-1"], "h_g"),
+    (["validate", "--criterion", "nonsense"], "invalid choice"),
+    (["validate", "--seed", "x"], "invalid int value"),
+])
+def test_bad_input_exits_2_with_error_line(capsys, tmp_path, args, word):
+    out = tmp_path / "out.csv"
+    if args[0] != "validate":
+        args = args + ["--out", str(out)]
+    assert _exit_code(args) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and word in err
+    assert not out.exists()
