@@ -12,7 +12,8 @@ reduced ints; the ``*_arr`` methods of :class:`FieldSpec` operate
 elementwise on integer numpy arrays and are what the coding hot paths use.
 GF(2^w) for w <= 8 keeps q x q product and power tables and a q-entry
 inverse table, so a product, a power or an inverse is one gather; above
-w = 8 log/exp tables serve.  Prime fields up to 2^32 hold int64 arrays
+w = 8 the log/exp tables are gathered with ``take``, and a matmul gathers
+its operands' logs once per call.  Prime fields up to 2^32 hold int64 arrays
 and form products in uint64, exact because (q-1)^2 < 2^64; larger primes
 fall back to Python ints in object arrays.  The multiplicative-group side
 (:class:`GroupSpec`, :func:`make_group`) provides the prime-order subgroup
@@ -157,6 +158,8 @@ class FieldSpec:
             self.w = w
             self.poly = poly or IRREDUCIBLE_POLY[w]
             self.dtype = np.dtype(np.uint8 if w <= 8 else np.uint16)
+            # Arrays of this dtype need no range check: it holds only [0, q).
+            self._exact_dtype = self.dtype if self.dtype.itemsize * 8 == w else None
             self._build_tables()
         elif kind == "prime":
             if not is_prime(q):
@@ -164,6 +167,7 @@ class FieldSpec:
             self.w = 0
             self.poly = 0
             self.dtype = np.dtype(np.int64 if q <= _INT64_SAFE_Q else object)
+            self._exact_dtype = None
             self._mul_table = self._pow_table = self._inv_table = None
         else:
             raise ValueError(f"unknown field kind {kind!r}")
@@ -273,17 +277,42 @@ class FieldSpec:
         out = np.array([int(v) for v in a.ravel()], dtype=object)
         return out.reshape(a.shape)
 
+    def _elements(self, x) -> np.ndarray:
+        """x in array form for the public ops, checked to lie in [0, q).
+
+        Binary-field entries outside [0, q) would wrap in the cast or index
+        past the tables, so they raise ValueError.  In-range Python ints
+        and arrays whose dtype holds exactly [0, q) (uint8 at w = 8, uint16
+        at w = 16) pass without a scan.  Prime-field input is not checked.
+        """
+        if type(x) is np.ndarray and x.dtype is self._exact_dtype:
+            return x
+        if self.kind != "binary-extension":
+            return self._arr(x)
+        if type(x) is int:
+            if 0 <= x < self.q:
+                return np.asarray(x, dtype=self.dtype)
+        else:
+            a = np.asarray(x)
+            if a.size == 0 or (
+                a.dtype.kind in "buiO"
+                and (a.dtype.kind in "bu" or a.min() >= 0)
+                and a.max() < self.q
+            ):
+                return a.astype(self.dtype, copy=False)
+        raise ValueError(f"{self!r} elements must be integers in [0, {self.q})")
+
     def add_arr(self, a, b) -> np.ndarray:
-        return self._add(self._arr(a), self._arr(b))
+        return self._add(self._elements(a), self._elements(b))
 
     def sub_arr(self, a, b) -> np.ndarray:
-        return self._sub(self._arr(a), self._arr(b))
+        return self._sub(self._elements(a), self._elements(b))
 
     def mul_arr(self, a, b) -> np.ndarray:
-        return self._mul(self._arr(a), self._arr(b))
+        return self._mul(self._elements(a), self._elements(b))
 
     def inv_arr(self, a) -> np.ndarray:
-        a = self._arr(a)
+        a = self._elements(a)
         if np.any(a == 0):
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self._inv(a)
@@ -296,7 +325,7 @@ class FieldSpec:
         e = np.asarray(e, dtype=np.int64)
         if np.any(e < 0):
             raise ValueError("negative exponent")
-        return self._pow(self._arr(a), e)
+        return self._pow(self._elements(a), e)
 
     def _add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.kind == "binary-extension":
@@ -317,7 +346,7 @@ class FieldSpec:
         if self.kind == "binary-extension":
             # Gathering logs before broadcasting keeps a scalar-times-row
             # product at two full-size passes.
-            return self._exp[self._log[a] + self._log[b]]
+            return self._exp.take(self._log.take(a) + self._log.take(b))
         if self.dtype == object:
             return a * b % self.q
         # Reduced operands are below 2^32, so the uint64 product is exact;
@@ -331,9 +360,9 @@ class FieldSpec:
         if self._inv_table is not None:
             return self._inv_table.take(a)
         if self.kind == "binary-extension":
-            # log[0] = 2(q-1) makes the index -(q-1), which numpy reads
+            # log[0] = 2(q-1) makes the index -(q-1), which take() reads
             # from the end of exp, inside its run of zeros.
-            return self._exp[(self.q - 1) - self._log[a]]
+            return self._exp.take((self.q - 1) - self._log.take(a))
         flat = [pow(int(v), self.q - 2, self.q) for v in np.ravel(a)]
         return self._arr(flat).reshape(np.shape(a))
 
@@ -345,9 +374,14 @@ class FieldSpec:
             r = np.where(e > 0, (e - 1) % (self.q - 1) + 1, 0)
             if self._pow_table is not None:
                 return self._pow_table.take(np.left_shift(r, self.w).astype(np.uint16) | a)
-            idx = self._log[a] * r  # a fresh array: reduce it in place
-            idx %= self.q - 1
-            return np.where((a == 0) & (r > 0), 0, self._exp[idx])
+            # log(a) * r = hi * 2^w + lo is hi + lo mod q - 1, and for a != 0
+            # hi + lo < 2(q-1), inside exp's periodic run: one fold, in
+            # place, instead of a modulo.  a = 0 stays in bounds, masked.
+            idx = self._log.take(a) * r
+            hi = idx >> self.w
+            idx &= self.q - 1
+            idx += hi
+            return np.where((a == 0) & (r > 0), 0, self._exp.take(idx))
         a, e = np.broadcast_arrays(a, e)
         out = np.ones_like(a)
         base = a.copy()
@@ -366,7 +400,7 @@ class FieldSpec:
         Leading batch axes broadcast as in numpy's matmul, so T products
         of a stack of T generations take one call.
         """
-        a, b = self._arr(a), self._arr(b)
+        a, b = self._elements(a), self._elements(b)
         if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
             raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
         return self._matmul(a, b)
@@ -376,7 +410,9 @@ class FieldSpec:
 
         Accumulates over the inner axis one index at a time, so no
         (..., r, m, c) temporary is built; each partial product is reduced
-        before it is added, so int64 cannot overflow.
+        before it is added, so int64 cannot overflow.  Above w = 8 both
+        operands' logs are gathered once per call, so an inner index costs
+        one add, one exp gather and one in-place XOR.
         """
         if self.dtype == object:
             return (a @ b) % self.q  # exact Python ints
@@ -384,6 +420,12 @@ class FieldSpec:
         if m == 0:
             shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
             return np.zeros(shape + (a.shape[-2], b.shape[-1]), dtype=self.dtype)
+        if self._mul_table is None and self.kind == "binary-extension":
+            la, lb = self._log.take(a), self._log.take(b)
+            out = self._exp.take(la[..., :, :1] + lb[..., :1, :])
+            for j in range(1, m):
+                out ^= self._exp.take(la[..., :, j : j + 1] + lb[..., j : j + 1, :])
+            return out
         out = self._mul(a[..., :, :1], b[..., :1, :])
         for j in range(1, m):
             out = self._add(out, self._mul(a[..., :, j : j + 1], b[..., j : j + 1, :]))

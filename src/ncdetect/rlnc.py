@@ -341,6 +341,7 @@ def decode_batch(field: FieldSpec, m, G: int) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(T, dtype=bool), field._arr(np.zeros((T, G, m.shape[2] - G)))
     full_rank = np.ones(T, dtype=bool)
     trials = np.arange(T)
+    binary = field.kind == "binary-extension"  # subtraction is XOR, in place
     for c in range(G):
         # Once columns < c hold pivots, row c is zero left of column c and
         # every row update can start at column c.
@@ -353,9 +354,11 @@ def decode_batch(field: FieldSpec, m, G: int) -> tuple[np.ndarray, np.ndarray]:
             full_rank &= pivot != 0  # no nonzero entry at or below row c
         factors = field._mul(m[:, :, c], field._inv(pivot)[:, None])
         factors[:, c] = 0
-        m[:, :, c:] = field._sub(
-            m[:, :, c:], field._mul(factors[:, :, None], m[:, None, c, c:])
-        )
+        update = field._mul(factors[:, :, None], m[:, None, c, c:])
+        if binary:
+            m[:, :, c:] ^= update
+        else:
+            m[:, :, c:] = field._sub(m[:, :, c:], update)
     diag = np.arange(G)
     return full_rank, field._mul(field._inv(m[:, diag, diag])[:, :, None],
                                  m[:, :G, G:])

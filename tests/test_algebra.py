@@ -6,6 +6,7 @@ the brute-force helpers below.
 """
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -483,3 +484,45 @@ def test_non_integer_field_orders_raise(make, value):
     prime_field(7), binary_field(8)  # a cached 7 or 8 must not answer for 7.0 or 8.0
     with pytest.raises(TypeError, match="must be an integer"):
         make(value)
+
+
+# One bad operand per public array op, the other operands in range.
+RANGE_OPS = {
+    "add_arr": lambda f, x: f.add_arr([1], x),
+    "sub_arr": lambda f, x: f.sub_arr(x, [1]),
+    "mul_arr": lambda f, x: f.mul_arr([1], x),
+    "inv_arr": lambda f, x: f.inv_arr(x),
+    "pow_arr": lambda f, x: f.pow_arr(x, 3),
+    "matmul": lambda f, x: f.matmul([[1]], np.reshape(x, (1, -1))),
+}
+
+
+@pytest.mark.parametrize("op", sorted(RANGE_OPS))
+@pytest.mark.parametrize("w", range(2, 17))
+def test_binary_array_ops_reject_elements_outside_the_field(w, op):
+    f = binary_field(w)
+    run = RANGE_OPS[op]
+    for bad in ([f.q], [f.q + 1], [-1], np.array([2 * f.q]), np.array([f.q], dtype=np.uint32),
+                [2**70], [1.0]):
+        with pytest.raises(ValueError, match=re.escape(f"{f!r} elements")):
+            run(f, bad)
+    if op != "matmul":
+        with pytest.raises(ValueError, match=re.escape(repr(f))):
+            run(f, f.q)  # a Python int
+    # The largest element still works, from a list and in the field dtype.
+    top = f.q - 1
+    want = {"add_arr": 1 ^ top, "sub_arr": top ^ 1, "mul_arr": top,
+            "inv_arr": f.inv(top), "pow_arr": f.pow(top, 3), "matmul": top}[op]
+    assert int(np.ravel(run(f, [top]))[0]) == want
+    assert int(np.ravel(run(f, np.array([top], dtype=f.dtype)))[0]) == want
+
+
+def test_field_dtype_arrays_pass_unscanned_at_full_width():
+    for w in (8, 16):
+        f = binary_field(w)
+        x = np.arange(0, f.q, 7, dtype=f.dtype)
+        assert f._elements(x) is x
+    f = binary_field(7)  # uint8 holds 128..255 too, so it is scanned
+    with pytest.raises(ValueError):
+        f._elements(np.array([128], dtype=np.uint8))
+    assert binary_field(4).mul_arr([], []).shape == (0,)

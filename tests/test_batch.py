@@ -15,13 +15,14 @@ from ncdetect.adversary import AttackModel
 from ncdetect.algebra import (
     _INT64_SAFE_Q,
     _carryless_mul_mod,
+    _poly_pow,
     binary_field,
     is_prime,
     prime_field,
 )
 from ncdetect.analytic import SchemeParams
 from ncdetect.detect import HashParams, gen_hash_append, gen_hash_verify, hash_consistent
-from ncdetect.rlnc import NotDecodable, Packet, decode, decode_batch
+from ncdetect.rlnc import NotDecodable, Packet, decode, decode_batch, reduced_row_echelon
 from ncdetect.sim import _DETECTOR_HASH_K, TrialConfig, estimate_hash_miss_rate, simulate_node
 
 
@@ -287,6 +288,77 @@ def test_inverse_table_times_a_is_one(w):
     assert np.all(f.mul_arr(a, f._inv_table[a]) == 1)
     assert f._inv_table[0] == 0
     assert np.array_equal(f.inv_arr(a), f._inv_table[a])
+
+
+# Above w = 8 the log/exp gathers serve, so the table tests above would
+# compare the kernels with themselves; these use the bit-level scalar
+# references instead: every element at w = 9..12, a seeded sample above.
+def _log_exp_elements(f):
+    if f.w <= 12:
+        return np.arange(f.q)
+    return np.unique(np.r_[0, 1, f.q - 1, _rng(f.w).integers(0, f.q, 2000)])
+
+
+@pytest.mark.parametrize("w", range(9, 17))
+def test_log_exp_inverse_times_a_is_one(w):
+    f = binary_field(w)
+    a = _log_exp_elements(f).astype(f.dtype)
+    inv = f._inv(a)
+    assert inv.dtype == f.dtype and int(f._inv(a[:1])[0]) == 0  # 0 -> 0
+    assert all(_carryless_mul_mod(int(x), int(y), f.poly, w) == 1
+               for x, y in zip(a[1:], inv[1:]))
+    assert np.array_equal(f.inv_arr(a[1:]), inv[1:])
+
+
+@pytest.mark.parametrize("w", range(9, 17))
+def test_log_exp_pow_matches_poly_pow(w):
+    f = binary_field(w)
+    q = f.q
+    rng = _rng(100 + w)
+    a = np.r_[0, 1, q - 1, rng.integers(0, q, 60)]
+    e = np.r_[0, 1, q - 1, 2 * (q - 1), 2**62 - 1, 2**62, 2**62 + 1,
+              (2**62 // (q - 1)) * (q - 1), rng.integers(0, 2**62, 20),
+              rng.integers(0, 4 * q, 20)]
+    got = f.pow_arr(a[:, None].astype(f.dtype), e[None, :])
+    want = [[_poly_pow(int(x), int(y), f.poly, w) for y in e] for x in a]
+    assert got.dtype == f.dtype and got.tolist() == want
+
+
+@pytest.mark.parametrize("w", range(9, 17))
+def test_log_exp_mul_and_matmul_match_carryless_products(w):
+    f = binary_field(w)
+    rng = _rng(200 + w)
+    a = f.random_elements(rng, (2, 3, 4))
+    b = f.random_elements(rng, (2, 4, 5))
+    a[0, 0], b[1, :, 0] = 0, 0  # zero rows and columns hit log[0]
+    prod = f._mul(a[..., None], b[:, None])  # every a[t, i, j] * b[t, j, c]
+    ref = [[[[_carryless_mul_mod(int(x), int(y), f.poly, w) for y in b[t, j]]
+             for j, x in enumerate(a[t, i])] for i in range(3)] for t in range(2)]
+    assert prod.tolist() == ref
+    want = np.bitwise_xor.reduce(np.array(ref), axis=2)
+    assert np.array_equal(f.matmul(a, b), want)
+    assert np.array_equal(f.matmul(a[0], b)[0], want[0])  # a 2-D operand broadcasts
+
+
+def _every_matrix(q: int, n: int) -> np.ndarray:
+    """All q^(n*n) n x n matrices over {0..q-1}, as a (q^(n*n), n, n) stack."""
+    digits = np.arange(q ** (n * n))[:, None] // q ** np.arange(n * n) % q
+    return digits.reshape(-1, n, n)
+
+
+# |GL(n, q)| = prod_{i<n} (q^n - q^i)
+@pytest.mark.parametrize("n, invertible", [(2, 180), (3, 181_440)])
+def test_decode_batch_exhaustive_over_gf4(n, invertible):
+    f = binary_field(2)
+    C = f._arr(_every_matrix(f.q, n))
+    D = f.random_elements(_rng(n), (len(C), n, 2))
+    full_rank, rows = decode_batch(f, np.concatenate([C, D], axis=-1), n)
+    assert int(full_rank.sum()) == invertible
+    assert np.array_equal(f.matmul(C[full_rank], rows[full_rank]), D[full_rank])
+    sample = _rng(10 + n).choice(len(C), size=min(len(C), 3000), replace=False)
+    for t in sample:
+        rank = len(reduced_row_echelon(f, C[t])[1])
+        assert bool(full_rank[t]) == (rank == n)
 
 
 # Hand-built stacks for decode_batch: (R, G) coefficient rows per trial.
