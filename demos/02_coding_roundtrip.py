@@ -17,7 +17,7 @@ import numpy as np
 
 from ncdetect import GenerationParams, NotDecodable, decode, make_generation
 from ncdetect.algebra import binary_field
-from ncdetect.rlnc import random_combinations, random_payloads
+from ncdetect.rlnc import random_combinations
 
 field = binary_field(8)
 rng = np.random.default_rng(7)
@@ -32,7 +32,7 @@ print(f"wire size: ({G} coefficients + {K_DATA} payload) * {field.w} bits "
       f"= {params.n} bits per packet")
 
 gen, sources = make_generation(
-    random_payloads(field, G, K_DATA, rng), params, field
+    field.random_elements(rng, (G, K_DATA)), params, field
 )
 for pkt in sources:
     print(f"  coeffs {list(pkt.coeffs)}  payload {list(pkt.payload)}")

@@ -36,7 +36,7 @@ from ncdetect import (
 )
 from ncdetect.detect import subspan_consistency
 from ncdetect.algebra import binary_field, prime_field
-from ncdetect.rlnc import random_combinations, random_payloads
+from ncdetect.rlnc import random_combinations
 from ncdetect.sim import estimate_hash_miss_rate
 
 rng = np.random.default_rng(3)
@@ -49,7 +49,7 @@ field = binary_field(7)
 G, K_DATA, K = 8, 14, 14
 hp = HashParams(k=K, s=1, field=field)
 params = GenerationParams.from_symbols(G, K_DATA, field.w, 1)
-gen, src = make_generation(random_payloads(field, G, K_DATA, rng),
+gen, src = make_generation(field.random_elements(rng, (G, K_DATA)),
                            params, field, hp)
 print(f"each packet: {G} coefficients, {K_DATA} payload, "
       f"{params.hash_symbols} hash symbol ({100 / (K + 1):.1f}% of the data)")
@@ -95,7 +95,7 @@ print("=" * 70)
 group = make_group(bits_p=32, bits_q=33, rng=11)
 pf = prime_field(group.order)
 sparams = GenerationParams.from_symbols(4, 4, (pf.q - 1).bit_length())
-sgen, ssrc = make_generation(random_payloads(pf, 4, 4, rng), sparams, pf)
+sgen, ssrc = make_generation(pf.random_elements(rng, (4, 4)), sparams, pf)
 key = sig_keygen(sgen, group, rng)
 print(f"group order P ~ 2^{group.order.bit_length()}, "
       f"public key {key.key_size_bits} bits for (G + k_data) = 8 elements")

@@ -26,7 +26,6 @@ from .rlnc import (
     decode,
     make_generation,
     random_combinations,
-    random_payloads,
 )
 from .sim import (
     TrialConfig,
@@ -279,7 +278,7 @@ def roundtrip(seed: int = DEFAULT_SEED) -> CriterionResult:
         sb = f.w if f.kind == "binary-extension" else (f.q - 1).bit_length()
         gp = GenerationParams.from_symbols(g, k_data, sb)
         gen, src = make_generation(
-            random_payloads(f, g, k_data, rng), gp, f, generation_id=t
+            f.random_elements(rng, (g, k_data)), gp, f, generation_id=t
         )
         short = t % 7 == 3 and g > 1  # exercise the erasure path too
         count = g - 1 if short else g

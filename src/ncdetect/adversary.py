@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detect import HashParams, gen_hash_append
-from .rlnc import CORRUPTED, Packet
+from .rlnc import Packet
 
 MODES = (
     "random-symbol",
@@ -89,7 +89,7 @@ def _rewrite(packet: Packet, mode: str, rng: np.random.Generator,
     k = len(packet.payload)
     row = np.concatenate([packet.payload, packet.hash_syms])[None]
     (out,) = rewrite_rows(packet.field, row, k, mode, rng, hash_params)
-    return packet.replaced(payload=out[:k], hash_syms=out[k:], origin_tag=CORRUPTED)
+    return packet.replaced(payload=out[:k], hash_syms=out[k:], corrupted=True)
 
 
 def corrupt_stream_with_rng(packets: list[Packet], model: AttackModel,

@@ -3,8 +3,8 @@
 Two field kinds are supported:
 
 * binary extension fields GF(2^w) for 2 <= w <= 16, each reduced modulo a
-  fixed irreducible polynomial so that element encodings and test vectors
-  are stable across runs and implementations,
+  fixed irreducible polynomial so that element encodings are stable
+  across runs and implementations,
 * prime fields GF(q) for prime q.
 
 Scalar operations (``add``, ``mul``, ``inv``, ``pow``) take and return
@@ -229,16 +229,6 @@ class FieldSpec:
             return a ^ b
         return (a + b) % self.q
 
-    def sub(self, a: int, b: int) -> int:
-        if self.kind == "binary-extension":
-            return a ^ b
-        return (a - b) % self.q
-
-    def neg(self, a: int) -> int:
-        if self.kind == "binary-extension":
-            return a
-        return (-a) % self.q
-
     def mul(self, a: int, b: int) -> int:
         if self.kind == "binary-extension":
             if a == 0 or b == 0:
@@ -280,15 +270,14 @@ class FieldSpec:
     def _elements(self, x) -> np.ndarray:
         """x in array form for the public ops, checked to lie in [0, q).
 
-        Binary-field entries outside [0, q) would wrap in the cast or index
-        past the tables, so they raise ValueError.  In-range Python ints
-        and arrays whose dtype holds exactly [0, q) (uint8 at w = 8, uint16
-        at w = 16) pass without a scan.  Prime-field input is not checked.
+        Entries outside [0, q) would wrap in the cast, index past the
+        tables or, in a uint64 product, read as huge residues, so they
+        raise ValueError naming the field.  In-range Python ints and
+        arrays whose dtype holds exactly [0, q) (uint8 at w = 8, uint16 at
+        w = 16) pass without a scan.
         """
         if type(x) is np.ndarray and x.dtype is self._exact_dtype:
             return x
-        if self.kind != "binary-extension":
-            return self._arr(x)
         if type(x) is int:
             if 0 <= x < self.q:
                 return np.asarray(x, dtype=self.dtype)
@@ -299,7 +288,7 @@ class FieldSpec:
                 and (a.dtype.kind in "bu" or a.min() >= 0)
                 and a.max() < self.q
             ):
-                return a.astype(self.dtype, copy=False)
+                return self._arr(a)
         raise ValueError(f"{self!r} elements must be integers in [0, {self.q})")
 
     def add_arr(self, a, b) -> np.ndarray:
@@ -435,10 +424,6 @@ class FieldSpec:
         vals = rng.integers(0, self.q, size=size, dtype=np.uint64)
         return self._arr(vals.astype(object) if self.dtype == object else vals)
 
-    def random_nonzero(self, rng: np.random.Generator, size) -> np.ndarray:
-        vals = rng.integers(1, self.q, size=size, dtype=np.uint64)
-        return self._arr(vals.astype(object) if self.dtype == object else vals)
-
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -520,10 +505,6 @@ class GroupSpec:
             raise ValueError("order must be a prime divisor of modulus-1")
         if g % q in (0, 1) or pow(g, p, q) != 1:
             raise ValueError("generator must have multiplicative order P")
-
-    @property
-    def element_bits(self) -> int:
-        return (self.modulus - 1).bit_length()
 
 
 def check_group_bits(bits_p: int, bits_q: int) -> None:

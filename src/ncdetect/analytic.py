@@ -25,7 +25,6 @@ SCHEMES = ("error-correction", "packet", "generation")
 
 DEFAULT_N = 1000
 DEFAULT_G = 10
-DEFAULT_M = 100
 DEFAULT_HP_FRACTION = 0.06
 DEFAULT_HG_FRACTION = 0.02
 
@@ -37,11 +36,14 @@ def _check_probability(p: float) -> None:
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """All tunables of the overhead model for one operating point."""
+    """All tunables of the overhead model for one operating point.
+
+    Every ratio is per bit received, so the packet rate cancels and is
+    not a parameter.
+    """
 
     n: float  # packet size in bits
     G: int  # generation size
-    m: int  # packets received per time unit
     h_p: float  # per-packet hash bits
     h_g: float  # per-generation hash bits
     p: float  # attack probability
@@ -52,8 +54,6 @@ class SchemeParams:
             raise ValueError("n must be positive")
         if self.G < 1:
             raise ValueError("G must be >= 1")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
         if not 0 <= self.h_p <= self.n:
             raise ValueError("h_p must lie in [0, n]")
         if not 0 <= self.h_g <= self.n * self.G:
@@ -61,11 +61,10 @@ class SchemeParams:
 
     @classmethod
     def defaults(cls, p: float, n: float = DEFAULT_N, G: int = DEFAULT_G,
-                 m: int = DEFAULT_M,
                  hp_fraction: float = DEFAULT_HP_FRACTION,
                  hg_fraction: float = DEFAULT_HG_FRACTION) -> "SchemeParams":
         """Standard parameterization: h_p = 6% of n, h_g = 2% of nG."""
-        return cls(n=n, G=G, m=m, h_p=hp_fraction * n,
+        return cls(n=n, G=G, h_p=hp_fraction * n,
                    h_g=hg_fraction * n * G, p=p)
 
     def at(self, p: float) -> "SchemeParams":
@@ -187,8 +186,3 @@ def overhead_for(scheme: str, params: SchemeParams) -> float:
 def overhead_point(scheme: str, params: SchemeParams) -> OverheadPoint:
     return OverheadPoint(scheme=scheme, params=params,
                          ratio=overhead_for(scheme, params))
-
-
-def overhead_bits_per_time_unit(scheme: str, params: SchemeParams) -> float:
-    """The same overhead expressed in bits per time unit (m packets)."""
-    return overhead_for(scheme, params) * params.m * params.n

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,12 @@ from .algebra import FieldSpec, GroupSpec
 from .rlnc import Generation, Packet, recover_subspan
 
 
-class Verdict(enum.Enum):
+class Verdict(str, enum.Enum):
+    """A node's decision; each member equals, hashes and formats as its
+    string ("valid", "corrupted", "inconclusive")."""
+
+    __str__ = str.__str__
+
     VALID = "valid"
     CORRUPTED = "corrupted"
     INCONCLUSIVE = "inconclusive"
@@ -75,10 +79,9 @@ class HashParams:
         n_h = self.hash_symbol_count(k_data)
         return n_h / (k_data + n_h)
 
-    def miss_bound(self, s: int | None = None) -> float:
+    def miss_bound(self) -> float:
         """Upper bound on the miss probability for a blind s-packet forgery."""
-        e = self.s if s is None else s
-        return ((self.k + 1) / self.field.q) ** e
+        return ((self.k + 1) / self.field.q) ** self.s
 
 
 def gen_hash_append(payload, params: HashParams) -> np.ndarray:
@@ -315,60 +318,3 @@ def oracle_verify(packet: Packet, generation: Generation) -> bool:
     if w.shape != (g + s.shape[1],):
         raise ValueError("packet width does not match the generation")
     return bool(np.array_equal(f.matmul(w[None, :g], s)[0], w[g:]))
-
-
-# -- conformance test vectors ------------------------------------------------
-
-
-def _vector_verdict(row: np.ndarray, params: HashParams) -> str:
-    """A record's verdict: whether payload | hash is hash-consistent."""
-    return "accept" if hash_consistent(row[None, :], params) else "reject"
-
-
-def write_hash_test_vectors(path, params: HashParams, k_data: int,
-                            count: int, seed: int) -> int:
-    """Write (payload, hash, verdict) conformance records as JSON lines.
-
-    Half the records carry the true hash, half a perturbed one; the
-    stored verdict is recomputed from the data so the file is
-    self-consistent ground truth for any implementation.
-    """
-    f = params.field
-    rng = np.random.default_rng(seed)
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(count):
-            payload = f.random_elements(rng, k_data)
-            h = gen_hash_append(payload, params)
-            if i % 2:
-                j = int(rng.integers(0, len(h)))
-                bump = int(rng.integers(1, f.q))
-                h = h.copy()
-                h[j] = f.add(int(h[j]), bump)
-            verdict = _vector_verdict(np.concatenate([payload, h]), params)
-            rec = {
-                "q": f.q,
-                "k": params.k,
-                "payload": [int(v) for v in payload],
-                "hash": [int(v) for v in h],
-                "verdict": verdict,
-            }
-            fh.write(json.dumps(rec) + "\n")
-            n += 1
-    return n
-
-
-def check_hash_test_vectors(path, params: HashParams) -> tuple[int, int]:
-    """Re-verify a conformance file; returns (matching, mismatching) counts."""
-    ok = bad = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            if rec["q"] != params.field.q or rec["k"] != params.k:
-                raise ValueError("test vectors use different hash parameters")
-            row = params.field._arr(rec["payload"] + rec["hash"])
-            if _vector_verdict(row, params) == rec["verdict"]:
-                ok += 1
-            else:
-                bad += 1
-    return ok, bad

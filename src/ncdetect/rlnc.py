@@ -27,9 +27,6 @@ import numpy as np
 
 from .algebra import FieldSpec
 
-VALID = "valid"
-CORRUPTED = "corrupted"
-
 
 class NotDecodable(Exception):
     """Received packets do not span the generation (erasure, not corruption)."""
@@ -100,7 +97,7 @@ class GenerationParams:
 class Packet:
     """One coded packet: encoding vector, payload, optional hash symbols.
 
-    origin_tag is ground truth for simulation accounting only; detection
+    corrupted is ground truth for simulation accounting only; detection
     logic never reads it (use :meth:`wire` for the detector-visible part).
     """
 
@@ -109,7 +106,7 @@ class Packet:
     hash_syms: np.ndarray
     field: FieldSpec
     generation_id: int = 0
-    origin_tag: str = VALID
+    corrupted: bool = False
 
     def wire(self) -> np.ndarray:
         """The transmitted symbol vector: coeffs | payload | hash."""
@@ -119,7 +116,7 @@ class Packet:
         fields = dict(
             coeffs=self.coeffs, payload=self.payload, hash_syms=self.hash_syms,
             field=self.field, generation_id=self.generation_id,
-            origin_tag=self.origin_tag,
+            corrupted=self.corrupted,
         )
         fields.update(kw)
         return Packet(**fields)
@@ -197,11 +194,6 @@ def make_generation(
     return gen, gen.source_packets()
 
 
-def random_payloads(field: FieldSpec, G: int, k_data: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    return field.random_elements(rng, (G, k_data))
-
-
 def _check_stream(packets: list[Packet]) -> Packet:
     if not packets:
         raise ValueError("empty packet list")
@@ -232,13 +224,13 @@ def combine_with_coefficients(packets: list[Packet], coeffs) -> list[Packet]:
     out = f.matmul(c, np.vstack([p.wire() for p in packets]))
     g = len(first.coeffs)
     k = len(first.payload)
-    tainted = [i for i, p in enumerate(packets) if p.origin_tag == CORRUPTED]
+    tainted = [i for i, p in enumerate(packets) if p.corrupted]
     hit = np.not_equal(c[:, tainted], 0).any(axis=1)
     return [
         Packet(
             coeffs=row[:g], payload=row[g : g + k], hash_syms=row[g + k :],
             field=f, generation_id=first.generation_id,
-            origin_tag=CORRUPTED if h else VALID,
+            corrupted=bool(h),
         )
         for row, h in zip(out, hit)
     ]

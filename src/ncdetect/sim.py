@@ -48,8 +48,6 @@ from .detect import (
     subspan_consistency,
 )
 from .rlnc import (
-    CORRUPTED,
-    VALID,
     Generation,
     GenerationParams,
     NotDecodable,
@@ -58,7 +56,6 @@ from .rlnc import (
     decode_batch,
     make_generation,
     random_combinations,
-    random_payloads,
 )
 
 _STDERR_BLOCKS = 50
@@ -444,7 +441,7 @@ def signature_error_counts(accept_trials: int, reject_trials: int,
     f = prime_field(group.order)
     gp = GenerationParams.from_symbols(G, k_data, _symbol_bits(f))
     rng = _child_rng(seed)
-    gen, _ = make_generation(random_payloads(f, G, k_data, rng), gp, f)
+    gen, _ = make_generation(f.random_elements(rng, (G, k_data)), gp, f)
     key = sig_keygen(gen, group, rng)
 
     coeffs = f.random_elements(rng, (accept_trials, G))
@@ -474,7 +471,11 @@ RELAY_EDGES = ("A-B", "A-C", "B-D", "B-E", "C-D", "C-E", "D-F", "E-F")
 
 @dataclass(frozen=True)
 class RelayTrial:
-    """Per-trial record of the two-path relay scenario."""
+    """Per-trial record of the two-path relay scenario.
+
+    verdicts maps each node to the Verdicts of the sub-generations it
+    checked, in arrival order.
+    """
 
     verdicts: dict
     first_flag: str | None
@@ -502,10 +503,7 @@ class RelayReport:
         pool = list(self.trials) if subset is None else list(subset)
         if not pool:
             return 0.0
-        hits = sum(
-            any(v == Verdict.CORRUPTED.value for v in t.verdicts.get(node, ()))
-            for t in pool
-        )
+        hits = sum(Verdict.CORRUPTED in t.verdicts.get(node, ()) for t in pool)
         return hits / len(pool)
 
     def summary(self) -> dict:
@@ -540,9 +538,9 @@ def _corrupt_edge(packets, edge: str, probs: dict, mode: str,
     if not packets or p == 0.0:
         return packets, 0
     model = AttackModel(p=p, mode=mode)
-    before = sum(pk.origin_tag == CORRUPTED for pk in packets)
+    before = sum(pk.corrupted for pk in packets)
     out = corrupt_stream_with_rng(packets, model, rng)
-    after = sum(pk.origin_tag == CORRUPTED for pk in out)
+    after = sum(pk.corrupted for pk in out)
     return out, after - before
 
 
@@ -557,10 +555,10 @@ def _row_packets(gen: Generation, support, rows) -> dict:
         row = rows[i]
         coeffs = np.zeros(g, dtype=np.int64)
         coeffs[src_idx] = 1
-        tag = VALID if np.array_equal(row, truth[src_idx]) else CORRUPTED
         out[src_idx] = Packet(
             coeffs=f._arr(coeffs), payload=row[:k], hash_syms=row[k:],
-            field=f, generation_id=gen.id, origin_tag=tag,
+            field=f, generation_id=gen.id,
+            corrupted=not np.array_equal(row, truth[src_idx]),
         )
     return out
 
@@ -622,7 +620,7 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
     for t in range(trials):
         rng = _child_rng(seed, t)
         gen, src = make_generation(
-            random_payloads(f, G, k_data, rng), gp, f, hp, generation_id=t
+            f.random_elements(rng, (G, k_data)), gp, f, hp, generation_id=t
         )
         verdicts: dict = {}
         edge_hits: dict = {}
@@ -638,8 +636,8 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
         vc, (c_to_d, c_to_e) = _forward_blocks(
             to_c, [quarters[2], quarters[3]], hp, gen, rng
         )
-        verdicts["B"] = (vb.value,)
-        verdicts["C"] = (vc.value,)
+        verdicts["B"] = (vb,)
+        verdicts["C"] = (vc,)
 
         b_to_d, edge_hits["B-D"] = _corrupt_edge(b_to_d, "B-D", probs, attack_mode, rng)
         b_to_e, edge_hits["B-E"] = _corrupt_edge(b_to_e, "B-E", probs, attack_mode, rng)
@@ -654,7 +652,7 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
             for stream, block in streams:
                 v, (batch,) = _forward_blocks(stream, [block], hp, gen, rng)
                 if stream:
-                    node_verdicts.append(v.value)
+                    node_verdicts.append(v)
                 out.extend(batch)
             verdicts[node] = tuple(node_verdicts)
             edge = f"{node}-F"
@@ -666,7 +664,7 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
             to_f.extend(out)
 
         vf, _, _ = subspan_consistency(to_f, hp) if to_f else (Verdict.VALID, None, None)
-        verdicts["F"] = (vf.value,)
+        verdicts["F"] = (vf,)
         f_decodable = False
         f_matches: bool | None = None
         if len(to_f) >= G:
@@ -678,17 +676,13 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
                 pass
         f_clean = all(oracle_verify(pk, gen) for pk in to_f)
         first_flag = next(
-            (
-                node
-                for node in ("B", "C", "D", "E", "F")
-                if any(v == Verdict.CORRUPTED.value for v in verdicts.get(node, ()))
-            ),
+            (node for node in ("B", "C", "D", "E", "F")
+             if Verdict.CORRUPTED in verdicts.get(node, ())),
             None,
         )
         upstream_dropped = any(
-            v == Verdict.CORRUPTED.value
+            Verdict.CORRUPTED in verdicts.get(node, ())
             for node in ("B", "C", "D", "E")
-            for v in verdicts.get(node, ())
         )
         records.append(RelayTrial(
             verdicts=verdicts,

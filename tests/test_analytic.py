@@ -14,7 +14,6 @@ from ncdetect.analytic import (
     generation_limit,
     goodput_fraction_generation,
     goodput_fraction_packet,
-    overhead_bits_per_time_unit,
     overhead_error_correction,
     overhead_for,
     overhead_generation,
@@ -176,11 +175,11 @@ def test_scheme_params_validation():
     with pytest.raises(ValueError):
         SchemeParams.defaults(p=1.5)
     with pytest.raises(ValueError):
-        SchemeParams(n=1000, G=0, m=10, h_p=60, h_g=200, p=0.1)
+        SchemeParams(n=1000, G=0, h_p=60, h_g=200, p=0.1)
     with pytest.raises(ValueError):
-        SchemeParams(n=1000, G=10, m=10, h_p=2000, h_g=200, p=0.1)
+        SchemeParams(n=1000, G=10, h_p=2000, h_g=200, p=0.1)
     with pytest.raises(ValueError):
-        SchemeParams(n=1000, G=10, m=10, h_p=60, h_g=-1, p=0.1)
+        SchemeParams(n=1000, G=10, h_p=60, h_g=-1, p=0.1)
     params = SchemeParams.defaults(p=0.1)
     assert params.h_p == pytest.approx(60)
     assert params.h_g == pytest.approx(200)
@@ -197,9 +196,3 @@ def test_overhead_point_and_dispatch():
         overhead_for("parity", params)
     with pytest.raises(ValueError):
         OverheadPoint(scheme="packet", params=params, ratio=1.4)
-
-
-def test_bits_per_time_unit_view():
-    params = SchemeParams.defaults(p=0.1)
-    got = overhead_bits_per_time_unit("error-correction", params)
-    assert got == pytest.approx(0.1 * params.m * params.n)

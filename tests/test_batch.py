@@ -21,7 +21,7 @@ from ncdetect.algebra import (
     prime_field,
 )
 from ncdetect.analytic import SchemeParams
-from ncdetect.detect import HashParams, gen_hash_append, gen_hash_verify, hash_consistent
+from ncdetect.detect import HashParams, Verdict, gen_hash_append, gen_hash_verify, hash_consistent
 from ncdetect.rlnc import NotDecodable, Packet, decode, decode_batch, reduced_row_echelon
 from ncdetect.sim import _DETECTOR_HASH_K, TrialConfig, estimate_hash_miss_rate, simulate_node
 
@@ -253,7 +253,7 @@ def test_hash_consistent_matches_gen_hash_verify(f, seed, T, R, k_data):
     ok = hash_consistent(rows, hp)
     assert ok.shape == (T,)
     for t in range(T):
-        assert bool(ok[t]) == (gen_hash_verify(rows[t], hp).value == "valid")
+        assert bool(ok[t]) == (gen_hash_verify(rows[t], hp) is Verdict.VALID)
 
 
 @pytest.mark.parametrize("f", [binary_field(2), binary_field(16), prime_field(257),

@@ -7,14 +7,12 @@ from ncdetect.acceptance import _reference_solve, _RefField
 from ncdetect.algebra import binary_field, prime_field
 from ncdetect.detect import HashParams, oracle_verify
 from ncdetect.rlnc import (
-    CORRUPTED,
     GenerationParams,
     NotDecodable,
     combine_with_coefficients,
     decode,
     make_generation,
     random_combinations,
-    random_payloads,
     reduced_row_echelon,
 )
 
@@ -31,7 +29,7 @@ def build(G, k_data, field=GF256, hash_k=None, seed=0, gen_id=0):
     sb = field.w if field.kind == "binary-extension" else (field.q - 1).bit_length()
     gp = GenerationParams.from_symbols(G, k_data, sb, n_h)
     gen, src = make_generation(
-        random_payloads(field, G, k_data, rng), gp, field, hp, generation_id=gen_id
+        field.random_elements(rng, (G, k_data)), gp, field, hp, generation_id=gen_id
     )
     return gen, src, rng
 
@@ -171,7 +169,7 @@ def test_decode_failure_agrees_with_reference_oracle():
 def test_decode_never_fabricates_on_corruption():
     gen, src, rng = build(6, 5, seed=9)
     bad = src[3].replaced(
-        payload=src[3].field.add_arr(src[3].payload, 1), origin_tag=CORRUPTED
+        payload=src[3].field.add_arr(src[3].payload, 1), corrupted=True
     )
     stream = src[:3] + [bad] + src[4:]
     got = decode(stream, 6)
@@ -208,12 +206,12 @@ def test_wire_size_accounting():
     assert symbols * gen.params.symbol_bits == gen.params.n == 1000
 
 
-def test_origin_tag_propagates_through_combines():
+def test_corrupted_flag_propagates_through_combines():
     gen, src, rng = build(4, 3, seed=12)
-    tainted = src[1].replaced(origin_tag=CORRUPTED)
+    tainted = src[1].replaced(corrupted=True)
     out = combine_with_coefficients([src[0], tainted], [[1, 1], [1, 0]])
-    assert out[0].origin_tag == CORRUPTED
-    assert out[1].origin_tag == "valid"
+    assert out[0].corrupted
+    assert not out[1].corrupted
 
 
 def test_combine_needs_one_column_per_packet():

@@ -26,7 +26,6 @@ from ncdetect.detect import (
     sig_verify_batch,
 )
 from ncdetect.rlnc import (
-    CORRUPTED,
     GenerationParams,
     NotDecodable,
     Packet,
@@ -34,7 +33,6 @@ from ncdetect.rlnc import (
     decode_batch,
     make_generation,
     random_combinations,
-    random_payloads,
 )
 from ncdetect.sim import (
     RELAY_EDGES,
@@ -214,6 +212,39 @@ def test_miss_rate_chunking_is_deterministic(monkeypatch):
     assert chunked.redraws > 0 and whole.redraws > 0
 
 
+def _negative_binomial_region(successes: int, p: float, alpha: float):
+    """[lo, hi] holding the failures before `successes` successes of
+    probability p, except with probability at most alpha (alpha/2 a side)."""
+    mean = successes * (1 - p) / p
+    sd = math.sqrt(successes * (1 - p)) / p
+    r = np.arange(int(mean + 40 * sd))
+    pmf = np.exp([
+        math.lgamma(successes + k) - math.lgamma(successes) - math.lgamma(k + 1)
+        + successes * math.log(p) + k * math.log1p(-p)
+        for k in r
+    ])
+    below = np.cumsum(pmf)  # P(R <= r)
+    above = np.cumsum(pmf[::-1])[::-1]  # P(R >= r), mass past 40 sd dropped
+    lo = int(np.argmax(below > alpha / 2))  # P(R < lo) <= alpha/2
+    hi = int(np.flatnonzero(above > alpha / 2)[-1])  # P(R > hi) <= alpha/2
+    return lo, hi
+
+
+@pytest.mark.parametrize("w", [2, 3])
+def test_miss_rate_redraws_follow_the_rank_probability(w):
+    # A uniform G x G matrix over GF(q) is invertible with probability
+    # P = prod_{i=1..G} (1 - q^-i), and forgery keeps the claimed
+    # coefficients, so each trial's redraws are geometric with mean
+    # (1 - P)/P and their total is negative binomial.
+    f, G, trials = binary_field(w), 2, 20_000
+    P = math.prod(1 - f.q ** -i for i in range(1, G + 1))
+    rep = estimate_hash_miss_rate(f, G=G, k_data=2, hash_k=2, s=1,
+                                  trials=trials, seed=5)
+    lo, hi = _negative_binomial_region(trials, P, alpha=1e-9)
+    assert lo < trials * (1 - P) / P < hi
+    assert lo <= rep.redraws <= hi
+
+
 def test_hash_detector_with_prime_field():
     p = 0.05
     cfg = TrialConfig(
@@ -379,7 +410,7 @@ def test_packet_filter_soundness_with_signature():
     f = prime_field(group.order)
     rng = np.random.default_rng(11)
     gp = GenerationParams.from_symbols(4, 4, (f.q - 1).bit_length())
-    gen, src = make_generation(random_payloads(f, 4, 4, rng), gp, f)
+    gen, src = make_generation(f.random_elements(rng, (4, 4)), gp, f)
     key = sig_keygen(gen, group, rng)
     stream = random_combinations(src, 300, rng)
     stream = corrupt_stream_with_rng(stream, AttackModel(p=0.3),
@@ -387,7 +418,7 @@ def test_packet_filter_soundness_with_signature():
     forwarded = [p for p in stream if sig_verify(p.wire(), key)]
     dropped = [p for p in stream if not sig_verify(p.wire(), key)]
     assert all(oracle_verify(p, gen) for p in forwarded)
-    assert all(p.origin_tag == CORRUPTED for p in dropped)
+    assert all(p.corrupted for p in dropped)
     assert len(forwarded) + len(dropped) == 300
 
 
@@ -398,7 +429,7 @@ def test_relay_clean_run_decodes_everywhere():
     rep = simulate_relay(G=8, p_per_edge={}, seed=13, trials=40)
     for t in rep.trials:
         for node in ("B", "C", "D", "E", "F"):
-            assert all(v != Verdict.CORRUPTED.value for v in t.verdicts[node])
+            assert Verdict.CORRUPTED not in t.verdicts[node]
         assert t.f_clean
         assert t.first_flag is None
     decodable = [t for t in rep.trials if t.f_decodable]
@@ -421,10 +452,9 @@ def test_relay_flags_at_first_honest_checkpoint():
 def test_relay_corruption_below_d_only_visible_downstream():
     rep = simulate_relay(G=8, p_per_edge={"D-F": 1.0}, seed=15, trials=30)
     for t in rep.trials:
-        assert all(v == Verdict.VALID.value for v in t.verdicts["B"])
-        assert all(v == Verdict.VALID.value for v in t.verdicts["C"])
-        assert all(v != Verdict.CORRUPTED.value for v in t.verdicts["D"])
-        assert all(v != Verdict.CORRUPTED.value for v in t.verdicts["E"])
+        assert t.verdicts["B"] == t.verdicts["C"] == (Verdict.VALID,)
+        assert Verdict.CORRUPTED not in t.verdicts["D"]
+        assert Verdict.CORRUPTED not in t.verdicts["E"]
     flagged = [t for t in rep.trials if t.first_flag == "F"]
     assert len(flagged) >= 28  # F is the first node able to notice
 
