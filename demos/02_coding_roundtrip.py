@@ -15,7 +15,7 @@ This script walks one generation from source to sink.
 
 import numpy as np
 
-from ncdetect import GenerationParams, NotDecodable, decode, make_generation
+from ncdetect import NotDecodable, decode, make_generation
 from ncdetect.algebra import binary_field
 from ncdetect.rlnc import random_combinations
 
@@ -27,13 +27,10 @@ print("=" * 70)
 print(f"STEP 1: a generation of G={G} source packets, {K_DATA} symbols each")
 print("=" * 70)
 
-params = GenerationParams.from_symbols(G, K_DATA, field.w)
 print(f"wire size: ({G} coefficients + {K_DATA} payload) * {field.w} bits "
-      f"= {params.n} bits per packet")
+      f"= {(G + K_DATA) * field.w} bits per packet")
 
-gen, sources = make_generation(
-    field.random_elements(rng, (G, K_DATA)), params, field
-)
+gen, sources = make_generation(field.random_elements(rng, (G, K_DATA)), field)
 for pkt in sources:
     print(f"  coeffs {list(pkt.coeffs)}  payload {list(pkt.payload)}")
 

@@ -20,11 +20,12 @@ Plus the simulator's ground truth: exact membership in the source span.
 ================================================================================
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from ncdetect import (
     HashParams,
-    GenerationParams,
     blind_forge_with_rng,
     decode,
     gen_hash_verify,
@@ -48,11 +49,9 @@ print("=" * 70)
 field = binary_field(7)
 G, K_DATA, K = 8, 14, 14
 hp = HashParams(k=K, s=1, field=field)
-params = GenerationParams.from_symbols(G, K_DATA, field.w, 1)
-gen, src = make_generation(field.random_elements(rng, (G, K_DATA)),
-                           params, field, hp)
+gen, src = make_generation(field.random_elements(rng, (G, K_DATA)), field, hp)
 print(f"each packet: {G} coefficients, {K_DATA} payload, "
-      f"{params.hash_symbols} hash symbol ({100 / (K + 1):.1f}% of the data)")
+      f"{gen.source_hashes.shape[1]} hash symbol ({100 / (K + 1):.1f}% of the data)")
 
 received = random_combinations(src, G, rng)
 print("honest generation decodes and verifies:",
@@ -80,7 +79,7 @@ print("=" * 70)
 half = random_combinations(src[:4], 4, rng)
 print("a node holding combinations of half the generation:",
       subspan_consistency(half, hp)[0])
-polluted = [half[0].replaced(payload=field.add_arr(half[0].payload, 1))] + half[1:]
+polluted = [replace(half[0], payload=field.add_arr(half[0].payload, 1))] + half[1:]
 print("same node, one symbol polluted:",
       subspan_consistency(polluted, hp)[0])
 one = random_combinations(src, 1, rng)
@@ -94,8 +93,7 @@ print("=" * 70)
 
 group = make_group(bits_p=32, bits_q=33, rng=11)
 pf = prime_field(group.order)
-sparams = GenerationParams.from_symbols(4, 4, (pf.q - 1).bit_length())
-sgen, ssrc = make_generation(pf.random_elements(rng, (4, 4)), sparams, pf)
+sgen, ssrc = make_generation(pf.random_elements(rng, (4, 4)), pf)
 key = sig_keygen(sgen, group, rng)
 print(f"group order P ~ 2^{group.order.bit_length()}, "
       f"public key {key.key_size_bits} bits for (G + k_data) = 8 elements")
@@ -104,7 +102,7 @@ mixes = random_combinations(ssrc, 5, rng)
 print("random combinations all verify:",
       all(sig_verify(p.wire(), key) for p in mixes))
 
-evil = mixes[0].replaced(payload=pf.add_arr(mixes[0].payload, 1))
+evil = replace(mixes[0], payload=pf.add_arr(mixes[0].payload, 1))
 print("a one-symbol corruption verifies:", sig_verify(evil.wire(), key),
       f"(false-accept odds are 1/P ~ 2^-{group.order.bit_length()})")
 

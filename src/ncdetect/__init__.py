@@ -54,7 +54,6 @@ from .detect import (
 )
 from .rlnc import (
     Generation,
-    GenerationParams,
     NotDecodable,
     Packet,
     decode,

@@ -21,7 +21,6 @@ from .adversary import AttackModel
 from .algebra import binary_field, prime_field
 from .analytic import SchemeParams
 from .rlnc import (
-    GenerationParams,
     NotDecodable,
     decode,
     make_generation,
@@ -275,10 +274,8 @@ def roundtrip(seed: int = DEFAULT_SEED) -> CriterionResult:
         ref = _RefField(f.q, poly)
         g = int(rng.choice([1, 2, 4, 8]))
         k_data = int(rng.integers(1, 9))
-        sb = f.w if f.kind == "binary-extension" else (f.q - 1).bit_length()
-        gp = GenerationParams.from_symbols(g, k_data, sb)
         gen, src = make_generation(
-            f.random_elements(rng, (g, k_data)), gp, f, generation_id=t
+            f.random_elements(rng, (g, k_data)), f, generation_id=t
         )
         short = t % 7 == 3 and g > 1  # exercise the erasure path too
         count = g - 1 if short else g

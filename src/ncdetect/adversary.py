@@ -11,7 +11,7 @@ rewrite_rows is the one corruption kernel; the Packet functions use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,7 +89,7 @@ def _rewrite(packet: Packet, mode: str, rng: np.random.Generator,
     k = len(packet.payload)
     row = np.concatenate([packet.payload, packet.hash_syms])[None]
     (out,) = rewrite_rows(packet.field, row, k, mode, rng, hash_params)
-    return packet.replaced(payload=out[:k], hash_syms=out[k:], corrupted=True)
+    return replace(packet, payload=out[:k], hash_syms=out[k:], corrupted=True)
 
 
 def corrupt_stream_with_rng(packets: list[Packet], model: AttackModel,

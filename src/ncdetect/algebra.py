@@ -8,7 +8,8 @@ Two field kinds are supported:
 * prime fields GF(q) for prime q.
 
 Scalar operations (``add``, ``mul``, ``inv``, ``pow``) take and return
-reduced ints; the ``*_arr`` methods of :class:`FieldSpec` operate
+reduced ints and, like the array ops, raise ValueError for elements
+outside [0, q); the ``*_arr`` methods of :class:`FieldSpec` operate
 elementwise on integer numpy arrays and are what the coding hot paths use.
 GF(2^w) for w <= 8 keeps q x q product and power tables and a q-entry
 inverse table, so a product, a power or an inverse is one gather; above
@@ -149,14 +150,14 @@ class FieldSpec:
     and call them.
     """
 
-    def __init__(self, kind: str, q: int, poly: int = 0):
+    def __init__(self, kind: str, q: int):
         q = _as_int(q, "field order")
         if kind == "binary-extension":
             w = q.bit_length() - 1
             if q != 1 << w or w not in IRREDUCIBLE_POLY:
                 raise ValueError(f"unsupported binary field order {q}")
             self.w = w
-            self.poly = poly or IRREDUCIBLE_POLY[w]
+            self.poly = IRREDUCIBLE_POLY[w]
             self.dtype = np.dtype(np.uint8 if w <= 8 else np.uint16)
             # Arrays of this dtype need no range check: it holds only [0, q).
             self._exact_dtype = self.dtype if self.dtype.itemsize * 8 == w else None
@@ -224,12 +225,20 @@ class FieldSpec:
 
     # -- scalar operations -------------------------------------------------
 
+    def _scalar(self, a) -> int:
+        """a as a Python int, checked by _elements to lie in [0, q)."""
+        if type(a) is int and 0 <= a < self.q:
+            return a
+        return int(self._elements(a))
+
     def add(self, a: int, b: int) -> int:
+        a, b = self._scalar(a), self._scalar(b)
         if self.kind == "binary-extension":
             return a ^ b
         return (a + b) % self.q
 
     def mul(self, a: int, b: int) -> int:
+        a, b = self._scalar(a), self._scalar(b)
         if self.kind == "binary-extension":
             if a == 0 or b == 0:
                 return 0
@@ -237,6 +246,7 @@ class FieldSpec:
         return a * b % self.q
 
     def inv(self, a: int) -> int:
+        a = self._scalar(a)
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         if self.kind == "binary-extension":
@@ -245,6 +255,7 @@ class FieldSpec:
 
     def pow(self, a: int, e: int) -> int:
         """a**e with the convention 0**0 = 1."""
+        a = self._scalar(a)
         if e < 0:
             raise ValueError("negative exponent")
         if e == 0:
@@ -299,12 +310,6 @@ class FieldSpec:
 
     def mul_arr(self, a, b) -> np.ndarray:
         return self._mul(self._elements(a), self._elements(b))
-
-    def inv_arr(self, a) -> np.ndarray:
-        a = self._elements(a)
-        if np.any(a == 0):
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self._inv(a)
 
     def pow_arr(self, a, e) -> np.ndarray:
         """Elementwise a**e; e may be a scalar or an array of exponents >= 0.
@@ -431,11 +436,10 @@ class FieldSpec:
             isinstance(other, FieldSpec)
             and self.kind == other.kind
             and self.q == other.q
-            and self.poly == other.poly
         )
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.q, self.poly))
+        return hash((self.kind, self.q))
 
     def __repr__(self) -> str:
         if self.kind == "binary-extension":

@@ -26,7 +26,7 @@ from . import acceptance, analytic
 from .algebra import binary_field, check_group_bits
 from .analytic import SchemeParams
 from .detect import HashParams
-from .rlnc import GenerationParams
+from .rlnc import fit_layout
 from .sim import compare_grid, estimate_hash_miss_rate, simulate_relay
 
 CSV_HEADER = "scheme,p,n,G,h_p,h_g,analytic_ratio,empirical_ratio,stderr,trials,seed"
@@ -280,11 +280,12 @@ def _cmd_accounting(args) -> int:
     check_group_bits(args.bits_p, args.bits_q)
     params = _params_for(args)
     f = binary_field(args.logq)
-    gp = GenerationParams.fit(int(args.n), args.G, args.logq, hash_k=args.k)
+    k_data, hash_symbols = fit_layout(int(args.n), args.G, args.logq,
+                                      hash_k=args.k)
     hp = HashParams(k=args.k, s=1, field=f)
-    frac = hp.overhead_fraction(gp.k_data)
-    key_bits = (args.G + gp.k_data) * args.bits_q
-    file_bits = args.G * gp.k_data * args.bits_p
+    frac = hp.overhead_fraction(k_data)
+    key_bits = (args.G + k_data) * args.bits_q
+    file_bits = args.G * k_data * args.bits_p
     print("per-packet detection:")
     print(f"  h_p = {_fmt(params.h_p)} bits per packet "
           f"({100 * params.h_p / params.n:.1f}% of n={_fmt(params.n)})")
@@ -296,13 +297,13 @@ def _cmd_accounting(args) -> int:
     print(f"  goodput fraction 1 - h_g/(nG) = "
           f"{analytic.goodput_fraction_generation(params.n, params.G, params.h_g):.4f}")
     print(f"  polynomial hash: k={args.k}, log q={args.logq} -> "
-          f"{gp.hash_symbols} hash symbol(s) per packet, "
+          f"{hash_symbols} hash symbol(s) per packet, "
           f"{100 * frac:.2f}% symbol overhead "
           f"(ideal 1/(k+1) = {100 / (args.k + 1):.2f}%)")
     print("subspace signature (key cost reported separately, never added "
           "to the per-packet overhead):")
     print(f"  public key: (G + k_data) * log2(Q) = "
-          f"({args.G} + {gp.k_data}) * {args.bits_q} = {key_bits} bits")
+          f"({args.G} + {k_data}) * {args.bits_q} = {key_bits} bits")
     print(f"  key size / file size = {key_bits / file_bits:.4f} "
           f"(file = G*k_data symbols of {args.bits_p} bits)")
     return 0

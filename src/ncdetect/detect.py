@@ -211,7 +211,7 @@ def sig_keygen(generation: Generation, group: GroupSpec,
             "signature scheme needs the coding field to be the prime field "
             "of the group order"
         )
-    if generation.params.hash_symbols:
+    if generation.source_hashes.shape[1]:
         raise ValueError("signature generations must not carry hash symbols")
     x = generation.source_payloads
     g_count, k_data = x.shape
@@ -313,7 +313,7 @@ def oracle_verify(packet: Packet, generation: Generation) -> bool:
     """
     f = generation.field
     s = generation.source_rows()
-    g = generation.params.G
+    g = len(s)
     w = f._arr(packet.wire())
     if w.shape != (g + s.shape[1],):
         raise ValueError("packet width does not match the generation")

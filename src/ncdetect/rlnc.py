@@ -9,6 +9,8 @@ along under the same linear combinations.
 The module provides generation construction, random recoding,
 Gauss-Jordan decoding over any supported field, and the partial solve
 (:func:`recover_subspan`) behind local checks at intermediate nodes.
+A generation's layout is the shape of its arrays, counted in symbols;
+:func:`fit_layout` turns a packet size in bits into such a layout.
 
 Two representations share the decoder's rules.  The packet path
 (:class:`Packet` lists, :func:`decode`, :func:`reduced_row_echelon`) is
@@ -37,60 +39,26 @@ class NotDecodable(Exception):
         self.needed = needed
 
 
-@dataclass(frozen=True)
-class GenerationParams:
-    """Wire-level shape of one generation's packets.
+def fit_layout(n: int, G: int, symbol_bits: int,
+               hash_k: int | None = None) -> tuple[int, int]:
+    """Split a packet of n bits into (k_data, hash symbols) beside G coefficients.
 
-    The accounting identity n = (G + k_data + hash_symbols) * symbol_bits
-    ties the bit size used by the overhead formulas to the symbol layout;
-    it is checked at construction.
+    The largest k_data wins for which G + k_data + hash symbols fills the
+    n // symbol_bits symbols exactly.  With hash_k set, each packet carries
+    one hash symbol per hash_k payload symbols (rounded up).
     """
-
-    G: int
-    n: int  # packet length in bits, including encoding vector and hashes
-    k_data: int
-    symbol_bits: int
-    hash_symbols: int = 0
-
-    def __post_init__(self):
-        if self.G < 1 or self.k_data < 1 or self.symbol_bits < 1:
-            raise ValueError("G, k_data and symbol_bits must be positive")
-        if self.hash_symbols < 0:
-            raise ValueError("hash_symbols must be >= 0")
-        expected = (self.G + self.k_data + self.hash_symbols) * self.symbol_bits
-        if self.n != expected:
-            raise ValueError(
-                f"packet size accounting mismatch: n={self.n} but symbols "
-                f"add up to {expected} bits"
-            )
-
-    @classmethod
-    def from_symbols(
-        cls, G: int, k_data: int, symbol_bits: int, hash_symbols: int = 0
-    ) -> "GenerationParams":
-        n = (G + k_data + hash_symbols) * symbol_bits
-        return cls(G=G, n=n, k_data=k_data, symbol_bits=symbol_bits,
-                   hash_symbols=hash_symbols)
-
-    @classmethod
-    def fit(cls, n: int, G: int, symbol_bits: int,
-            hash_k: int | None = None) -> "GenerationParams":
-        """Split a target packet size of n bits into a feasible symbol layout.
-
-        With hash_k set, each packet carries one hash symbol per hash_k
-        payload symbols (rounded up).
-        """
-        if hash_k is not None and hash_k < 1:
-            raise ValueError("hash_k must be >= 1")
-        if n % symbol_bits:
-            raise ValueError(f"n={n} is not a multiple of symbol_bits={symbol_bits}")
-        total = n // symbol_bits
-        for k_data in range(total - G, 0, -1):
-            n_h = 0 if hash_k is None else -(-k_data // hash_k)
-            if G + k_data + n_h == total:
-                return cls(G=G, n=n, k_data=k_data, symbol_bits=symbol_bits,
-                           hash_symbols=n_h)
-        raise ValueError(f"no feasible symbol layout for n={n}, G={G}")
+    if G < 1 or symbol_bits < 1:
+        raise ValueError("G and symbol_bits must be positive")
+    if hash_k is not None and hash_k < 1:
+        raise ValueError("hash_k must be >= 1")
+    if n % symbol_bits:
+        raise ValueError(f"n={n} is not a multiple of symbol_bits={symbol_bits}")
+    total = n // symbol_bits
+    for k_data in range(total - G, 0, -1):
+        n_h = 0 if hash_k is None else -(-k_data // hash_k)
+        if G + k_data + n_h == total:
+            return k_data, n_h
+    raise ValueError(f"no feasible symbol layout for n={n}, G={G}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,15 +80,6 @@ class Packet:
         """The transmitted symbol vector: coeffs | payload | hash."""
         return np.concatenate([self.coeffs, self.payload, self.hash_syms])
 
-    def replaced(self, **kw) -> "Packet":
-        fields = dict(
-            coeffs=self.coeffs, payload=self.payload, hash_syms=self.hash_syms,
-            field=self.field, generation_id=self.generation_id,
-            corrupted=self.corrupted,
-        )
-        fields.update(kw)
-        return Packet(**fields)
-
 
 @dataclass(frozen=True, eq=False)
 class Generation:
@@ -129,7 +88,6 @@ class Generation:
     id: int
     source_payloads: np.ndarray  # G x k_data
     source_hashes: np.ndarray  # G x hash_symbols
-    params: GenerationParams
     field: FieldSpec
 
     def source_rows(self) -> np.ndarray:
@@ -142,7 +100,7 @@ class Generation:
 
     def source_packets(self) -> list[Packet]:
         out = []
-        g = self.params.G
+        g = len(self.source_payloads)
         for i in range(g):
             coeffs = np.zeros(g, dtype=np.int64)
             coeffs[i] = 1
@@ -158,12 +116,11 @@ class Generation:
 
 def make_generation(
     payloads,
-    params: GenerationParams,
     field: FieldSpec,
     hash_scheme=None,
     generation_id: int = 0,
 ) -> tuple[Generation, list[Packet]]:
-    """Build a generation and its G source packets.
+    """Build a generation and its G source packets from a (G, k_data) matrix.
 
     Source packet i carries the unit encoding vector e_i.  When a hash
     scheme (detect.HashParams) is given, hash symbols are computed from
@@ -171,25 +128,20 @@ def make_generation(
     recoding by the same linear combinations as the payload.
     """
     payloads = field._arr(payloads)
-    if payloads.shape != (params.G, params.k_data):
+    if payloads.ndim != 2 or payloads.size == 0:
         raise ValueError(
-            f"payload matrix is {payloads.shape}, expected "
-            f"({params.G}, {params.k_data})"
+            f"payloads must be a non-empty (G, k_data) matrix, got shape "
+            f"{payloads.shape}"
         )
     if hash_scheme is not None:
         from .detect import gen_hash_append  # runtime import: detect builds on rlnc
 
         hashes = gen_hash_append(payloads, hash_scheme)
     else:
-        hashes = field._arr(np.zeros((params.G, 0), dtype=np.int64))
-    if hashes.shape[1] != params.hash_symbols:
-        raise ValueError(
-            f"hash scheme produces {hashes.shape[1]} symbols per packet, "
-            f"params expect {params.hash_symbols}"
-        )
+        hashes = field._arr(np.zeros((len(payloads), 0), dtype=np.int64))
     gen = Generation(
         id=generation_id, source_payloads=payloads, source_hashes=hashes,
-        params=params, field=field,
+        field=field,
     )
     return gen, gen.source_packets()
 

@@ -49,11 +49,11 @@ from .detect import (
 )
 from .rlnc import (
     Generation,
-    GenerationParams,
     NotDecodable,
     Packet,
     decode,
     decode_batch,
+    fit_layout,
     make_generation,
     random_combinations,
 )
@@ -228,8 +228,9 @@ def simulate_node(config: TrialConfig) -> EmpiricalReport:
 def _detector_layout(config: TrialConfig) -> tuple[FieldSpec, int]:
     """The hash-detector node run's field and payload symbols per packet."""
     f = config.detector_field or binary_field(8)
-    return f, GenerationParams.fit(int(config.params.n), config.params.G,
-                                   _symbol_bits(f), hash_k=_DETECTOR_HASH_K).k_data
+    symbol_bits = f.w or (f.q - 1).bit_length()  # w is 0 for prime fields
+    return f, fit_layout(int(config.params.n), config.params.G, symbol_bits,
+                         hash_k=_DETECTOR_HASH_K)[0]
 
 
 def _simulate_generation_with_hash(config: TrialConfig,
@@ -406,12 +407,6 @@ def _blind_forge_and_decode(field: FieldSpec, src: np.ndarray, k_data: int,
     return decode_batch(field, np.concatenate([coeffs, data], axis=-1), G)
 
 
-def _symbol_bits(field: FieldSpec) -> int:
-    return field.w if field.kind == "binary-extension" else (
-        (field.q - 1).bit_length()
-    )
-
-
 # -- signature scheme error rates --------------------------------------------
 
 
@@ -427,9 +422,13 @@ class SignatureReport:
     key_size_bits: int
 
 
+# The signature run's generation: G packets of k_data payload symbols.
+_SIGNATURE_G = _SIGNATURE_K_DATA = 4
+
+
 def signature_error_counts(accept_trials: int, reject_trials: int,
-                           seed: int, bits_p: int = 32, bits_q: int = 33,
-                           G: int = 4, k_data: int = 4) -> SignatureReport:
+                           seed: int, bits_p: int = 32,
+                           bits_q: int = 33) -> SignatureReport:
     """Verify random valid combinations and single-symbol corruptions.
 
     Valid combinations must all accept (completeness); corrupted vectors
@@ -437,11 +436,11 @@ def signature_error_counts(accept_trials: int, reject_trials: int,
     must reject.  Each side is verified in one sig_verify_batch call; the
     corruption draws are made per vector, in order.
     """
+    G, k_data = _SIGNATURE_G, _SIGNATURE_K_DATA
     group = make_group(bits_p, bits_q, random.Random(seed))
     f = prime_field(group.order)
-    gp = GenerationParams.from_symbols(G, k_data, _symbol_bits(f))
     rng = _child_rng(seed)
-    gen, _ = make_generation(f.random_elements(rng, (G, k_data)), gp, f)
+    gen, _ = make_generation(f.random_elements(rng, (G, k_data)), f)
     key = sig_keygen(gen, group, rng)
 
     coeffs = f.random_elements(rng, (accept_trials, G))
@@ -532,12 +531,11 @@ def _normalize_edges(p_per_edge) -> dict:
     return out
 
 
-def _corrupt_edge(packets, edge: str, probs: dict, mode: str,
-                  rng: np.random.Generator):
+def _corrupt_edge(packets, edge: str, probs: dict, rng: np.random.Generator):
     p = probs[edge]
     if not packets or p == 0.0:
         return packets, 0
-    model = AttackModel(p=p, mode=mode)
+    model = AttackModel(p=p)  # random-symbol: one payload symbol changed
     before = sum(pk.corrupted for pk in packets)
     out = corrupt_stream_with_rng(packets, model, rng)
     after = sum(pk.corrupted for pk in out)
@@ -548,8 +546,7 @@ def _row_packets(gen: Generation, support, rows) -> dict:
     """Pseudo-source packets for recovered rows, ground-truth tagged."""
     truth = gen.source_rows()
     f = gen.field
-    g = gen.params.G
-    k = gen.params.k_data
+    g, k = gen.source_payloads.shape
     out = {}
     for i, src_idx in enumerate(np.asarray(support).tolist()):
         row = rows[i]
@@ -590,19 +587,24 @@ def _forward_blocks(received, blocks, hash_params, gen,
     return verdict, batches
 
 
+# Payload symbols per packet in simulate_relay.
+_RELAY_K_DATA = 16
+
+
 def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
-                   field: FieldSpec | None = None, k_data: int = 16,
-                   hash_k: int = 16,
-                   attack_mode: str = "random-symbol") -> RelayReport:
+                   field: FieldSpec | None = None,
+                   hash_k: int = 16) -> RelayReport:
     """Six-node two-path relay with sub-generation checking at each hop.
 
     A splits each generation's source packets in half and sends G/2
     random combinations of one half to B and of the other to C.  B and C
     check their halves, then re-encode quarter blocks towards D and E,
     which check each incoming quarter and forward to F.  F checks and
-    decodes the whole generation.  Corruption is injected in flight on
-    each edge with the given per-edge probability, and every node drops a
-    sub-generation its check flags as corrupted.
+    decodes the whole generation.  Packets carry _RELAY_K_DATA payload
+    symbols over field (GF(2^8) by default) and one hash symbol per hash_k
+    of them.  Corruption is injected in flight on each edge with the given
+    per-edge probability, changing one payload symbol of a hit packet, and
+    every node drops a sub-generation its check flags as corrupted.
     """
     if G % 4:
         raise ValueError("G must be divisible by 4")
@@ -611,24 +613,21 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
     probs = _normalize_edges(p_per_edge)
     f = field or binary_field(8)
     hp = HashParams(k=hash_k, s=1, field=f)
-    gp = GenerationParams.from_symbols(
-        G, k_data, _symbol_bits(f), hp.hash_symbol_count(k_data)
-    )
     g2, g4 = G // 2, G // 4
     quarters = [list(range(i * g4, (i + 1) * g4)) for i in range(4)]
     records = []
     for t in range(trials):
         rng = _child_rng(seed, t)
         gen, src = make_generation(
-            f.random_elements(rng, (G, k_data)), gp, f, hp, generation_id=t
+            f.random_elements(rng, (G, _RELAY_K_DATA)), f, hp, generation_id=t
         )
         verdicts: dict = {}
         edge_hits: dict = {}
 
         to_b = random_combinations(src[:g2], g2, rng)
         to_c = random_combinations(src[g2:], g2, rng)
-        to_b, edge_hits["A-B"] = _corrupt_edge(to_b, "A-B", probs, attack_mode, rng)
-        to_c, edge_hits["A-C"] = _corrupt_edge(to_c, "A-C", probs, attack_mode, rng)
+        to_b, edge_hits["A-B"] = _corrupt_edge(to_b, "A-B", probs, rng)
+        to_c, edge_hits["A-C"] = _corrupt_edge(to_c, "A-C", probs, rng)
 
         vb, (b_to_d, b_to_e) = _forward_blocks(
             to_b, [quarters[0], quarters[1]], hp, gen, rng
@@ -639,10 +638,10 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
         verdicts["B"] = (vb,)
         verdicts["C"] = (vc,)
 
-        b_to_d, edge_hits["B-D"] = _corrupt_edge(b_to_d, "B-D", probs, attack_mode, rng)
-        b_to_e, edge_hits["B-E"] = _corrupt_edge(b_to_e, "B-E", probs, attack_mode, rng)
-        c_to_d, edge_hits["C-D"] = _corrupt_edge(c_to_d, "C-D", probs, attack_mode, rng)
-        c_to_e, edge_hits["C-E"] = _corrupt_edge(c_to_e, "C-E", probs, attack_mode, rng)
+        b_to_d, edge_hits["B-D"] = _corrupt_edge(b_to_d, "B-D", probs, rng)
+        b_to_e, edge_hits["B-E"] = _corrupt_edge(b_to_e, "B-E", probs, rng)
+        c_to_d, edge_hits["C-D"] = _corrupt_edge(c_to_d, "C-D", probs, rng)
+        c_to_e, edge_hits["C-E"] = _corrupt_edge(c_to_e, "C-E", probs, rng)
 
         to_f = []
         for node, streams in (("D", [(b_to_d, quarters[0]), (c_to_d, quarters[2])]),
@@ -656,7 +655,7 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
                 out.extend(batch)
             verdicts[node] = tuple(node_verdicts)
             edge = f"{node}-F"
-            out, edge_hits[edge] = _corrupt_edge(out, edge, probs, attack_mode, rng)
+            out, edge_hits[edge] = _corrupt_edge(out, edge, probs, rng)
             if node == "D":
                 d_forwarded = out
             else:

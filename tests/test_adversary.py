@@ -16,7 +16,7 @@ from ncdetect.adversary import (
 )
 from ncdetect.algebra import _INT64_SAFE_Q, binary_field, is_prime, prime_field
 from ncdetect.detect import HashParams, gen_hash_append, hash_consistent
-from ncdetect.rlnc import GenerationParams, make_generation
+from ncdetect.rlnc import make_generation
 
 GF256 = binary_field(8)
 
@@ -27,13 +27,8 @@ def seeded(seed):
 
 def sources(G=4, k_data=3, hash_k=None, seed=0, count=None):
     rng = np.random.default_rng(seed)
-    hp = None
-    n_h = 0
-    if hash_k:
-        hp = HashParams(k=hash_k, s=1, field=GF256)
-        n_h = hp.hash_symbol_count(k_data)
-    gp = GenerationParams.from_symbols(G, k_data, 8, n_h)
-    _, src = make_generation(GF256.random_elements(rng, (G, k_data)), gp, GF256, hp)
+    hp = HashParams(k=hash_k, s=1, field=GF256) if hash_k else None
+    _, src = make_generation(GF256.random_elements(rng, (G, k_data)), GF256, hp)
     if count:
         src = (src * (count // G + 1))[:count]
     return src, hp

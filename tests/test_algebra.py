@@ -114,15 +114,13 @@ def test_inverse_values():
         rng = np.random.default_rng(3)
         a = f.random_elements(rng, 200)
         a = a[a != 0]
-        assert np.all(f.mul_arr(a, f.inv_arr(a)) == 1)
+        assert np.all(f.mul_arr(a, f._inv(a)) == 1)
 
 
 def test_inv_zero_raises():
     for f in FIELDS:
         with pytest.raises(ZeroDivisionError):
             f.inv(0)
-        with pytest.raises(ZeroDivisionError):
-            f.inv_arr(np.array([1, 0, 2]))
 
 
 def test_pow_conventions():
@@ -174,7 +172,7 @@ def test_field_axioms_random_triples(f):
     )
     assert np.all(f.add_arr(a, np.zeros_like(a)) == a)
     nz = a[a != 0]
-    assert np.all(f.mul_arr(nz, f.inv_arr(nz)) == 1)
+    assert np.all(f.mul_arr(nz, f._inv(nz)) == 1)
     # subtraction really is the additive inverse
     assert np.all(f.add_arr(f.sub_arr(a, b), b) == a)
 
@@ -190,7 +188,7 @@ def test_object_dtype_prime_field_paths():
     assert f.mul_arr(a, b).dtype == object
     assert np.all(f.mul_arr(a, b) == [(int(x) * int(y)) % q for x, y in zip(a, b)])
     nz = a[a != 0]
-    assert np.all(f.mul_arr(nz, f.inv_arr(nz)) == 1)
+    assert np.all(f.mul_arr(nz, f._inv(nz)) == 1)
 
 
 def test_object_dtype_accepts_int64_input_exactly():
@@ -491,7 +489,6 @@ RANGE_OPS = {
     "add_arr": lambda f, x: f.add_arr([1], x),
     "sub_arr": lambda f, x: f.sub_arr(x, [1]),
     "mul_arr": lambda f, x: f.mul_arr([1], x),
-    "inv_arr": lambda f, x: f.inv_arr(x),
     "pow_arr": lambda f, x: f.pow_arr(x, 3),
     "matmul": lambda f, x: f.matmul([[1]], np.reshape(x, (1, -1))),
 }
@@ -519,10 +516,36 @@ def test_binary_array_ops_reject_elements_outside_the_field(f, op):
     # The largest element still works, from a list and in the field dtype.
     top = f.q - 1
     want = {"add_arr": f.add(1, top), "sub_arr": top ^ 1 if f.w else top - 1,
-            "mul_arr": top, "inv_arr": f.inv(top), "pow_arr": f.pow(top, 3),
+            "mul_arr": top, "pow_arr": f.pow(top, 3),
             "matmul": top}[op]
     assert int(np.ravel(run(f, [top]))[0]) == want
     assert int(np.ravel(run(f, np.array([top], dtype=f.dtype)))[0]) == want
+
+
+# One bad operand per scalar op, the other operands in range.
+SCALAR_OPS = {
+    "add": lambda f, x: f.add(1, x),
+    "mul": lambda f, x: f.mul(x, 1),
+    "inv": lambda f, x: f.inv(x),
+    "pow": lambda f, x: f.pow(x, 2),
+}
+
+
+@pytest.mark.parametrize("op", sorted(SCALAR_OPS))
+@pytest.mark.parametrize("f", RANGE_FIELDS, ids=lambda f: str(f.w or f.q))
+def test_scalar_ops_reject_elements_outside_the_field(f, op):
+    run = SCALAR_OPS[op]
+    message = re.escape(f"{f!r} elements must be integers in [0, {f.q})")
+    for bad in (-1, f.q, f.q + 1, 2**70):
+        with pytest.raises(ValueError, match=message):
+            run(f, bad)
+    # The largest element still works, as an int and as a numpy integer,
+    # and agrees with the array ops.
+    top = f.q - 1
+    want = {"add": f.add_arr([1], [top]), "mul": [top],
+            "inv": f._inv(f._arr([top])), "pow": f.pow_arr([top], 2)}[op]
+    assert run(f, top) == run(f, np.int64(top)) == int(want[0])
+    assert type(run(f, np.int64(top))) is int
 
 
 def test_field_dtype_arrays_pass_unscanned_at_full_width():

@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from ncdetect.detect import (
     subspan_consistency,
 )
 from ncdetect.rlnc import (
-    GenerationParams,
     combine_with_coefficients,
     decode,
     make_generation,
@@ -45,11 +45,8 @@ GF128 = binary_field(7)
 def build(G, k_data, field=GF256, hash_k=4, seed=0):
     rng = np.random.default_rng(seed)
     hp = HashParams(k=hash_k, s=1, field=field)
-    gp = GenerationParams.from_symbols(
-        G, k_data, field.w, hp.hash_symbol_count(k_data)
-    )
     gen, src = make_generation(
-        field.random_elements(rng, (G, k_data)), gp, field, hp
+        field.random_elements(rng, (G, k_data)), field, hp
     )
     return gen, src, hp, rng
 
@@ -213,8 +210,8 @@ def test_subspan_flags_corruption_with_sufficient_rank():
     flags = checks = 0
     for t in range(60):
         half = random_combinations(src[:4], 4, rng)
-        bad = half[0].replaced(
-            payload=GF128.add_arr(half[0].payload, 1), corrupted=True
+        bad = replace(
+            half[0], payload=GF128.add_arr(half[0].payload, 1), corrupted=True
         )
         verdict, _, _ = subspan_consistency([bad] + half[1:], hp)
         if verdict is Verdict.INCONCLUSIVE:
@@ -243,7 +240,7 @@ def test_subspan_linear_inconsistency_is_corrupted():
     # data cannot both be images of any source matrix.
     gen, src, hp, rng = build(8, 6, seed=10)
     pkt = random_combinations(src, 1, rng)[0]
-    clash = pkt.replaced(payload=GF256.add_arr(pkt.payload, 3))
+    clash = replace(pkt, payload=GF256.add_arr(pkt.payload, 3))
     verdict, _, _ = subspan_consistency([pkt, clash], hp)
     assert verdict is Verdict.CORRUPTED
 
@@ -260,7 +257,7 @@ def test_subspan_solves_scaled_source_packet():
 def test_verdicts_ignore_corrupted_flags():
     gen, src, hp, rng = build(8, 6, seed=12)
     rx = random_combinations(src, 8, rng)
-    lied = [p.replaced(corrupted=True) for p in rx]
+    lied = [replace(p, corrupted=True) for p in rx]
     v1, _, _ = subspan_consistency(rx, hp)
     v2, _, _ = subspan_consistency(lied, hp)
     assert v1 is v2
@@ -270,10 +267,9 @@ def test_verdicts_ignore_corrupted_flags():
 def test_hash_completeness_no_false_flags():
     rng = np.random.default_rng(13)
     hp = HashParams(k=6, s=1, field=GF256)
-    gp = GenerationParams.from_symbols(4, 6, 8, 1)
     for t in range(300):
         gen, src = make_generation(
-            GF256.random_elements(rng, (4, 6)), gp, GF256, hp, generation_id=t
+            GF256.random_elements(rng, (4, 6)), GF256, hp, generation_id=t
         )
         try:
             decoded = decode(random_combinations(src, 4, rng), 4)
@@ -301,8 +297,7 @@ def sig_setup():
     group = make_group(32, 33, rng=random.Random(7))
     field = prime_field(group.order)
     rng = np.random.default_rng(14)
-    gp = GenerationParams.from_symbols(3, 4, (field.q - 1).bit_length())
-    gen, src = make_generation(field.random_elements(rng, (3, 4)), gp, field)
+    gen, src = make_generation(field.random_elements(rng, (3, 4)), field)
     key = sig_keygen(gen, group, rng)
     return group, field, gen, src, key, rng
 
@@ -320,7 +315,8 @@ def test_sig_accepts_random_combinations(sig_setup):
 
 def test_sig_accepts_zero_vector(sig_setup):
     _, field, gen, src, key, _ = sig_setup
-    zero = src[0].replaced(
+    zero = replace(
+        src[0],
         coeffs=field._arr(np.zeros(3, dtype=np.int64)),
         payload=field._arr(np.zeros(4, dtype=np.int64)),
     )
@@ -333,7 +329,7 @@ def test_sig_rejects_corruptions(sig_setup):
         j = int(rng.integers(0, 4))
         payload = pkt.payload.copy()
         payload[j] = field.add(int(payload[j]), 1 + int(rng.integers(0, field.q - 1)))
-        assert not sig_verify(pkt.replaced(payload=payload).wire(), key)
+        assert not sig_verify(replace(pkt, payload=payload).wire(), key)
 
 
 def test_sig_linearity_exact(sig_setup):
@@ -354,7 +350,7 @@ def test_sig_key_size_accounting(sig_setup):
 
 def test_sig_length_mismatch_rejected(sig_setup):
     _, field, _, src, key, _ = sig_setup
-    short = src[0].replaced(payload=src[0].payload[:-1])
+    short = replace(src[0], payload=src[0].payload[:-1])
     with pytest.raises(ValueError):
         sig_verify(short.wire(), key)
 
@@ -365,8 +361,7 @@ def test_sig_keygen_minimal_dimensions():
     group = make_group(16, 20, rng=21)
     field = prime_field(group.order)
     rng = np.random.default_rng(22)
-    gp = GenerationParams.from_symbols(2, 2, (field.q - 1).bit_length())
-    gen, src = make_generation(field.random_elements(rng, (2, 2)), gp, field)
+    gen, src = make_generation(field.random_elements(rng, (2, 2)), field)
     key = sig_keygen(gen, group, rng)
     assert len(key.h_vec) == 4
     assert all(sig_verify(p.wire(), key) for p in src)
@@ -374,16 +369,14 @@ def test_sig_keygen_minimal_dimensions():
 
 def test_sig_keygen_preconditions():
     rng = np.random.default_rng(15)
-    gp = GenerationParams.from_symbols(3, 4, 8)
-    gen, _ = make_generation(GF256.random_elements(rng, (3, 4)), gp, GF256)
+    gen, _ = make_generation(GF256.random_elements(rng, (3, 4)), GF256)
     group = make_group(16, 20, rng=3)
     with pytest.raises(ValueError):
         sig_keygen(gen, group, rng)  # binary coding field
 
     field = prime_field(group.order)
     hp = HashParams(k=4, s=1, field=field)
-    gph = GenerationParams.from_symbols(3, 4, (field.q - 1).bit_length(), 1)
-    genh, _ = make_generation(field.random_elements(rng, (3, 4)), gph, field, hp)
+    genh, _ = make_generation(field.random_elements(rng, (3, 4)), field, hp)
     with pytest.raises(ValueError):
         sig_keygen(genh, group, rng)  # hash symbols present
 
@@ -410,14 +403,13 @@ def sig_case(name, G=4, k_data=4):
     group = make_group(bits_p, bits_q, random.Random(seed))
     field = prime_field(group.order)
     rng = np.random.default_rng(seed)
-    gp = GenerationParams.from_symbols(G, k_data, (field.q - 1).bit_length())
-    gen, _ = make_generation(field.random_elements(rng, (G, k_data)), gp, field)
+    gen, _ = make_generation(field.random_elements(rng, (G, k_data)), field)
     return field, gen, sig_keygen(gen, group, rng)
 
 
 def sig_rows(field, gen, rng, count):
     """In-span rows, one-symbol corruptions of them, zero and uniform rows."""
-    G = gen.params.G
+    G = len(gen.source_payloads)
     c = field.random_elements(rng, (count, G))
     good = np.concatenate([c, field.matmul(c, gen.source_payloads)], axis=1)
     bad = good.copy()
@@ -518,7 +510,7 @@ def test_oracle_rejects_any_flip():
         j = int(rng.integers(0, 5))
         payload = pkt.payload.copy()
         payload[j] = GF256.add(int(payload[j]), 1 + int(rng.integers(0, 255)))
-        assert not oracle_verify(pkt.replaced(payload=payload), gen)
+        assert not oracle_verify(replace(pkt, payload=payload), gen)
 
 
 def _prime_near(q: int, step: int) -> int:
@@ -546,9 +538,7 @@ def test_oracle_matches_rank_oracle(f, seed, G, k_data, hash_k):
     # the span of the source rows iff appending it leaves the rank at G.
     rng = np.random.default_rng(seed)
     hp = HashParams(k=hash_k, s=1, field=f)
-    gp = GenerationParams.from_symbols(G, k_data, f.q.bit_length(),
-                                       hp.hash_symbol_count(k_data))
-    gen, src = make_generation(f.random_elements(rng, (G, k_data)), gp, f, hp)
+    gen, src = make_generation(f.random_elements(rng, (G, k_data)), f, hp)
     rows = np.hstack([f._arr(np.eye(G, dtype=np.int64)), gen.source_rows()])
 
     def in_span_by_rank(w):
@@ -560,12 +550,12 @@ def test_oracle_matches_rank_oracle(f, seed, G, k_data, hash_k):
         w = pkt.wire().copy()
         j = int(rng.integers(0, len(w)))
         w[j] = f.add(int(w[j]), int(rng.integers(1, f.q)))
-        bad = pkt.replaced(coeffs=w[:G], payload=w[G : G + k_data],
-                           hash_syms=w[G + k_data :])
+        bad = replace(pkt, coeffs=w[:G], payload=w[G : G + k_data],
+                      hash_syms=w[G + k_data :])
         assert oracle_verify(bad, gen) == in_span_by_rank(w)
 
 
 def test_oracle_width_mismatch():
     gen, src, hp, rng = build(6, 5, seed=18)
     with pytest.raises(ValueError):
-        oracle_verify(src[0].replaced(payload=src[0].payload[:-1]), gen)
+        oracle_verify(replace(src[0], payload=src[0].payload[:-1]), gen)

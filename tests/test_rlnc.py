@@ -1,5 +1,7 @@
 """Generation construction, recoding and decoding."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,10 @@ from ncdetect.acceptance import _reference_solve, _RefField
 from ncdetect.algebra import binary_field, prime_field
 from ncdetect.detect import HashParams, oracle_verify
 from ncdetect.rlnc import (
-    GenerationParams,
     NotDecodable,
     combine_with_coefficients,
     decode,
+    fit_layout,
     make_generation,
     random_combinations,
     reduced_row_echelon,
@@ -21,36 +23,38 @@ GF256 = binary_field(8)
 
 def build(G, k_data, field=GF256, hash_k=None, seed=0, gen_id=0):
     rng = np.random.default_rng(seed)
-    hp = None
-    n_h = 0
-    if hash_k is not None:
-        hp = HashParams(k=hash_k, s=1, field=field)
-        n_h = hp.hash_symbol_count(k_data)
-    sb = field.w if field.kind == "binary-extension" else (field.q - 1).bit_length()
-    gp = GenerationParams.from_symbols(G, k_data, sb, n_h)
+    hp = None if hash_k is None else HashParams(k=hash_k, s=1, field=field)
     gen, src = make_generation(
-        field.random_elements(rng, (G, k_data)), gp, field, hp, generation_id=gen_id
+        field.random_elements(rng, (G, k_data)), field, hp, generation_id=gen_id
     )
     return gen, src, rng
 
 
 def test_accounting_identity_enforced():
-    GenerationParams(G=4, n=64, k_data=3, symbol_bits=8, hash_symbols=1)
-    with pytest.raises(ValueError):
-        GenerationParams(G=4, n=65, k_data=3, symbol_bits=8, hash_symbols=1)
-    with pytest.raises(ValueError):
-        GenerationParams(G=0, n=64, k_data=4, symbol_bits=8)
+    # fit_layout's split fills the packet exactly:
+    # n = (G + k_data + hash symbols) * symbol_bits, one hash symbol per
+    # hash_k payload symbols, rounded up.
+    for n, G, symbol_bits, hash_k in [(64, 4, 8, None), (120, 2, 3, 50),
+                                      (1000, 10, 8, 50), (4096, 4, 16, 7),
+                                      (512, 10, 4, 7), (26, 1, 2, 1)]:
+        k_data, n_h = fit_layout(n, G, symbol_bits, hash_k)
+        assert (G + k_data + n_h) * symbol_bits == n
+        assert n_h == (0 if hash_k is None else -(-k_data // hash_k))
 
 
 def test_fit_solves_layout():
-    gp = GenerationParams.fit(1000, G=10, symbol_bits=8, hash_k=50)
-    assert gp.n == 1000
-    assert gp.G + gp.k_data + gp.hash_symbols == 125
-    assert -(-gp.k_data // 50) == gp.hash_symbols
-    with pytest.raises(ValueError):
-        GenerationParams.fit(1001, G=10, symbol_bits=8)
+    assert fit_layout(1000, G=10, symbol_bits=8, hash_k=50) == (112, 3)
+    assert fit_layout(512, G=10, symbol_bits=4, hash_k=7) == (103, 15)
+    assert fit_layout(64, G=4, symbol_bits=8) == (4, 0)
+    with pytest.raises(ValueError, match="multiple of symbol_bits"):
+        fit_layout(1001, G=10, symbol_bits=8)
     with pytest.raises(ValueError, match="hash_k"):
-        GenerationParams.fit(1000, G=10, symbol_bits=8, hash_k=0)
+        fit_layout(1000, G=10, symbol_bits=8, hash_k=0)
+    with pytest.raises(ValueError, match="no feasible symbol layout"):
+        fit_layout(80, G=10, symbol_bits=8)
+    for G, symbol_bits in ((0, 8), (-1, 8), (4, 0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            fit_layout(64, G=G, symbol_bits=symbol_bits)
 
 
 def test_single_packet_generation():
@@ -60,9 +64,7 @@ def test_single_packet_generation():
 
 
 def test_source_packets_are_unit_vectors():
-    field = GF256
-    gp = GenerationParams.from_symbols(4, 3, 8)
-    gen, src = make_generation(np.zeros((4, 3)), gp, field)
+    gen, src = make_generation(np.zeros((4, 3)), GF256)
     for i, pkt in enumerate(src):
         expect = np.zeros(4)
         expect[i] = 1
@@ -79,9 +81,19 @@ def test_two_percent_hash_overhead_layout():
 
 
 def test_make_generation_dimension_mismatch():
-    gp = GenerationParams.from_symbols(4, 3, 8)
-    with pytest.raises(ValueError):
-        make_generation(np.zeros((3, 3)), gp, GF256)
+    for shape in [(), (3,), (2, 3, 4), (0, 3), (3, 0)]:
+        with pytest.raises(ValueError, match="non-empty"):
+            make_generation(np.zeros(shape), GF256)
+
+
+def test_generation_layout_is_the_payload_shape():
+    hp = HashParams(k=3, s=1, field=GF256)
+    gen, src = make_generation(np.ones((5, 7)), GF256, hp, generation_id=9)
+    assert gen.source_payloads.shape == (5, 7)
+    assert gen.source_hashes.shape == (5, 3)
+    layouts = {(len(p.coeffs), len(p.payload), len(p.hash_syms)) for p in src}
+    assert layouts == {(5, 7, 3)}
+    assert {p.generation_id for p in src} == {9}
 
 
 def test_singleton_combine_is_scaling():
@@ -168,8 +180,8 @@ def test_decode_failure_agrees_with_reference_oracle():
 
 def test_decode_never_fabricates_on_corruption():
     gen, src, rng = build(6, 5, seed=9)
-    bad = src[3].replaced(
-        payload=src[3].field.add_arr(src[3].payload, 1), corrupted=True
+    bad = replace(
+        src[3], payload=src[3].field.add_arr(src[3].payload, 1), corrupted=True
     )
     stream = src[:3] + [bad] + src[4:]
     got = decode(stream, 6)
@@ -200,15 +212,15 @@ def test_matrix_rank_over_fields():
 
 
 def test_wire_size_accounting():
-    gen, src, _ = build(10, 112, hash_k=50)
-    pkt = src[0]
-    symbols = len(pkt.coeffs) + len(pkt.payload) + len(pkt.hash_syms)
-    assert symbols * gen.params.symbol_bits == gen.params.n == 1000
+    k_data, n_h = fit_layout(1000, G=10, symbol_bits=GF256.w, hash_k=50)
+    gen, src, _ = build(10, k_data, hash_k=50)
+    assert len(src[0].hash_syms) == n_h
+    assert len(src[0].wire()) * GF256.w == 1000
 
 
 def test_corrupted_flag_propagates_through_combines():
     gen, src, rng = build(4, 3, seed=12)
-    tainted = src[1].replaced(corrupted=True)
+    tainted = replace(src[1], corrupted=True)
     out = combine_with_coefficients([src[0], tainted], [[1, 1], [1, 0]])
     assert out[0].corrupted
     assert not out[1].corrupted

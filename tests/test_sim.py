@@ -26,7 +26,6 @@ from ncdetect.detect import (
     sig_verify_batch,
 )
 from ncdetect.rlnc import (
-    GenerationParams,
     NotDecodable,
     Packet,
     decode,
@@ -245,6 +244,40 @@ def test_miss_rate_redraws_follow_the_rank_probability(w):
     assert lo <= rep.redraws <= hi
 
 
+def _binomial_region(trials: int, p: float, alpha: float):
+    """[lo, hi] holding a Binomial(trials, p) count, except with probability
+    at most alpha (alpha/2 a side), from the exact pmf."""
+    k = np.arange(trials + 1)
+    pmf = np.exp([
+        math.lgamma(trials + 1) - math.lgamma(i + 1) - math.lgamma(trials - i + 1)
+        + i * math.log(p) + (trials - i) * math.log1p(-p)
+        for i in k
+    ])
+    below = np.cumsum(pmf)  # P(X <= k)
+    above = np.cumsum(pmf[::-1])[::-1]  # P(X >= k)
+    lo = int(np.argmax(below > alpha / 2))  # P(X < lo) <= alpha/2
+    hi = int(np.flatnonzero(above > alpha / 2)[-1])  # P(X > hi) <= alpha/2
+    return lo, hi
+
+
+@pytest.mark.parametrize("w", [2, 3])
+def test_hash_detector_undecodable_count_is_binomial(w):
+    # The node mixes G uniform combinations per generation and corruption
+    # never touches the coefficients, so each generation is undecodable
+    # with probability 1 - prod_{i=1..G} (1 - q^-i), independently.
+    f, G, trials = binary_field(w), 2, 20_000
+    P = math.prod(1 - f.q ** -i for i in range(1, G + 1))
+    cfg = TrialConfig(
+        scheme="generation", params=SchemeParams.defaults(p=0.1, n=120, G=G),
+        attack=AttackModel(p=0.1), trials=trials, seed=23,
+        use_hash_detector=True, detector_field=f,
+    )
+    rep = simulate_node(cfg)
+    lo, hi = _binomial_region(trials, 1 - P, alpha=1e-9)
+    assert lo < trials * (1 - P) < hi
+    assert lo <= rep.undecodable <= hi
+
+
 def test_hash_detector_with_prime_field():
     p = 0.05
     cfg = TrialConfig(
@@ -409,8 +442,7 @@ def test_packet_filter_soundness_with_signature():
     group = make_group(32, 33, rng=10)
     f = prime_field(group.order)
     rng = np.random.default_rng(11)
-    gp = GenerationParams.from_symbols(4, 4, (f.q - 1).bit_length())
-    gen, src = make_generation(f.random_elements(rng, (4, 4)), gp, f)
+    gen, src = make_generation(f.random_elements(rng, (4, 4)), f)
     key = sig_keygen(gen, group, rng)
     stream = random_combinations(src, 300, rng)
     stream = corrupt_stream_with_rng(stream, AttackModel(p=0.3),
