@@ -49,7 +49,7 @@ print("=" * 70)
 print("STEP 3: the sink decodes from any full-rank set")
 print("=" * 70)
 
-decoded = decode(hop2, G)
+decoded = decode(hop2)
 print("decoded payloads equal the source:",
       np.array_equal(decoded, gen.source_payloads))
 
@@ -59,7 +59,7 @@ print("STEP 4: too few packets is an erasure, not an error")
 print("=" * 70)
 
 try:
-    decode(hop2[: G - 1], G)
+    decode(hop2[: G - 1])
 except NotDecodable as exc:
     print(f"decode({G - 1} packets) -> NotDecodable: {exc}")
 print("The decoder distinguishes 'need more packets' (erasure correction")
@@ -74,7 +74,7 @@ singular = 0
 for trial in range(2000):
     rx = random_combinations(sources, G, rng)
     try:
-        decode(rx, G)
+        decode(rx)
     except NotDecodable:
         singular += 1
 print(f"{singular} singular draws in 2000 mixes "

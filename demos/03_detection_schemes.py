@@ -48,14 +48,14 @@ print("=" * 70)
 
 field = binary_field(7)
 G, K_DATA, K = 8, 14, 14
-hp = HashParams(k=K, s=1, field=field)
+hp = HashParams(k=K, field=field)
 gen, src = make_generation(field.random_elements(rng, (G, K_DATA)), field, hp)
 print(f"each packet: {G} coefficients, {K_DATA} payload, "
       f"{gen.source_hashes.shape[1]} hash symbol ({100 / (K + 1):.1f}% of the data)")
 
 received = random_combinations(src, G, rng)
 print("honest generation decodes and verifies:",
-      gen_hash_verify(decode(received, G), hp))
+      gen_hash_verify(decode(received), hp))
 
 print()
 print("=" * 70)
@@ -64,7 +64,7 @@ print("=" * 70)
 
 forged = blind_forge_with_rng(received, 2, np.random.default_rng(9))
 print("2 of the 8 packets hijacked in flight (claims kept, data junked)")
-print("verdict after decode:", gen_hash_verify(decode(forged, G), hp))
+print("verdict after decode:", gen_hash_verify(decode(forged), hp))
 
 report = estimate_hash_miss_rate(binary_field(7), G=8, k_data=50, hash_k=50,
                                  s=5, trials=1500, seed=5)

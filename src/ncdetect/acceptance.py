@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .adversary import AttackModel
 from .algebra import binary_field, prime_field
 from .analytic import SchemeParams
 from .rlnc import (
@@ -106,7 +105,6 @@ def drop(seed: int = DEFAULT_SEED) -> CriterionResult:
     cfg = TrialConfig(
         scheme="generation",
         params=SchemeParams.defaults(p=p, G=g),
-        attack=AttackModel(p=p),
         trials=trials,
         seed=seed,
     )
@@ -283,7 +281,7 @@ def roundtrip(seed: int = DEFAULT_SEED) -> CriterionResult:
         rows = [[int(v) for v in pk.wire()] for pk in received]
         expected = _reference_solve(ref, rows, g)
         try:
-            got = decode(received, g)
+            got = decode(received)
         except NotDecodable:
             got = None
         if expected is None or got is None:

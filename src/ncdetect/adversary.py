@@ -66,8 +66,10 @@ def rewrite_rows(field, rows, k_data: int, mode: str, rng: np.random.Generator,
     """
     if mode not in MODES:
         raise ValueError(f"unknown attack mode {mode!r}")
-    if mode == "hash-aware-forgery" and hash_params is None:
-        raise ValueError("hash-aware-forgery needs hash_params")
+    if mode == "hash-aware-forgery":
+        if hash_params is None:
+            raise ValueError("hash-aware-forgery needs hash_params")
+        hash_params.check_field(field)
     rows = field._arr(rows)
     if rows.ndim != 2 or not 1 <= k_data <= rows.shape[1]:
         raise ValueError(f"expected (N, width >= {k_data}) rows, got {rows.shape}")

@@ -282,7 +282,7 @@ def _cmd_accounting(args) -> int:
     f = binary_field(args.logq)
     k_data, hash_symbols = fit_layout(int(args.n), args.G, args.logq,
                                       hash_k=args.k)
-    hp = HashParams(k=args.k, s=1, field=f)
+    hp = HashParams(k=args.k, field=f)
     frac = hp.overhead_fraction(k_data)
     key_bits = (args.G + k_data) * args.bits_q
     file_bits = args.G * k_data * args.bits_p

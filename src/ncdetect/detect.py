@@ -54,22 +54,20 @@ class Verdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class HashParams:
-    """Generation-hash tuning: one hash symbol covers k payload symbols.
-
-    s is the number of packets an adversary must forge without seeing the
-    rest of the generation; it parameterizes the miss bound ((k+1)/q)^s
-    and the blind-forgery experiments, not the verifier itself.
-    """
+    """The generation hash over field: one symbol per k payload symbols."""
 
     k: int
-    s: int
     field: FieldSpec
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.s < 1:
-            raise ValueError("s must be >= 1")
+
+    def check_field(self, field: FieldSpec) -> None:
+        """Raise unless symbols over field are what this hash covers."""
+        if field != self.field:
+            raise ValueError(f"a hash over {self.field!r} cannot cover "
+                             f"symbols over {field!r}")
 
     def hash_symbol_count(self, k_data: int) -> int:
         return -(-k_data // self.k)
@@ -79,9 +77,9 @@ class HashParams:
         n_h = self.hash_symbol_count(k_data)
         return n_h / (k_data + n_h)
 
-    def miss_bound(self) -> float:
+    def miss_bound(self, s: int) -> float:
         """Upper bound on the miss probability for a blind s-packet forgery."""
-        return ((self.k + 1) / self.field.q) ** self.s
+        return ((self.k + 1) / self.field.q) ** s
 
 
 def gen_hash_append(payload, params: HashParams) -> np.ndarray:
@@ -152,7 +150,10 @@ def subspan_consistency(packets, params: HashParams):
     Returns (verdict, support, rows); rows is None unless the span pins
     the touched source rows down uniquely.
     """
-    status, support, rows = recover_subspan(list(packets))
+    packets = list(packets)
+    if packets:
+        params.check_field(packets[0].field)
+    status, support, rows = recover_subspan(packets)
     if status == "inconsistent":
         return Verdict.CORRUPTED, support, None
     if status == "underdetermined":

@@ -125,17 +125,20 @@ def make_generation(
     Source packet i carries the unit encoding vector e_i.  When a hash
     scheme (detect.HashParams) is given, hash symbols are computed from
     each packet's payload and appended; they are then carried through
-    recoding by the same linear combinations as the payload.
+    recoding by the same linear combinations as the payload.  Payloads
+    and scheme must lie over field, or ValueError is raised.
     """
-    payloads = field._arr(payloads)
+    payloads = np.asarray(payloads)
     if payloads.ndim != 2 or payloads.size == 0:
         raise ValueError(
             f"payloads must be a non-empty (G, k_data) matrix, got shape "
             f"{payloads.shape}"
         )
+    payloads = field._elements(payloads)
     if hash_scheme is not None:
         from .detect import gen_hash_append  # runtime import: detect builds on rlnc
 
+        hash_scheme.check_field(field)
         hashes = gen_hash_append(payloads, hash_scheme)
     else:
         hashes = field._arr(np.zeros((len(payloads), 0), dtype=np.int64))
@@ -242,20 +245,19 @@ def reduced_row_echelon(field: FieldSpec, matrix,
     return m, pivots
 
 
-def decode(packets: list[Packet], G: int) -> np.ndarray:
+def decode(packets: list[Packet]) -> np.ndarray:
     """Recover the source (payload | hash) matrix by Gaussian elimination.
 
+    The generation size G is the packets' encoding vector length.
     Succeeds exactly when the received encoding vectors have rank G;
     raises NotDecodable otherwise, which distinguishes "need more packets"
     from corruption.  The returned matrix has one row per source packet;
     columns are the payload symbols followed by any hash symbols.
     """
     first = _check_stream(packets)
-    f = first.field
-    if len(first.coeffs) != G:
-        raise ValueError("encoding vector length differs from G")
+    G = len(first.coeffs)
     m = np.vstack([p.wire() for p in packets])
-    r, pivots = reduced_row_echelon(f, m, pivot_width=G)
+    r, pivots = reduced_row_echelon(first.field, m, pivot_width=G)
     if len(pivots) < G:
         raise NotDecodable(rank=len(pivots), needed=G)
     return r[:G, G:]

@@ -1,19 +1,20 @@
 """Monte Carlo validation of the overhead model and detection bounds.
 
 simulate_node reproduces the single-relay accounting: packets arrive,
-each independently corrupted with probability p, and the node applies the
-scheme's forwarding rule (forward-all, verify-and-drop-packet, or
-verify-and-drop-generation).  Overhead is scored from ground-truth
-corruption tags exactly as the closed forms define it -- the empirical
+each independently corrupted with probability params.p, and the node
+applies the scheme's forwarding rule (forward-all, verify-and-drop-packet,
+or verify-and-drop-generation).  Overhead is scored from ground-truth
+corruption tags exactly as the closed forms define it -- analytic's
+formulas at the observed rate for the per-packet schemes; the generation
 estimator assembles the per-time-unit expectation from the simulated
-corruption and drop frequencies, with the clamp at zero applied to that
-estimate, so it converges to the analytic ratio without clamping bias.
+corruption and drop frequencies, clamping that estimate at zero, so it
+converges to the analytic ratio without clamping bias.
 
 The other experiments exercise the actual machinery: the blind forgery
 miss-rate run (estimate_hash_miss_rate), the signature accept/reject run
-(signature_error_counts), the optional real-hash detector inside
-simulate_node, and the six-node relay scenario in which intermediate nodes
-check sub-generations and drop polluted ones before they reach the sink.
+(signature_error_counts), the real-hash detector of a TrialConfig with a
+detector_field, and the six-node relay scenario in which intermediate
+nodes check sub-generations and drop polluted ones before they reach the sink.
 
 The miss-rate run and the hash-detector node run share one batch
 pipeline: T generations at once as (T, G, width) field arrays, mixed by
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .adversary import AttackModel, corrupt_stream_with_rng, rewrite_rows
+from .adversary import MODES, AttackModel, corrupt_stream_with_rng, rewrite_rows
 from .algebra import FieldSpec, binary_field, make_group, prime_field
 from .analytic import OverheadPoint, SchemeParams, overhead_point
 from .detect import (
@@ -75,21 +76,21 @@ def _child_seed(*keys: int) -> int:
 class TrialConfig:
     """One simulate_node run; identical configs replay bit-identically.
 
-    trials counts packets for the error-correction and packet schemes and
-    generations for the generation scheme.  use_hash_detector switches the
-    generation scheme to a run where the node really decodes and
-    hash-checks each generation over detector_field, GF(2^8) by default
-    (detector misses are then reported as false_accepts; overhead is still
-    scored from ground truth).  A hash-aware-forgery attack in that run
-    must carry a hash over detector_field with the detector's width.
+    Packets are corrupted with probability params.p.  trials counts
+    packets for the error-correction and packet schemes and generations
+    for the generation scheme.  With detector_field set, the node really
+    decodes and hash-checks each generation over that field, and the
+    attacker rewrites packets under attack_mode (adversary.MODES; a
+    hash-aware forger uses the detector's public hash).  Detector misses
+    are then reported as false_accepts; overhead is still scored from
+    ground truth.  Without a detector field, attack_mode has no effect.
     """
 
     scheme: str
     params: SchemeParams
-    attack: AttackModel
     trials: int
     seed: int
-    use_hash_detector: bool = False
+    attack_mode: str = "random-symbol"
     detector_field: FieldSpec | None = None
 
     def __post_init__(self):
@@ -97,22 +98,10 @@ class TrialConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.attack.p != self.params.p:
-            raise ValueError("attack.p and params.p must agree")
-        if self.use_hash_detector and self.scheme != "generation":
+        if self.attack_mode not in MODES:
+            raise ValueError(f"unknown attack mode {self.attack_mode!r}")
+        if self.detector_field is not None and self.scheme != "generation":
             raise ValueError("the hash detector applies to the generation scheme")
-        if self.use_hash_detector and self.attack.mode == "hash-aware-forgery":
-            f, k_data = _detector_layout(self)
-            forged = self.attack.hash_params
-            got = forged.hash_symbol_count(k_data)
-            want = -(-k_data // _DETECTOR_HASH_K)
-            if forged.field != f or got != want:
-                raise ValueError(
-                    f"hash-aware-forgery hash gives {got} symbols over "
-                    f"{forged.field!r}, but the detector's hash (k = "
-                    f"{_DETECTOR_HASH_K}) gives {want} over {f!r} for "
-                    f"{k_data} payload symbols"
-                )
 
 
 @dataclass(frozen=True)
@@ -179,58 +168,35 @@ def simulate_node(config: TrialConfig) -> EmpiricalReport:
     packets) and aggregates wasted bits per the scheme's rule.
     """
     params = config.params
-    p = params.p
     n = params.n
     rng = _child_rng(config.seed)
 
-    if config.scheme == "error-correction":
-        bad = int(rng.binomial(config.trials, p))
+    if config.scheme != "generation":
+        bad = int(rng.binomial(config.trials, params.p))
         p_hat = bad / config.trials
+        packet = config.scheme == "packet"  # drops what it catches
+        dropped = bad if packet else 0
         return EmpiricalReport(
             scheme=config.scheme,
-            overhead_ratio=p_hat,
+            overhead_ratio=analytic.overhead_for(config.scheme, params.at(p_hat)),
             stderr=math.sqrt(p_hat * (1.0 - p_hat) / config.trials),
-            goodput_fraction=1.0 - p_hat,
+            goodput_fraction=(analytic.goodput_fraction_packet(n, params.h_p)
+                              if packet else 1.0 - p_hat),
             generations_dropped=0,
-            packets_dropped=0,
+            packets_dropped=dropped,
             false_accepts=0,
             false_rejects=0,
-            bits_transmitted=round(config.trials * n),
+            bits_transmitted=round((config.trials - dropped) * n),
             trials=config.trials,
         )
 
-    if config.scheme == "packet":
-        bad = int(rng.binomial(config.trials, p))
-        p_hat = bad / config.trials
-        unclamped = (params.h_p - n * p_hat) / n
-        return EmpiricalReport(
-            scheme=config.scheme,
-            overhead_ratio=max(0.0, unclamped),
-            stderr=math.sqrt(p_hat * (1.0 - p_hat) / config.trials),
-            goodput_fraction=analytic.goodput_fraction_packet(n, params.h_p),
-            generations_dropped=0,
-            packets_dropped=bad,
-            false_accepts=0,
-            false_rejects=0,
-            bits_transmitted=round((config.trials - bad) * n),
-            trials=config.trials,
-        )
-
-    if config.use_hash_detector:
+    if config.detector_field is not None:
         return _simulate_generation_with_hash(config, rng)
 
-    x_counts = rng.binomial(params.G, p, size=config.trials)
+    x_counts = rng.binomial(params.G, params.p, size=config.trials)
     drops = (x_counts > 0).astype(np.int64)
     bits = round((config.trials - int(drops.sum())) * n * params.G)
     return _generation_report(params, x_counts, drops, bits_transmitted=bits)
-
-
-def _detector_layout(config: TrialConfig) -> tuple[FieldSpec, int]:
-    """The hash-detector node run's field and payload symbols per packet."""
-    f = config.detector_field or binary_field(8)
-    symbol_bits = f.w or (f.q - 1).bit_length()  # w is 0 for prime fields
-    return f, fit_layout(int(config.params.n), config.params.G, symbol_bits,
-                         hash_k=_DETECTOR_HASH_K)[0]
 
 
 def _simulate_generation_with_hash(config: TrialConfig,
@@ -243,16 +209,17 @@ def _simulate_generation_with_hash(config: TrialConfig,
     generations are counted and pass through unverified); overhead is
     still scored from ground truth per the model's definition.
     """
-    params, attack = config.params, config.attack
+    params, f = config.params, config.detector_field
     g = params.G
-    f, k_data = _detector_layout(config)
-    hp = HashParams(k=_DETECTOR_HASH_K, s=1, field=f)
+    symbol_bits = f.w or (f.q - 1).bit_length()  # w is 0 for prime fields
+    k_data, _ = fit_layout(int(params.n), g, symbol_bits, hash_k=_DETECTOR_HASH_K)
+    hp = HashParams(k=_DETECTOR_HASH_K, field=f)
     x_counts, verdicts = [], []
     for src in _source_chunks(f, g, k_data, hp, config.trials, rng):
         coeffs, data = _mix(f, src, rng)
-        hit = rng.random(data.shape[:2]) < attack.p
-        data[hit] = rewrite_rows(f, data[hit], k_data, attack.mode, rng,
-                                 attack.hash_params)
+        hit = rng.random(data.shape[:2]) < params.p
+        # The forger knows the public hash, so a hash-aware one uses hp.
+        data[hit] = rewrite_rows(f, data[hit], k_data, config.attack_mode, rng, hp)
         full_rank, rows = decode_batch(f, np.concatenate([coeffs, data], axis=-1), g)
         x_counts.append(hit.sum(axis=1))
         # 1 Valid, 0 Corrupted, -1 undecodable.
@@ -295,11 +262,8 @@ def compare_grid(p_grid, schemes, params: SchemeParams,
             point = overhead_point(scheme, pp)
             report = None
             if t:
-                cfg = TrialConfig(
-                    scheme=scheme, params=pp,
-                    attack=AttackModel(p=float(p)),
-                    trials=t, seed=_child_seed(seed, si, pi),
-                )
+                cfg = TrialConfig(scheme=scheme, params=pp, trials=t,
+                                  seed=_child_seed(seed, si, pi))
                 report = simulate_node(cfg)
             out.append(GridPoint(point=point, report=report))
     return out
@@ -373,7 +337,7 @@ def estimate_hash_miss_rate(field: FieldSpec, G: int, k_data: int,
         raise ValueError("trials must be >= 1")
     if not 1 <= s <= G:
         raise ValueError(f"s must lie in [1, G]; got s={s}, G={G}")
-    hp = HashParams(k=hash_k, s=s, field=field)
+    hp = HashParams(k=hash_k, field=field)
     rng = _child_rng(seed)
     misses = redraws = 0
     for src in _source_chunks(field, G, k_data, hp, trials, rng):
@@ -386,7 +350,7 @@ def estimate_hash_miss_rate(field: FieldSpec, G: int, k_data: int,
             redraws += todo.size
         misses += int(np.count_nonzero(hash_consistent(decoded, hp)))
     return HashMissReport(trials=trials, misses=misses,
-                          bound=hp.miss_bound(), s=s, redraws=redraws)
+                          bound=hp.miss_bound(s), s=s, redraws=redraws)
 
 
 def _blind_forge_and_decode(field: FieldSpec, src: np.ndarray, k_data: int,
@@ -612,7 +576,7 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
         raise ValueError("trials must be >= 1")
     probs = _normalize_edges(p_per_edge)
     f = field or binary_field(8)
-    hp = HashParams(k=hash_k, s=1, field=f)
+    hp = HashParams(k=hash_k, field=f)
     g2, g4 = G // 2, G // 4
     quarters = [list(range(i * g4, (i + 1) * g4)) for i in range(4)]
     records = []
@@ -668,7 +632,7 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
         f_matches: bool | None = None
         if len(to_f) >= G:
             try:
-                decoded = decode(to_f, G)
+                decoded = decode(to_f)
                 f_decodable = True
                 f_matches = bool(np.array_equal(decoded, gen.source_rows()))
             except NotDecodable:

@@ -4,6 +4,9 @@ Each test runs one criterion and prints its pass/fail line; `ncdetect
 validate` drives the same suite from the command line.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from ncdetect import acceptance
@@ -55,6 +58,39 @@ def test_criterion_signature_completeness_soundness():
 def test_criterion_rlnc_roundtrip():
     # 1e3 random instances against the independent reference eliminator.
     _run("roundtrip")
+
+
+def test_roundtrip_rank_deficient_count_follows_the_rank_probability(monkeypatch):
+    # Every short trial (G - 1 rows) is rank-deficient.  A full-size trial
+    # mixes G uniform combinations and is deficient with probability
+    # 1 - prod_{i=1..G} (1 - q^-i), independently, so the full-size count
+    # is Poisson-binomial; accept it in an exact region of false-fail
+    # probability at most 1e-9.
+    seen = []  # (q, G, rows, deficient) per decoded trial
+    real_decode = acceptance.decode
+
+    def decode_spy(packets):
+        first = packets[0]
+        seen.append([first.field.q, len(first.coeffs), len(packets), True])
+        rows = real_decode(packets)  # NotDecodable leaves deficient True
+        seen[-1][3] = False
+        return rows
+
+    monkeypatch.setattr(acceptance, "decode", decode_spy)
+    assert acceptance.roundtrip(acceptance.DEFAULT_SEED).passed
+    assert len(seen) == 1000
+    short = [d for q, G, rows, d in seen if rows == G - 1]
+    full = [(q, G, d) for q, G, rows, d in seen if rows == G]
+    assert len(short) + len(full) == 1000
+    assert short and all(short)
+    pmf = np.ones(1)  # exact pmf of the full-size deficient count
+    for q, G, _ in full:
+        p = 1 - math.prod(1 - q ** -i for i in range(1, G + 1))
+        pmf = np.append(pmf * (1 - p), 0) + np.append(0, pmf * p)
+    below, above = np.cumsum(pmf), np.cumsum(pmf[::-1])[::-1]
+    lo = int(np.argmax(below > 0.5e-9))  # P(X < lo) <= 1e-9 / 2
+    hi = int(np.flatnonzero(above > 0.5e-9)[-1])  # P(X > hi) <= 1e-9 / 2
+    assert lo <= sum(d for _, _, d in full) <= hi
 
 
 def test_criterion_relay_scenario():

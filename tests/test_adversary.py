@@ -27,7 +27,7 @@ def seeded(seed):
 
 def sources(G=4, k_data=3, hash_k=None, seed=0, count=None):
     rng = np.random.default_rng(seed)
-    hp = HashParams(k=hash_k, s=1, field=GF256) if hash_k else None
+    hp = HashParams(k=hash_k, field=GF256) if hash_k else None
     _, src = make_generation(GF256.random_elements(rng, (G, k_data)), GF256, hp)
     if count:
         src = (src * (count // G + 1))[:count]
@@ -149,7 +149,7 @@ KERNEL_FIELDS = [binary_field(w) for w in range(2, 17)] + [
        k_data=st.integers(1, 5), hash_k=st.integers(1, 3))
 def test_rewrite_rows_modes(f, seed, n, k_data, hash_k):
     rng = np.random.default_rng(seed)
-    hp = HashParams(k=hash_k, s=1, field=f)
+    hp = HashParams(k=hash_k, field=f)
     payload = f.random_elements(rng, (n, k_data))
     rows = np.concatenate([payload, gen_hash_append(payload, hp)], axis=1)
     before = rows.copy()
@@ -173,7 +173,7 @@ def test_rewrite_rows_modes(f, seed, n, k_data, hash_k):
 def test_rewrite_rows_empty_stack_is_a_noop(mode):
     rng = seeded(19)
     state = rng.bit_generator.state
-    hp = HashParams(k=3, s=1, field=GF256)
+    hp = HashParams(k=3, field=GF256)
     out = rewrite_rows(GF256, np.zeros((0, 4), dtype=np.uint8), 3, mode, rng, hp)
     assert out.shape == (0, 4)
     assert rng.bit_generator.state == state
@@ -190,3 +190,10 @@ def test_rewrite_rows_rejects_bad_input():
             rewrite_rows(GF256, rows, k_data, "random-symbol", seeded(20))
     with pytest.raises(ValueError, match="expected"):
         rewrite_rows(GF256, rows[0], 3, "random-symbol", seeded(20))
+
+
+def test_rewrite_rows_rejects_a_hash_over_another_field():
+    rows = np.zeros((2, 4), dtype=np.uint8)  # GF(2^8) rows
+    other = HashParams(k=3, field=binary_field(4))
+    with pytest.raises(ValueError, match=r"hash over GF\(2\^4\).*over GF\(2\^8\)"):
+        rewrite_rows(GF256, rows, 3, "hash-aware-forgery", seeded(20), other)

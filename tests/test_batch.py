@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncdetect.adversary import AttackModel
 from ncdetect.algebra import (
     _INT64_SAFE_Q,
     _carryless_mul_mod,
@@ -23,7 +22,7 @@ from ncdetect.algebra import (
 from ncdetect.analytic import SchemeParams
 from ncdetect.detect import HashParams, Verdict, gen_hash_append, gen_hash_verify, hash_consistent
 from ncdetect.rlnc import NotDecodable, Packet, decode, decode_batch, reduced_row_echelon
-from ncdetect.sim import _DETECTOR_HASH_K, TrialConfig, estimate_hash_miss_rate, simulate_node
+from ncdetect.sim import TrialConfig, estimate_hash_miss_rate, simulate_node
 
 
 def _prime_near(q: int, step: int) -> int:
@@ -140,7 +139,7 @@ def _assert_decode_batch_equals_decode(f, m, G, full_rank, rows):
         packets = [Packet(coeffs=r[:G], payload=r[G:], hash_syms=empty, field=f)
                    for r in m[t]]
         try:
-            ref = decode(packets, G)
+            ref = decode(packets)
         except NotDecodable:
             assert not full_rank[t]
         else:
@@ -221,7 +220,7 @@ def test_matmul_rejects_mismatched_shapes():
     k_data=st.integers(1, 9),
 )
 def test_batched_hash_append_matches_rows(f, seed, T, R, k, k_data):
-    hp = HashParams(k=k, s=1, field=f)
+    hp = HashParams(k=k, field=f)
     payload = f.random_elements(_rng(seed), (T, R, k_data))
     h = gen_hash_append(payload, hp)
     n_h = hp.hash_symbol_count(k_data)  # a short trailing block when k ∤ k_data
@@ -243,7 +242,7 @@ def test_batched_hash_append_matches_rows(f, seed, T, R, k, k_data):
        k_data=st.integers(1, 7))
 def test_hash_consistent_matches_gen_hash_verify(f, seed, T, R, k_data):
     rng = _rng(seed)
-    hp = HashParams(k=3, s=1, field=f)
+    hp = HashParams(k=3, field=f)
     payload = f.random_elements(rng, (T, R, k_data))
     rows = np.concatenate([payload, gen_hash_append(payload, hp)], axis=-1)
     # Perturb some matrices' symbols; small fields may perturb into a match.
@@ -446,11 +445,9 @@ NODE_SHAPES = {  # field, n, G, p
 def test_hash_detector_node_run_is_pinned(case):
     name, mode = case
     f, n, G, p = NODE_SHAPES[name]
-    hp = HashParams(k=_DETECTOR_HASH_K, s=1, field=f)
     rep = simulate_node(TrialConfig(
         scheme="generation", params=SchemeParams.defaults(p=p, n=n, G=G),
-        attack=AttackModel(p=p, mode=mode, hash_params=hp), trials=300, seed=5,
-        use_hash_detector=True, detector_field=f,
+        trials=300, seed=5, attack_mode=mode, detector_field=f,
     ))
     assert (rep.false_accepts, rep.false_rejects, rep.undecodable,
             rep.generations_dropped, rep.bits_transmitted) == NODE_GOLDEN[case]

@@ -44,7 +44,7 @@ GF128 = binary_field(7)
 
 def build(G, k_data, field=GF256, hash_k=4, seed=0):
     rng = np.random.default_rng(seed)
-    hp = HashParams(k=hash_k, s=1, field=field)
+    hp = HashParams(k=hash_k, field=field)
     gen, src = make_generation(
         field.random_elements(rng, (G, k_data)), field, hp
     )
@@ -66,12 +66,12 @@ def brute_force_hash(field, payload, k):
 
 
 def test_hash_of_zero_payload_is_zero():
-    hp = HashParams(k=4, s=1, field=GF256)
+    hp = HashParams(k=4, field=GF256)
     assert np.all(gen_hash_append(np.zeros(8, dtype=np.int64), hp) == 0)
 
 
 def test_hash_k1_squares_the_symbol():
-    hp = HashParams(k=1, s=1, field=GF256)
+    hp = HashParams(k=1, field=GF256)
     for a in (0, 1, 7, 201):
         assert gen_hash_append(np.array([a]), hp)[0] == GF256.pow(a, 2)
 
@@ -79,14 +79,14 @@ def test_hash_k1_squares_the_symbol():
 def test_hash_char2_example():
     # k=3 over GF(2^3), payload [1,1,1]: 1^2 + 1^3 + 1^4 = 1 in char 2.
     f = binary_field(3)
-    hp = HashParams(k=3, s=1, field=f)
+    hp = HashParams(k=3, field=f)
     assert gen_hash_append(np.array([1, 1, 1]), hp)[0] == 1
 
 
 @pytest.mark.parametrize("field", [GF256, GF128, prime_field(127)], ids=repr)
 def test_hash_matches_brute_force(field):
     rng = np.random.default_rng(1)
-    hp = HashParams(k=5, s=1, field=field)
+    hp = HashParams(k=5, field=field)
     for _ in range(40):
         payload = field.random_elements(rng, 13)
         got = gen_hash_append(payload, hp)
@@ -103,7 +103,7 @@ def test_split_decoded_width():
 
 def test_verify_untouched_generation():
     gen, src, hp, rng = build(8, 12, seed=2)
-    decoded = decode(random_combinations(src, 8, rng), 8)
+    decoded = decode(random_combinations(src, 8, rng))
     assert gen_hash_verify(decoded, hp) is Verdict.VALID
 
 
@@ -149,7 +149,7 @@ def test_blind_forgery_is_caught_after_mixing():
         rx = random_combinations(src, 8, rng)
         forged = blind_forge_with_rng(rx, 3, np.random.default_rng(t))
         try:
-            decoded = decode(forged, 8)
+            decoded = decode(forged)
         except Exception:
             continue
         trials += 1
@@ -169,7 +169,7 @@ def test_blind_forgery_of_entire_generation_detected():
         rx = random_combinations(src, 6, rng)
         forged = blind_forge_with_rng(rx, 6, np.random.default_rng(t))
         try:
-            decoded = decode(forged, 6)
+            decoded = decode(forged)
         except Exception:
             continue
         trials += 1
@@ -196,7 +196,7 @@ def test_subspan_equivalent_to_full_check_at_size_g():
     rx = random_combinations(src, 8, rng)
     sub, _, _ = subspan_consistency(rx, hp)
     try:
-        full = gen_hash_verify(decode(rx, 8), hp)
+        full = gen_hash_verify(decode(rx), hp)
     except Exception:
         full = None
     if full is not None:
@@ -231,8 +231,15 @@ def test_subspan_single_combination_inconclusive():
 
 
 def test_subspan_empty_is_vacuously_valid():
-    hp = HashParams(k=4, s=1, field=GF256)
+    hp = HashParams(k=4, field=GF256)
     assert subspan_consistency([], hp)[0] is Verdict.VALID
+
+
+def test_subspan_rejects_a_hash_over_another_field():
+    gen, src, _, rng = build(8, 6, seed=9)  # GF(2^8) packets
+    hp = HashParams(k=4, field=binary_field(4))
+    with pytest.raises(ValueError, match=r"hash over GF\(2\^4\).*over GF\(2\^8\)"):
+        subspan_consistency(random_combinations(src, 2, rng), hp)
 
 
 def test_subspan_linear_inconsistency_is_corrupted():
@@ -266,13 +273,13 @@ def test_verdicts_ignore_corrupted_flags():
 
 def test_hash_completeness_no_false_flags():
     rng = np.random.default_rng(13)
-    hp = HashParams(k=6, s=1, field=GF256)
+    hp = HashParams(k=6, field=GF256)
     for t in range(300):
         gen, src = make_generation(
             GF256.random_elements(rng, (4, 6)), GF256, hp, generation_id=t
         )
         try:
-            decoded = decode(random_combinations(src, 4, rng), 4)
+            decoded = decode(random_combinations(src, 4, rng))
         except Exception:
             continue
         assert gen_hash_verify(decoded, hp) is Verdict.VALID
@@ -283,7 +290,7 @@ def test_hash_completeness_at_scale():
     # tests), so completeness reduces to append/verify agreement; batch
     # 1e5 random rows through the verifier in one call.
     rng = np.random.default_rng(23)
-    hp = HashParams(k=10, s=1, field=GF256)
+    hp = HashParams(k=10, field=GF256)
     payloads = GF256.random_elements(rng, (100_000, 10))
     decoded = np.hstack([payloads, gen_hash_append(payloads, hp)])
     assert gen_hash_verify(decoded, hp) is Verdict.VALID
@@ -375,7 +382,7 @@ def test_sig_keygen_preconditions():
         sig_keygen(gen, group, rng)  # binary coding field
 
     field = prime_field(group.order)
-    hp = HashParams(k=4, s=1, field=field)
+    hp = HashParams(k=4, field=field)
     genh, _ = make_generation(field.random_elements(rng, (3, 4)), field, hp)
     with pytest.raises(ValueError):
         sig_keygen(genh, group, rng)  # hash symbols present
@@ -537,7 +544,7 @@ def test_oracle_matches_rank_oracle(f, seed, G, k_data, hash_k):
     # The direct check d == c S must agree with the rank test: w is in
     # the span of the source rows iff appending it leaves the rank at G.
     rng = np.random.default_rng(seed)
-    hp = HashParams(k=hash_k, s=1, field=f)
+    hp = HashParams(k=hash_k, field=f)
     gen, src = make_generation(f.random_elements(rng, (G, k_data)), f, hp)
     rows = np.hstack([f._arr(np.eye(G, dtype=np.int64)), gen.source_rows()])
 

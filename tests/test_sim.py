@@ -46,8 +46,7 @@ from ncdetect.sim import (
 
 def config(scheme, p, trials, seed=0, **params_kw):
     params = SchemeParams.defaults(p=p, **params_kw)
-    return TrialConfig(scheme=scheme, params=params, attack=AttackModel(p=p),
-                       trials=trials, seed=seed)
+    return TrialConfig(scheme=scheme, params=params, trials=trials, seed=seed)
 
 
 def test_identical_config_identical_report():
@@ -99,21 +98,20 @@ def test_generation_drop_counting():
 def test_trial_config_validation():
     params = SchemeParams.defaults(p=0.1)
     with pytest.raises(ValueError):
-        TrialConfig("parity", params, AttackModel(p=0.1), 100, 0)
+        TrialConfig("parity", params, 100, 0)
     with pytest.raises(ValueError):
-        TrialConfig("packet", params, AttackModel(p=0.2), 100, 0)
+        TrialConfig("packet", params, 0, 0)
+    with pytest.raises(ValueError, match="unknown attack mode 'downgrade'"):
+        TrialConfig("generation", params, 100, 0, attack_mode="downgrade")
     with pytest.raises(ValueError):
-        TrialConfig("packet", params, AttackModel(p=0.1), 0, 0)
-    with pytest.raises(ValueError):
-        TrialConfig("packet", params, AttackModel(p=0.1), 100, 0,
-                    use_hash_detector=True)
+        TrialConfig("packet", params, 100, 0, detector_field=binary_field(8))
 
 
 def test_hash_detector_path_counts_and_agrees():
     p = 0.08
     cfg = TrialConfig(
         scheme="generation", params=SchemeParams.defaults(p=p, G=10),
-        attack=AttackModel(p=p), trials=400, seed=6, use_hash_detector=True,
+        trials=400, seed=6, detector_field=binary_field(8),
     )
     rep = simulate_node(cfg)
     assert rep.false_rejects == 0  # honest generations never get flagged
@@ -269,8 +267,7 @@ def test_hash_detector_undecodable_count_is_binomial(w):
     P = math.prod(1 - f.q ** -i for i in range(1, G + 1))
     cfg = TrialConfig(
         scheme="generation", params=SchemeParams.defaults(p=0.1, n=120, G=G),
-        attack=AttackModel(p=0.1), trials=trials, seed=23,
-        use_hash_detector=True, detector_field=f,
+        trials=trials, seed=23, detector_field=f,
     )
     rep = simulate_node(cfg)
     lo, hi = _binomial_region(trials, 1 - P, alpha=1e-9)
@@ -282,40 +279,12 @@ def test_hash_detector_with_prime_field():
     p = 0.05
     cfg = TrialConfig(
         scheme="generation", params=SchemeParams.defaults(p=p, n=999, G=10),
-        attack=AttackModel(p=p), trials=100, seed=4, use_hash_detector=True,
-        detector_field=prime_field(257),
+        trials=100, seed=4, detector_field=prime_field(257),
     )
     rep = simulate_node(cfg)
     assert rep.trials == 100
     assert rep.false_rejects == 0
     assert rep.false_accepts == 0
-
-
-def test_hash_detector_rejects_mismatched_forgery_hash():
-    # The forged rows must carry the detector's hash symbols: k = 10
-    # gives 12 where the detector's k = 50 gives 3.
-    p = 0.1
-    params = SchemeParams.defaults(p=p, n=1000, G=10)
-
-    def cfg(hp, field=None, n=1000):
-        return TrialConfig(
-            scheme="generation", params=SchemeParams.defaults(p=p, n=n, G=10),
-            attack=AttackModel(p=p, mode="hash-aware-forgery", hash_params=hp),
-            trials=5, seed=1, use_hash_detector=True, detector_field=field,
-        )
-
-    with pytest.raises(ValueError, match="gives 12 symbols.* gives 3 "):
-        cfg(HashParams(k=10, s=1, field=binary_field(8)))
-    with pytest.raises(ValueError, match="GF\\(257\\)"):
-        cfg(HashParams(k=sim._DETECTOR_HASH_K, s=1, field=binary_field(8)),
-            field=prime_field(257), n=999)
-    ok = cfg(HashParams(k=sim._DETECTOR_HASH_K, s=1, field=binary_field(8)))
-    assert simulate_node(ok).trials == 5
-    # Other modes ignore hash_params, so any hash passes there.
-    TrialConfig(scheme="generation", params=params,
-                attack=AttackModel(p=p, hash_params=HashParams(k=10, s=1,
-                                                               field=binary_field(8))),
-                trials=5, seed=1, use_hash_detector=True)
 
 
 PRIME_ABOVE = next(q for q in range(_INT64_SAFE_Q + 1, _INT64_SAFE_Q + 1000)
@@ -332,12 +301,9 @@ NODE_CASES = {
 
 def _node_config(case, p, trials, seed, mode="random-symbol"):
     f, n, G, _ = NODE_CASES[case]
-    hp = HashParams(k=sim._DETECTOR_HASH_K, s=1, field=f)
-    attack = AttackModel(p=p, mode=mode, hash_params=hp)
     return TrialConfig(
         scheme="generation", params=SchemeParams.defaults(p=p, n=n, G=G),
-        attack=attack, trials=trials, seed=seed, use_hash_detector=True,
-        detector_field=f,
+        trials=trials, seed=seed, attack_mode=mode, detector_field=f,
     )
 
 
@@ -347,7 +313,7 @@ def test_hash_detector_verdicts_match_packet_reference(case, mode, monkeypatch):
     # Every batched verdict equals decode + gen_hash_verify on that
     # trial's received rows.
     f, n, G, p = NODE_CASES[case]
-    hp = HashParams(k=sim._DETECTOR_HASH_K, s=1, field=f)
+    hp = HashParams(k=sim._DETECTOR_HASH_K, field=f)
     chunks = []
 
     def decode_spy(field, m, g):
@@ -369,7 +335,7 @@ def test_hash_detector_verdicts_match_packet_reference(case, mode, monkeypatch):
             packets = [Packet(coeffs=r[:G], payload=r[G:], hash_syms=r[:0], field=f)
                        for r in rows]
             try:
-                ref = gen_hash_verify(decode(packets, G), hp)
+                ref = gen_hash_verify(decode(packets), hp)
             except NotDecodable:
                 ref = None
             got = None
