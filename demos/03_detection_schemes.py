@@ -76,15 +76,17 @@ print("=" * 70)
 print("STEP 3: intermediate nodes check sub-generations")
 print("=" * 70)
 
-half = random_combinations(src[:4], 4, rng)
+# A node sees wire rows (coeffs | payload | hash), one per received packet.
+half = np.vstack([p.wire() for p in random_combinations(src[:4], 4, rng)])
 print("a node holding combinations of half the generation:",
-      subspan_consistency(half, hp)[0])
-polluted = [replace(half[0], payload=field.add_arr(half[0].payload, 1))] + half[1:]
+      subspan_consistency(half, G, hp)[0])
+polluted = half.copy()
+polluted[0, G : G + K_DATA] = field.add_arr(polluted[0, G : G + K_DATA], 1)
 print("same node, one symbol polluted:",
-      subspan_consistency(polluted, hp)[0])
-one = random_combinations(src, 1, rng)
+      subspan_consistency(polluted, G, hp)[0])
+one = random_combinations(src, 1, rng)[0].wire()[None]
 print("a single dense combination is undecidable:",
-      subspan_consistency(one, hp)[0])
+      subspan_consistency(one, G, hp)[0])
 
 print()
 print("=" * 70)
@@ -112,9 +114,9 @@ print("STEP 5: ground truth for scoring simulations")
 print("=" * 70)
 
 print("oracle says the corrupted packet is outside the span:",
-      oracle_verify(evil, sgen))
+      oracle_verify(evil.wire(), sgen))
 print("and every honest mix is inside:",
-      all(oracle_verify(p, sgen) for p in mixes))
+      oracle_verify(np.vstack([p.wire() for p in mixes]), sgen).all())
 print()
 print("The oracle checks d == c S for a packet (c | d) against the source")
 print("rows S; detectors never see it, the simulator uses it to score what")

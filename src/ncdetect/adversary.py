@@ -70,7 +70,7 @@ def rewrite_rows(field, rows, k_data: int, mode: str, rng: np.random.Generator,
         if hash_params is None:
             raise ValueError("hash-aware-forgery needs hash_params")
         hash_params.check_field(field)
-    rows = field._arr(rows)
+    rows = field._elements(rows)
     if rows.ndim != 2 or not 1 <= k_data <= rows.shape[1]:
         raise ValueError(f"expected (N, width >= {k_data}) rows, got {rows.shape}")
     out = rows.copy()

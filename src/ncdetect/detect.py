@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FieldSpec, GroupSpec
-from .rlnc import Generation, Packet, recover_subspan
+from .rlnc import Generation, recover_subspan
 
 
 class Verdict(str, enum.Enum):
@@ -91,7 +91,7 @@ def gen_hash_append(payload, params: HashParams) -> np.ndarray:
     block is implicitly zero-padded (zero terms vanish).
     """
     f = params.field
-    p = f._arr(payload)
+    p = f._elements(payload)
     if p.ndim == 0 or p.shape[-1] < 1:
         raise ValueError("payload must have at least one symbol")
     k_data = p.shape[-1]
@@ -118,7 +118,7 @@ def hash_consistent(rows, params: HashParams) -> np.ndarray:
     symbols; the result is a bool array of shape rows.shape[:-2] (a 0-d
     array for one matrix).
     """
-    d = params.field._arr(rows)
+    d = params.field._elements(rows)
     if d.ndim < 2 or d.shape[-1] < 2:
         raise ValueError("decoded matrix must be 2-D with payload and hash")
     k_data, _ = split_decoded_width(d.shape[-1], params.k)
@@ -132,35 +132,33 @@ def gen_hash_verify(decoded: np.ndarray, params: HashParams) -> Verdict:
     decoded is the matrix returned by rlnc.decode: one row per source
     packet, payload symbols followed by hash symbols.
     """
-    d = params.field._arr(decoded)
+    d = params.field._elements(decoded)
     if d.ndim != 2:
         raise ValueError("decoded matrix must be 2-D with payload and hash")
     return Verdict.VALID if hash_consistent(d, params) else Verdict.CORRUPTED
 
 
-def subspan_consistency(packets, params: HashParams):
+def subspan_consistency(rows, G: int, params: HashParams):
     """Check the received combinations of a sub-generation.
 
+    rows is (R, G + width): R received wire rows over params.field.
     Solves for a consistent source preimage within the local span: if the
     touched source rows are uniquely determined, their hashes decide
     Valid/Corrupted; if the received data cannot be any linear image of a
     source matrix, Corrupted; otherwise Inconclusive (not enough rank to
     decide -- an empty sub-generation is vacuously valid).
 
-    Returns (verdict, support, rows); rows is None unless the span pins
-    the touched source rows down uniquely.
+    Returns (verdict, support, solved); solved is None unless the span
+    pins the touched source rows down uniquely.
     """
-    packets = list(packets)
-    if packets:
-        params.check_field(packets[0].field)
-    status, support, rows = recover_subspan(packets)
+    status, support, solved = recover_subspan(params.field, rows, G)
     if status == "inconsistent":
         return Verdict.CORRUPTED, support, None
     if status == "underdetermined":
         return Verdict.INCONCLUSIVE, support, None
-    if rows is None or rows.shape[0] == 0 or hash_consistent(rows, params):
-        return Verdict.VALID, support, rows
-    return Verdict.CORRUPTED, support, rows
+    if solved.shape[0] == 0 or hash_consistent(solved, params):
+        return Verdict.VALID, support, solved
+    return Verdict.CORRUPTED, support, solved
 
 
 @dataclass(frozen=True)
@@ -305,17 +303,20 @@ def sig_verify_batch(W, key: SignatureKey) -> np.ndarray:
     return vals[:, 0] == 1
 
 
-def oracle_verify(packet: Packet, generation: Generation) -> bool:
-    """Exact ground truth: is the packet's wire vector in the source span?
+def oracle_verify(w, generation: Generation):
+    """Exact ground truth: are wire vectors in the source span?
 
-    The source rows are (e_i | S_i), so w = (c | d) lies in their span
-    exactly when d = c S.  Used for simulation scoring, never by the
-    schemes under test.
+    w is one wire vector (coeffs | data) or an (N, n) matrix of them; the
+    result is one bool, or one per row.  The source rows are (e_i | S_i),
+    so w = (c | d) lies in their span exactly when d = c S.  Used for
+    simulation scoring, never by the schemes under test.
     """
     f = generation.field
     s = generation.source_rows()
     g = len(s)
-    w = f._arr(packet.wire())
-    if w.shape != (g + s.shape[1],):
-        raise ValueError("packet width does not match the generation")
-    return bool(np.array_equal(f.matmul(w[None, :g], s)[0], w[g:]))
+    w = f._elements(w)
+    if w.ndim not in (1, 2) or w.shape[-1] != g + s.shape[1]:
+        raise ValueError("wire width does not match the generation")
+    m = np.atleast_2d(w)
+    ok = np.all(f.matmul(m[:, :g], s) == m[:, g:], axis=1)
+    return bool(ok[0]) if w.ndim == 1 else ok

@@ -13,12 +13,12 @@ A generation's layout is the shape of its arrays, counted in symbols;
 :func:`fit_layout` turns a packet size in bits into such a layout.
 
 Two representations share the decoder's rules.  The packet path
-(:class:`Packet` lists, :func:`decode`, :func:`reduced_row_echelon`) is
-the reference and serves the relay and single-generation APIs.  The batch
-path stacks T generations' received wire rows into one (T, R, G + width)
-integer array, and :func:`decode_batch` runs Gauss-Jordan on all T at
-once with the same pivot choice, so its rows equal :func:`decode`'s bit
-for bit.
+(:class:`Packet` lists, :func:`decode`) is the reference and serves the
+single-generation APIs.  The row path takes received wire rows (coeffs |
+data) as field arrays: :func:`recover_subspan` solves an (R, G + width)
+matrix with :func:`reduced_row_echelon`, and :func:`decode_batch` runs
+Gauss-Jordan on a (T, R, G + width) stack of T generations at once with
+the same pivot choice, so its rows equal :func:`decode`'s bit for bit.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def combine_with_coefficients(packets: list[Packet], coeffs) -> list[Packet]:
     """
     first = _check_stream(packets)
     f = first.field
-    c = f._arr(coeffs)
+    c = f._elements(coeffs)
     if c.ndim != 2 or c.shape[1] != len(packets):
         raise ValueError("coefficient matrix needs one column per packet")
     out = f.matmul(c, np.vstack([p.wire() for p in packets]))
@@ -215,7 +215,7 @@ def reduced_row_echelon(field: FieldSpec, matrix,
 
     Returns (R, pivot_cols).
     """
-    m = field._arr(matrix).copy()
+    m = field._elements(matrix).copy()
     if m.ndim != 2:
         raise ValueError("matrix must be 2-D")
     rows, cols = m.shape
@@ -279,7 +279,7 @@ def decode_batch(field: FieldSpec, m, G: int) -> tuple[np.ndarray, np.ndarray]:
     inverse reads as 0, so rank-deficient trials run the same updates as
     no-ops instead of raising.
     """
-    m = field._arr(m).copy()
+    m = field._elements(m).copy()
     if m.ndim != 3 or m.shape[2] < G:
         raise ValueError(f"expected (T, R, G + width) rows, got {m.shape}")
     T, R, _ = m.shape
@@ -310,33 +310,30 @@ def decode_batch(field: FieldSpec, m, G: int) -> tuple[np.ndarray, np.ndarray]:
                                  m[:, :G, G:])
 
 
-def recover_subspan(packets: list[Packet]):
+def recover_subspan(field: FieldSpec, rows, G: int):
     """Solve for the source rows a set of received combinations pins down.
 
-    Returns (status, support, rows):
+    rows is (R, G + width): R received wire rows (coeffs | data) over
+    field.  Returns (status, support, solved):
 
     * status "solved": every source index touched by the encoding vectors
-      is uniquely determined; support lists those indices and rows holds
+      is uniquely determined; support lists those indices and solved holds
       the corresponding (payload | hash) source rows.
     * status "inconsistent": no source matrix can explain the received
       data (linearly dependent encoding vectors carry conflicting data).
     * status "underdetermined": a consistent preimage exists but is not
       unique, so nothing can be checked yet.
     """
-    if not packets:
-        return "solved", np.zeros(0, dtype=np.int64), None
-    first = _check_stream(packets)
-    f = first.field
-    g = len(first.coeffs)
-    m = np.vstack([p.wire() for p in packets])
-    support = np.flatnonzero(np.any(m[:, :g] != 0, axis=0))
-    r, pivots = reduced_row_echelon(f, m, pivot_width=g)
+    m = field._elements(rows)
+    if m.ndim != 2 or m.shape[1] < G:
+        raise ValueError(f"expected (R, G + width) rows, got {m.shape}")
+    support = np.flatnonzero(np.any(m[:, :G] != 0, axis=0))
+    r, pivots = reduced_row_echelon(field, m, pivot_width=G)
     # Rows whose encoding part eliminated to zero must carry zero data,
     # else rank([C|D]) > rank(C) and no linear preimage exists.
     tail = r[len(pivots) :]
-    if tail.size and np.any(tail[:, g:] != 0):
+    if tail.size and np.any(tail[:, G:] != 0):
         return "inconsistent", support, None
     if len(pivots) < len(support):
         return "underdetermined", support, None
-    rows = r[: len(pivots), g:]
-    return "solved", np.asarray(pivots, dtype=np.int64), rows
+    return "solved", np.asarray(pivots, dtype=np.int64), r[: len(pivots), G:]

@@ -21,9 +21,12 @@ pipeline: T generations at once as (T, G, width) field arrays, mixed by
 one batched product, corrupted by adversary.rewrite_rows, decoded by
 rlnc.decode_batch and checked by detect.hash_consistent.  The signature
 run verifies all valid combinations in one detect.sig_verify_batch call
-and all corrupted vectors in another.  The relay walks Packet lists
-through rlnc.decode and the detectors; that scalar path, with
-detect.sig_verify, is the reference the batch kernels are tested against.
+and all corrupted vectors in another.  The relay runs trial by trial on
+(R, G + width) wire rows with an (R,) ground-truth taint mask per edge:
+subspan_consistency checks, one 2-D product re-encodes, rewrite_rows
+corrupts row by row, and the sink runs decode_batch and oracle_verify.
+The Packet functions, with detect.sig_verify, are the scalar reference
+the batch kernels are tested against.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .adversary import MODES, AttackModel, corrupt_stream_with_rng, rewrite_rows
+from .adversary import MODES, rewrite_rows
 from .algebra import FieldSpec, binary_field, make_group, prime_field
 from .analytic import OverheadPoint, SchemeParams, overhead_point
 from .detect import (
@@ -48,16 +51,7 @@ from .detect import (
     sig_verify_batch,
     subspan_consistency,
 )
-from .rlnc import (
-    Generation,
-    NotDecodable,
-    Packet,
-    decode,
-    decode_batch,
-    fit_layout,
-    make_generation,
-    random_combinations,
-)
+from .rlnc import decode_batch, fit_layout, make_generation
 
 _STDERR_BLOCKS = 50
 # Payload symbols per hash symbol in simulate_node's hash detector.
@@ -495,60 +489,63 @@ def _normalize_edges(p_per_edge) -> dict:
     return out
 
 
-def _corrupt_edge(packets, edge: str, probs: dict, rng: np.random.Generator):
-    p = probs[edge]
-    if not packets or p == 0.0:
-        return packets, 0
-    model = AttackModel(p=p)  # random-symbol: one payload symbol changed
-    before = sum(pk.corrupted for pk in packets)
-    out = corrupt_stream_with_rng(packets, model, rng)
-    after = sum(pk.corrupted for pk in out)
-    return out, after - before
+def _corrupt_edge(rows, taint, G: int, p: float, field: FieldSpec,
+                  rng: np.random.Generator) -> int:
+    """Corrupt one edge's wire rows in place; returns the newly tainted count.
 
-
-def _row_packets(gen: Generation, support, rows) -> dict:
-    """Pseudo-source packets for recovered rows, ground-truth tagged."""
-    truth = gen.source_rows()
-    f = gen.field
-    g, k = gen.source_payloads.shape
-    out = {}
-    for i, src_idx in enumerate(np.asarray(support).tolist()):
-        row = rows[i]
-        coeffs = np.zeros(g, dtype=np.int64)
-        coeffs[src_idx] = 1
-        out[src_idx] = Packet(
-            coeffs=f._arr(coeffs), payload=row[:k], hash_syms=row[k:],
-            field=f, generation_id=gen.id,
-            corrupted=not np.array_equal(row, truth[src_idx]),
-        )
-    return out
-
-
-def _forward_blocks(received, blocks, hash_params, gen,
-                    rng: np.random.Generator):
-    """Check a sub-generation, then re-encode one batch per block.
-
-    Returns (verdict, batches).  A Corrupted verdict drops everything; an
-    Inconclusive one forwards the raw packets split across the blocks
-    (the node cannot prove pollution, so it keeps relaying).
+    Each row draws rng.random(), and a hit row's payload then has one
+    symbol changed (random-symbol) before the next row draws.  taint, the
+    rows' ground truth, is updated in place too.
     """
-    if not received:
-        return Verdict.VALID, [[] for _ in blocks]
-    verdict, support, rows = subspan_consistency(received, hash_params)
+    if p == 0.0:
+        return 0
+    hits = 0
+    for i in range(len(rows)):
+        if rng.random() < p:
+            rows[i, G:] = rewrite_rows(field, rows[i : i + 1, G:], _RELAY_K_DATA,
+                                       "random-symbol", rng)[0]
+            hits += not taint[i]
+            taint[i] = True
+    return hits
+
+
+def _forward_blocks(rows, taint, blocks, hash_params, src,
+                    rng: np.random.Generator):
+    """Check a sub-generation, then re-encode one stream per block.
+
+    A stream is (rows, taint): (R, G + width) wire rows and their (R,)
+    ground truth; src holds the G source wire rows (e_i | S_i).  Returns
+    (verdict, streams).  A Corrupted verdict drops everything; an
+    Inconclusive one forwards the received rows split across the blocks
+    (the node cannot prove pollution, so it keeps relaying).  A Valid one
+    sends, per block, len(block) random combinations of the block's
+    solved source rows; a combination is tainted when it gives a wrongly
+    solved row a nonzero coefficient.
+    """
+    G = len(src)
+    empty = (rows[:0], taint[:0])
+    if not len(rows):
+        return Verdict.VALID, [empty] * len(blocks)
+    verdict, support, solved = subspan_consistency(rows, G, hash_params)
     if verdict is Verdict.CORRUPTED:
-        return verdict, [[] for _ in blocks]
+        return verdict, [empty] * len(blocks)
     if verdict is Verdict.INCONCLUSIVE:
-        chunks = np.array_split(np.arange(len(received)), len(blocks))
-        return verdict, [[received[i] for i in ch] for ch in chunks]
-    row_pkts = _row_packets(gen, support, rows)
-    batches = []
+        chunks = np.array_split(np.arange(len(rows)), len(blocks))
+        return verdict, [(rows[ch], taint[ch]) for ch in chunks]
+    f = hash_params.field
+    sources = src[support]
+    wrong = np.any(sources[:, G:] != solved, axis=1)
+    sources[:, G:] = solved
+    streams = []
     for block in blocks:
-        members = [row_pkts[i] for i in block if i in row_pkts]
-        count = len(block)
-        batches.append(
-            random_combinations(members, count, rng) if members else []
-        )
-    return verdict, batches
+        members = [j for j, i in enumerate(support.tolist()) if i in block]
+        if not members:
+            streams.append(empty)
+            continue
+        coeffs = f.random_elements(rng, (len(block), len(members)))
+        streams.append((f.matmul(coeffs, sources[members]),
+                        np.any(coeffs[:, wrong[members]] != 0, axis=1)))
+    return verdict, streams
 
 
 # Payload symbols per packet in simulate_relay.
@@ -570,92 +567,66 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
     per-edge probability, changing one payload symbol of a hit packet, and
     every node drops a sub-generation its check flags as corrupted.
     """
-    if G % 4:
-        raise ValueError("G must be divisible by 4")
+    if G <= 0 or G % 4:
+        raise ValueError("G must be a positive multiple of 4")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     probs = _normalize_edges(p_per_edge)
     f = field or binary_field(8)
     hp = HashParams(k=hash_k, field=f)
     g2, g4 = G // 2, G // 4
-    quarters = [list(range(i * g4, (i + 1) * g4)) for i in range(4)]
+    quarters = [range(i * g4, (i + 1) * g4) for i in range(4)]
     records = []
     for t in range(trials):
         rng = _child_rng(seed, t)
-        gen, src = make_generation(
+        gen, _ = make_generation(
             f.random_elements(rng, (G, _RELAY_K_DATA)), f, hp, generation_id=t
         )
-        verdicts: dict = {}
-        edge_hits: dict = {}
+        src = np.concatenate([f._arr(np.eye(G, dtype=np.int64)), gen.source_rows()],
+                             axis=1)
+        streams, verdicts, edge_hits = {}, {}, {}
 
-        to_b = random_combinations(src[:g2], g2, rng)
-        to_c = random_combinations(src[g2:], g2, rng)
-        to_b, edge_hits["A-B"] = _corrupt_edge(to_b, "A-B", probs, rng)
-        to_c, edge_hits["A-C"] = _corrupt_edge(to_c, "A-C", probs, rng)
+        def corrupt(*edges):
+            for edge in edges:
+                edge_hits[edge] = _corrupt_edge(*streams[edge], G, probs[edge], f, rng)
 
-        vb, (b_to_d, b_to_e) = _forward_blocks(
-            to_b, [quarters[0], quarters[1]], hp, gen, rng
-        )
-        vc, (c_to_d, c_to_e) = _forward_blocks(
-            to_c, [quarters[2], quarters[3]], hp, gen, rng
-        )
-        verdicts["B"] = (vb,)
-        verdicts["C"] = (vc,)
-
-        b_to_d, edge_hits["B-D"] = _corrupt_edge(b_to_d, "B-D", probs, rng)
-        b_to_e, edge_hits["B-E"] = _corrupt_edge(b_to_e, "B-E", probs, rng)
-        c_to_d, edge_hits["C-D"] = _corrupt_edge(c_to_d, "C-D", probs, rng)
-        c_to_e, edge_hits["C-E"] = _corrupt_edge(c_to_e, "C-E", probs, rng)
-
-        to_f = []
-        for node, streams in (("D", [(b_to_d, quarters[0]), (c_to_d, quarters[2])]),
-                              ("E", [(b_to_e, quarters[1]), (c_to_e, quarters[3])])):
-            node_verdicts = []
-            out = []
-            for stream, block in streams:
-                v, (batch,) = _forward_blocks(stream, [block], hp, gen, rng)
-                if stream:
+        for edge, half in (("A-B", src[:g2]), ("A-C", src[g2:])):
+            coeffs = f.random_elements(rng, (g2, g2))
+            streams[edge] = (f.matmul(coeffs, half), np.zeros(g2, dtype=bool))
+        corrupt("A-B", "A-C")
+        for node, blocks in (("B", quarters[:2]), ("C", quarters[2:])):
+            v, (streams[f"{node}-D"], streams[f"{node}-E"]) = _forward_blocks(
+                *streams[f"A-{node}"], blocks, hp, src, rng)
+            verdicts[node] = (v,)
+        corrupt("B-D", "B-E", "C-D", "C-E")
+        # D and E check each incoming quarter on its own.
+        for node, quarter_in in (("D", (0, 2)), ("E", (1, 3))):
+            node_verdicts, out = [], []
+            for edge, q in zip((f"B-{node}", f"C-{node}"), quarter_in):
+                v, (batch,) = _forward_blocks(*streams[edge], [quarters[q]], hp, src, rng)
+                if len(streams[edge][0]):
                     node_verdicts.append(v)
-                out.extend(batch)
+                out.append(batch)
             verdicts[node] = tuple(node_verdicts)
-            edge = f"{node}-F"
-            out, edge_hits[edge] = _corrupt_edge(out, edge, probs, rng)
-            if node == "D":
-                d_forwarded = out
-            else:
-                e_forwarded = out
-            to_f.extend(out)
+            streams[f"{node}-F"] = tuple(np.concatenate(a) for a in zip(*out))
+            corrupt(f"{node}-F")
 
-        vf, _, _ = subspan_consistency(to_f, hp) if to_f else (Verdict.VALID, None, None)
+        to_f = np.concatenate([streams["D-F"][0], streams["E-F"][0]])
+        vf = subspan_consistency(to_f, G, hp)[0] if len(to_f) else Verdict.VALID
         verdicts["F"] = (vf,)
-        f_decodable = False
-        f_matches: bool | None = None
-        if len(to_f) >= G:
-            try:
-                decoded = decode(to_f)
-                f_decodable = True
-                f_matches = bool(np.array_equal(decoded, gen.source_rows()))
-            except NotDecodable:
-                pass
-        f_clean = all(oracle_verify(pk, gen) for pk in to_f)
-        first_flag = next(
-            (node for node in ("B", "C", "D", "E", "F")
-             if Verdict.CORRUPTED in verdicts.get(node, ())),
-            None,
-        )
-        upstream_dropped = any(
-            Verdict.CORRUPTED in verdicts.get(node, ())
-            for node in ("B", "C", "D", "E")
-        )
+        full_rank, decoded = decode_batch(f, to_f[None], G)
+        f_decodable = bool(full_rank[0])
+        flagged = [n for n in RELAY_NODES[1:] if Verdict.CORRUPTED in verdicts[n]]
         records.append(RelayTrial(
             verdicts=verdicts,
-            first_flag=first_flag,
+            first_flag=flagged[0] if flagged else None,
             edge_corrupted=edge_hits,
-            forwarded={"D": len(d_forwarded), "E": len(e_forwarded)},
+            forwarded={"D": len(streams["D-F"][0]), "E": len(streams["E-F"][0])},
             f_received=len(to_f),
             f_decodable=f_decodable,
-            f_matches_source=f_matches,
-            f_clean=f_clean,
-            upstream_dropped=upstream_dropped,
+            f_matches_source=(bool(np.array_equal(decoded[0], gen.source_rows()))
+                              if f_decodable else None),
+            f_clean=bool(oracle_verify(to_f, gen).all()),
+            upstream_dropped=any(n != "F" for n in flagged),
         ))
     return RelayReport(G=G, p_per_edge=probs, trials=tuple(records))

@@ -24,6 +24,22 @@ from ncdetect.algebra import (
     make_group,
     prime_field,
 )
+from ncdetect.adversary import rewrite_rows
+from ncdetect.detect import (
+    HashParams,
+    gen_hash_append,
+    gen_hash_verify,
+    hash_consistent,
+    oracle_verify,
+    subspan_consistency,
+)
+from ncdetect.rlnc import (
+    combine_with_coefficients,
+    decode_batch,
+    make_generation,
+    recover_subspan,
+    reduced_row_echelon,
+)
 
 FIELDS = [
     binary_field(4),
@@ -546,6 +562,38 @@ def test_scalar_ops_reject_elements_outside_the_field(f, op):
             "inv": f._inv(f._arr([top])), "pow": f.pow_arr([top], 2)}[op]
     assert run(f, top) == run(f, np.int64(top)) == int(want[0])
     assert type(run(f, np.int64(top))) is int
+
+
+# Row and hash entry points of the other modules, each given one (1, 3)
+# matrix of symbols: a wire row with G = 1, a payload row, or one
+# combination's coefficients over three packets.
+ENTRY_POINTS = {
+    "gen_hash_append": lambda f, x: gen_hash_append(x, HashParams(k=2, field=f)),
+    "hash_consistent": lambda f, x: hash_consistent(x, HashParams(k=2, field=f)),
+    "gen_hash_verify": lambda f, x: gen_hash_verify(x, HashParams(k=2, field=f)),
+    "rewrite_rows": lambda f, x: rewrite_rows(f, x, 1, "random-symbol",
+                                              np.random.default_rng(0)),
+    "decode_batch": lambda f, x: decode_batch(f, [x], 1),
+    "reduced_row_echelon": lambda f, x: reduced_row_echelon(f, x),
+    "combine_with_coefficients": lambda f, x: combine_with_coefficients(
+        make_generation([[1], [1], [1]], f)[1], x),
+    "recover_subspan": lambda f, x: recover_subspan(f, x, 1),
+    "subspan_consistency": lambda f, x: subspan_consistency(
+        x, 1, HashParams(k=2, field=f)),
+    "oracle_verify": lambda f, x: oracle_verify(x, make_generation([[1, 1]], f)[0]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("f", RANGE_FIELDS, ids=lambda f: str(f.w or f.q))
+def test_entry_points_reject_elements_outside_the_field(f, entry):
+    run = ENTRY_POINTS[entry]
+    for bad in (-1, f.q, 2**70):
+        with pytest.raises(ValueError, match=re.escape(f"{f!r} elements")):
+            run(f, [[1, bad, 1]])
+    with pytest.raises(ValueError, match=re.escape(f"{f!r} elements")):
+        run(f, np.ones((1, 3)))
+    run(f, [[1, f.q - 1, 1]])  # the largest element is accepted
 
 
 def test_field_dtype_arrays_pass_unscanned_at_full_width():

@@ -51,6 +51,11 @@ def build(G, k_data, field=GF256, hash_k=4, seed=0):
     return gen, src, hp, rng
 
 
+def wires(packets):
+    """The packets' wire vectors as one (R, n) matrix of rows."""
+    return np.vstack([p.wire() for p in packets])
+
+
 def brute_force_hash(field, payload, k):
     """Term-by-term polynomial evaluation with plain repeated multiplication."""
     out = []
@@ -181,12 +186,12 @@ def test_blind_forgery_of_entire_generation_detected():
 def test_subspan_valid_packets():
     gen, src, hp, rng = build(8, 6, seed=6)
     half = random_combinations(src[:4], 4, rng)
-    verdict, _, _ = subspan_consistency(half, hp)
+    verdict, _, _ = subspan_consistency(wires(half), 8, hp)
     assert verdict in (Verdict.VALID, Verdict.INCONCLUSIVE)
     # full-rank draws decide; force one by retrying
     for _ in range(20):
         half = random_combinations(src[:4], 4, rng)
-        if subspan_consistency(half, hp)[0] is Verdict.VALID:
+        if subspan_consistency(wires(half), 8, hp)[0] is Verdict.VALID:
             return
     pytest.fail("no full-rank half-generation draw in 20 tries")
 
@@ -194,7 +199,7 @@ def test_subspan_valid_packets():
 def test_subspan_equivalent_to_full_check_at_size_g():
     gen, src, hp, rng = build(8, 6, seed=7)
     rx = random_combinations(src, 8, rng)
-    sub, _, _ = subspan_consistency(rx, hp)
+    sub, _, _ = subspan_consistency(wires(rx), 8, hp)
     try:
         full = gen_hash_verify(decode(rx), hp)
     except Exception:
@@ -213,7 +218,7 @@ def test_subspan_flags_corruption_with_sufficient_rank():
         bad = replace(
             half[0], payload=GF128.add_arr(half[0].payload, 1), corrupted=True
         )
-        verdict, _, _ = subspan_consistency([bad] + half[1:], hp)
+        verdict, _, _ = subspan_consistency(wires([bad] + half[1:]), 8, hp)
         if verdict is Verdict.INCONCLUSIVE:
             continue
         checks += 1
@@ -227,19 +232,24 @@ def test_subspan_single_combination_inconclusive():
     one = random_combinations(src, 1, rng)[0]
     while np.count_nonzero(one.coeffs) < 2:
         one = random_combinations(src, 1, rng)[0]
-    assert subspan_consistency([one], hp)[0] is Verdict.INCONCLUSIVE
+    assert subspan_consistency(one.wire()[None], 8, hp)[0] is Verdict.INCONCLUSIVE
 
 
 def test_subspan_empty_is_vacuously_valid():
     hp = HashParams(k=4, field=GF256)
-    assert subspan_consistency([], hp)[0] is Verdict.VALID
+    empty = np.zeros((0, 8 + 7), dtype=np.uint8)
+    assert subspan_consistency(empty, 8, hp)[0] is Verdict.VALID
 
 
 def test_subspan_rejects_a_hash_over_another_field():
+    # Rows carry no field: a hash over GF(2^4) reads GF(2^8) rows as its
+    # own elements and rejects the symbols outside GF(2^4).
     gen, src, _, rng = build(8, 6, seed=9)  # GF(2^8) packets
     hp = HashParams(k=4, field=binary_field(4))
-    with pytest.raises(ValueError, match=r"hash over GF\(2\^4\).*over GF\(2\^8\)"):
-        subspan_consistency(random_combinations(src, 2, rng), hp)
+    rows = wires(random_combinations(src, 2, rng))
+    assert rows.max() >= 16
+    with pytest.raises(ValueError, match=r"GF\(2\^4\) elements"):
+        subspan_consistency(rows, 8, hp)
 
 
 def test_subspan_linear_inconsistency_is_corrupted():
@@ -248,14 +258,14 @@ def test_subspan_linear_inconsistency_is_corrupted():
     gen, src, hp, rng = build(8, 6, seed=10)
     pkt = random_combinations(src, 1, rng)[0]
     clash = replace(pkt, payload=GF256.add_arr(pkt.payload, 3))
-    verdict, _, _ = subspan_consistency([pkt, clash], hp)
+    verdict, _, _ = subspan_consistency(wires([pkt, clash]), 8, hp)
     assert verdict is Verdict.CORRUPTED
 
 
 def test_subspan_solves_scaled_source_packet():
     gen, src, hp, rng = build(8, 6, seed=11)
     scaled = combine_with_coefficients([src[2]], [[5]])[0]
-    verdict, support, rows = subspan_consistency([scaled], hp)
+    verdict, support, rows = subspan_consistency(scaled.wire()[None], 8, hp)
     assert verdict is Verdict.VALID
     assert list(support) == [2]
     assert np.array_equal(rows[0, :6], gen.source_payloads[2])
@@ -265,10 +275,10 @@ def test_verdicts_ignore_corrupted_flags():
     gen, src, hp, rng = build(8, 6, seed=12)
     rx = random_combinations(src, 8, rng)
     lied = [replace(p, corrupted=True) for p in rx]
-    v1, _, _ = subspan_consistency(rx, hp)
-    v2, _, _ = subspan_consistency(lied, hp)
+    v1, _, _ = subspan_consistency(wires(rx), 8, hp)
+    v2, _, _ = subspan_consistency(wires(lied), 8, hp)
     assert v1 is v2
-    assert oracle_verify(rx[0], gen) == oracle_verify(lied[0], gen)
+    assert oracle_verify(rx[0].wire(), gen) == oracle_verify(lied[0].wire(), gen)
 
 
 def test_hash_completeness_no_false_flags():
@@ -506,9 +516,9 @@ def test_sig_batch_empty_and_bad_shapes():
 
 def test_oracle_accepts_source_and_combines():
     gen, src, hp, rng = build(6, 5, seed=16)
-    assert all(oracle_verify(p, gen) for p in src)
+    assert oracle_verify(wires(src), gen).all()
     for pkt in random_combinations(src, 30, rng):
-        assert oracle_verify(pkt, gen)
+        assert oracle_verify(pkt.wire(), gen)
 
 
 def test_oracle_rejects_any_flip():
@@ -517,7 +527,7 @@ def test_oracle_rejects_any_flip():
         j = int(rng.integers(0, 5))
         payload = pkt.payload.copy()
         payload[j] = GF256.add(int(payload[j]), 1 + int(rng.integers(0, 255)))
-        assert not oracle_verify(replace(pkt, payload=payload), gen)
+        assert not oracle_verify(replace(pkt, payload=payload).wire(), gen)
 
 
 def _prime_near(q: int, step: int) -> int:
@@ -551,18 +561,20 @@ def test_oracle_matches_rank_oracle(f, seed, G, k_data, hash_k):
     def in_span_by_rank(w):
         return len(reduced_row_echelon(f, np.vstack([rows, w[None, :]]))[1]) == G
 
-    for pkt in random_combinations(src, 3, rng):
-        assert oracle_verify(pkt, gen)
-        assert in_span_by_rank(pkt.wire())
-        w = pkt.wire().copy()
+    mixes = wires(random_combinations(src, 3, rng))
+    assert list(oracle_verify(mixes, gen)) == [True] * 3
+    for w in mixes:
+        assert oracle_verify(w, gen) is True
+        assert in_span_by_rank(w)
+        w = w.copy()
         j = int(rng.integers(0, len(w)))
         w[j] = f.add(int(w[j]), int(rng.integers(1, f.q)))
-        bad = replace(pkt, coeffs=w[:G], payload=w[G : G + k_data],
-                      hash_syms=w[G + k_data :])
-        assert oracle_verify(bad, gen) == in_span_by_rank(w)
+        assert oracle_verify(w, gen) == in_span_by_rank(w)
 
 
 def test_oracle_width_mismatch():
     gen, src, hp, rng = build(6, 5, seed=18)
-    with pytest.raises(ValueError):
-        oracle_verify(replace(src[0], payload=src[0].payload[:-1]), gen)
+    with pytest.raises(ValueError, match="width"):
+        oracle_verify(src[0].wire()[:-1], gen)
+    with pytest.raises(ValueError, match="width"):
+        oracle_verify(wires(src)[None], gen)

@@ -135,7 +135,7 @@ def test_combine_stays_in_span():
     pool = list(src)
     for _ in range(20):
         pkt = random_combinations(pool, 1, rng)[0]
-        assert oracle_verify(pkt, gen)
+        assert oracle_verify(pkt.wire(), gen)
         pool.append(pkt)  # recoded recodings stay in the span too
 
 

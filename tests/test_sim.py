@@ -1,11 +1,13 @@
 """Monte Carlo node simulation, grid comparison and the relay scenario."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from ncdetect import analytic, sim
+from ncdetect.acceptance import DEFAULT_SEED
 from ncdetect.adversary import MODES, AttackModel, corrupt_stream_with_rng
 from ncdetect.algebra import (
     _INT64_SAFE_Q,
@@ -35,6 +37,7 @@ from ncdetect.rlnc import (
 )
 from ncdetect.sim import (
     RELAY_EDGES,
+    RELAY_NODES,
     TrialConfig,
     compare_grid,
     estimate_hash_miss_rate,
@@ -415,7 +418,7 @@ def test_packet_filter_soundness_with_signature():
                                      np.random.default_rng(12))
     forwarded = [p for p in stream if sig_verify(p.wire(), key)]
     dropped = [p for p in stream if not sig_verify(p.wire(), key)]
-    assert all(oracle_verify(p, gen) for p in forwarded)
+    assert all(oracle_verify(p.wire(), gen) for p in forwarded)
     assert all(p.corrupted for p in dropped)
     assert len(forwarded) + len(dropped) == 300
 
@@ -469,6 +472,12 @@ def test_relay_requires_divisible_g():
         simulate_relay(G=6, p_per_edge={}, seed=0)
 
 
+@pytest.mark.parametrize("G", [0, -4])
+def test_relay_requires_a_positive_g(G):
+    with pytest.raises(ValueError, match="G must be a positive multiple of 4"):
+        simulate_relay(G=G, p_per_edge={}, seed=0)
+
+
 def test_relay_requires_a_trial():
     with pytest.raises(ValueError, match="trials"):
         simulate_relay(G=8, p_per_edge={}, seed=0, trials=0)
@@ -490,3 +499,97 @@ def test_relay_summary_shape():
     assert s["trials"] == 20
     assert 0.0 <= s["flag_rate_B"] <= 1.0
     assert 0.0 <= s["f_clean_rate"] <= 1.0
+
+
+# Digests of whole relay runs, pinned so that a moved draw fails here;
+# edges without hits are left out of "hits".
+_ALL_EDGES = {e: 0.3 for e in RELAY_EDGES}
+RELAY_GOLDEN = {
+    "seed-1": (
+        dict(G=8, p_per_edge={"A-B": 0.2}, seed=1, trials=200),
+        {"verdicts": {"B": {"corrupted": 131, "inconclusive": 1, "valid": 68},
+                      "C": {"inconclusive": 2, "valid": 198},
+                      "D": {"inconclusive": 5, "valid": 264},
+                      "E": {"inconclusive": 4, "valid": 265},
+                      "F": {"inconclusive": 7, "valid": 193}},
+         "hits": {"A-B": 186},
+         "first_flag": {"B": 131, "None": 69},
+         "sums": {"f_decodable": 65, "f_clean": 200, "f_matches_source": 65,
+                  "forwarded": 1076, "f_received": 1076}},
+    ),
+    "seed-303": (
+        dict(G=8, p_per_edge={"A-B": 0.2}, seed=303, trials=200),
+        {"verdicts": {"B": {"corrupted": 116, "valid": 84},
+                      "C": {"valid": 200},
+                      "D": {"valid": 284},
+                      "E": {"inconclusive": 2, "valid": 282},
+                      "F": {"inconclusive": 5, "valid": 195}},
+         "hits": {"A-B": 161},
+         "first_flag": {"B": 116, "None": 84},
+         "sums": {"f_decodable": 84, "f_clean": 200, "f_matches_source": 84,
+                  "forwarded": 1136, "f_received": 1136}},
+    ),
+    "default-seed": (
+        dict(G=8, p_per_edge={"A-B": 0.2}, seed=DEFAULT_SEED, trials=200),
+        {"verdicts": {"B": {"corrupted": 116, "inconclusive": 1, "valid": 83},
+                      "C": {"valid": 200},
+                      "D": {"inconclusive": 3, "valid": 281},
+                      "E": {"inconclusive": 4, "valid": 280},
+                      "F": {"inconclusive": 7, "valid": 193}},
+         "hits": {"A-B": 150},
+         "first_flag": {"B": 116, "None": 84},
+         "sums": {"f_decodable": 79, "f_clean": 200, "f_matches_source": 79,
+                  "forwarded": 1136, "f_received": 1136}},
+    ),
+    "all-edges": (
+        dict(G=8, p_per_edge=_ALL_EDGES, seed=DEFAULT_SEED, trials=200),
+        {"verdicts": {"B": {"corrupted": 154, "valid": 46},
+                      "C": {"corrupted": 143, "valid": 57},
+                      "D": {"corrupted": 56, "inconclusive": 1, "valid": 46},
+                      "E": {"corrupted": 48, "valid": 55},
+                      "F": {"corrupted": 47, "inconclusive": 1, "valid": 152}},
+         "hits": {"A-B": 228, "A-C": 228, "B-D": 32, "B-E": 29, "C-D": 30,
+                  "C-E": 30, "D-F": 28, "E-F": 39},
+         "first_flag": {"B": 154, "C": 31, "D": 13, "E": 2},
+         "sums": {"f_decodable": 0, "f_clean": 152, "f_matches_source": 0,
+                  "forwarded": 204, "f_received": 204}},
+    ),
+    "GF(2^3)": (
+        dict(G=4, p_per_edge=_ALL_EDGES, seed=DEFAULT_SEED, trials=200,
+             field=binary_field(3), hash_k=4),
+        {"verdicts": {"B": {"corrupted": 92, "inconclusive": 12, "valid": 96},
+                      "C": {"corrupted": 97, "inconclusive": 6, "valid": 97},
+                      "D": {"corrupted": 48, "inconclusive": 17, "valid": 141},
+                      "E": {"corrupted": 62, "inconclusive": 16, "valid": 130},
+                      "F": {"corrupted": 69, "inconclusive": 7, "valid": 124}},
+         "hits": {"A-B": 113, "A-C": 112, "B-D": 22, "B-E": 29, "C-D": 31,
+                  "C-E": 36, "D-F": 41, "E-F": 35},
+         "first_flag": {"B": 92, "C": 56, "D": 22, "E": 13, "F": 11, "None": 6},
+         "sums": {"f_decodable": 2, "f_clean": 127, "f_matches_source": 0,
+                  "forwarded": 266, "f_received": 266}},
+    ),
+}
+
+
+def _relay_digest(rep):
+    trials = rep.trials
+    return {
+        "verdicts": {node: dict(Counter(str(v) for t in trials for v in t.verdicts[node]))
+                     for node in RELAY_NODES[1:]},
+        "hits": {e: n for e in RELAY_EDGES
+                 if (n := sum(t.edge_corrupted[e] for t in trials))},
+        "first_flag": dict(Counter(str(t.first_flag) for t in trials)),
+        "sums": {
+            "f_decodable": sum(t.f_decodable for t in trials),
+            "f_clean": sum(t.f_clean for t in trials),
+            "f_matches_source": sum(bool(t.f_matches_source) for t in trials),
+            "forwarded": sum(t.forwarded["D"] + t.forwarded["E"] for t in trials),
+            "f_received": sum(t.f_received for t in trials),
+        },
+    }
+
+
+@pytest.mark.parametrize("case", RELAY_GOLDEN)
+def test_relay_golden(case):
+    kwargs, digest = RELAY_GOLDEN[case]
+    assert _relay_digest(simulate_relay(**kwargs)) == digest
