@@ -23,6 +23,13 @@ field = binary_field(8)
 rng = np.random.default_rng(7)
 G, K_DATA = 4, 6
 
+
+def show(rows):
+    """One line per wire row: its G coefficients, then its payload."""
+    for row in rows:
+        print(f"  coeffs {row[:G].tolist()}  payload {row[G:].tolist()}")
+
+
 print("=" * 70)
 print(f"STEP 1: a generation of G={G} source packets, {K_DATA} symbols each")
 print("=" * 70)
@@ -30,26 +37,25 @@ print("=" * 70)
 print(f"wire size: ({G} coefficients + {K_DATA} payload) * {field.w} bits "
       f"= {(G + K_DATA) * field.w} bits per packet")
 
-gen, sources = make_generation(field.random_elements(rng, (G, K_DATA)), field)
-for pkt in sources:
-    print(f"  coeffs {list(pkt.coeffs)}  payload {list(pkt.payload)}")
+gen = make_generation(field.random_elements(rng, (G, K_DATA)), field)
+sources = gen.source_wire_rows()  # packet i is (e_i | payload_i)
+show(sources)
 
 print()
 print("=" * 70)
 print("STEP 2: the network recodes -- combinations of combinations")
 print("=" * 70)
 
-hop1 = random_combinations(sources, G, rng)
-hop2 = random_combinations(hop1, G, rng)  # recoding needs no decoding
-for pkt in hop2:
-    print(f"  coeffs {list(pkt.coeffs)}  payload {list(pkt.payload)}")
+_, hop1 = random_combinations(field, sources, G, rng)
+_, hop2 = random_combinations(field, hop1, G, rng)  # recoding needs no decoding
+show(hop2)
 
 print()
 print("=" * 70)
 print("STEP 3: the sink decodes from any full-rank set")
 print("=" * 70)
 
-decoded = decode(hop2)
+decoded = decode(field, hop2, G)
 print("decoded payloads equal the source:",
       np.array_equal(decoded, gen.source_payloads))
 
@@ -59,7 +65,7 @@ print("STEP 4: too few packets is an erasure, not an error")
 print("=" * 70)
 
 try:
-    decode(hop2[: G - 1])
+    decode(field, hop2[: G - 1], G)
 except NotDecodable as exc:
     print(f"decode({G - 1} packets) -> NotDecodable: {exc}")
 print("The decoder distinguishes 'need more packets' (erasure correction")
@@ -72,9 +78,9 @@ print("=" * 70)
 
 singular = 0
 for trial in range(2000):
-    rx = random_combinations(sources, G, rng)
+    _, rx = random_combinations(field, sources, G, rng)
     try:
-        decode(rx)
+        decode(field, rx, G)
     except NotDecodable:
         singular += 1
 print(f"{singular} singular draws in 2000 mixes "

@@ -20,8 +20,6 @@ Plus the simulator's ground truth: exact membership in the source span.
 ================================================================================
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from ncdetect import (
@@ -49,22 +47,25 @@ print("=" * 70)
 field = binary_field(7)
 G, K_DATA, K = 8, 14, 14
 hp = HashParams(k=K, field=field)
-gen, src = make_generation(field.random_elements(rng, (G, K_DATA)), field, hp)
+gen = make_generation(field.random_elements(rng, (G, K_DATA)), field, hp)
+src = gen.source_wire_rows()  # one wire row (coeffs | payload | hash) per packet
 print(f"each packet: {G} coefficients, {K_DATA} payload, "
       f"{gen.source_hashes.shape[1]} hash symbol ({100 / (K + 1):.1f}% of the data)")
 
-received = random_combinations(src, G, rng)
+_, received = random_combinations(field, src, G, rng)
 print("honest generation decodes and verifies:",
-      gen_hash_verify(decode(received), hp))
+      gen_hash_verify(decode(field, received, G), hp))
 
 print()
 print("=" * 70)
 print("STEP 2: a blind forger loses to mixing it never saw")
 print("=" * 70)
 
-forged = blind_forge_with_rng(received, 2, np.random.default_rng(9))
+junk, _ = blind_forge_with_rng(received[:, G:], field, K_DATA, 2,
+                               np.random.default_rng(9))
+forged = np.hstack([received[:, :G], junk])
 print("2 of the 8 packets hijacked in flight (claims kept, data junked)")
-print("verdict after decode:", gen_hash_verify(decode(forged), hp))
+print("verdict after decode:", gen_hash_verify(decode(field, forged, G), hp))
 
 report = estimate_hash_miss_rate(binary_field(7), G=8, k_data=50, hash_k=50,
                                  s=5, trials=1500, seed=5)
@@ -76,15 +77,15 @@ print("=" * 70)
 print("STEP 3: intermediate nodes check sub-generations")
 print("=" * 70)
 
-# A node sees wire rows (coeffs | payload | hash), one per received packet.
-half = np.vstack([p.wire() for p in random_combinations(src[:4], 4, rng)])
+# A node holds the wire rows it received.
+_, half = random_combinations(field, src[:4], 4, rng)
 print("a node holding combinations of half the generation:",
       subspan_consistency(half, G, hp)[0])
 polluted = half.copy()
-polluted[0, G : G + K_DATA] = field.add_arr(polluted[0, G : G + K_DATA], 1)
+polluted[0, G] = field.add(int(polluted[0, G]), 1)
 print("same node, one symbol polluted:",
       subspan_consistency(polluted, G, hp)[0])
-one = random_combinations(src, 1, rng)[0].wire()[None]
+_, one = random_combinations(field, src, 1, rng)
 print("a single dense combination is undecidable:",
       subspan_consistency(one, G, hp)[0])
 
@@ -95,17 +96,17 @@ print("=" * 70)
 
 group = make_group(bits_p=32, bits_q=33, rng=11)
 pf = prime_field(group.order)
-sgen, ssrc = make_generation(pf.random_elements(rng, (4, 4)), pf)
+sgen = make_generation(pf.random_elements(rng, (4, 4)), pf)
 key = sig_keygen(sgen, group, rng)
 print(f"group order P ~ 2^{group.order.bit_length()}, "
       f"public key {key.key_size_bits} bits for (G + k_data) = 8 elements")
 
-mixes = random_combinations(ssrc, 5, rng)
-print("random combinations all verify:",
-      all(sig_verify(p.wire(), key) for p in mixes))
+_, mixes = random_combinations(pf, sgen.source_wire_rows(), 5, rng)
+print("random combinations all verify:", all(sig_verify(w, key) for w in mixes))
 
-evil = replace(mixes[0], payload=pf.add_arr(mixes[0].payload, 1))
-print("a one-symbol corruption verifies:", sig_verify(evil.wire(), key),
+evil = mixes[0].copy()
+evil[4] = pf.add(int(evil[4]), 1)  # the first payload symbol
+print("a one-symbol corruption verifies:", sig_verify(evil, key),
       f"(false-accept odds are 1/P ~ 2^-{group.order.bit_length()})")
 
 print()
@@ -113,10 +114,9 @@ print("=" * 70)
 print("STEP 5: ground truth for scoring simulations")
 print("=" * 70)
 
-print("oracle says the corrupted packet is outside the span:",
-      oracle_verify(evil.wire(), sgen))
-print("and every honest mix is inside:",
-      oracle_verify(np.vstack([p.wire() for p in mixes]), sgen).all())
+print("oracle says the corrupted packet is inside the span:",
+      oracle_verify(evil, sgen))
+print("and every honest mix is inside:", oracle_verify(mixes, sgen).all())
 print()
 print("The oracle checks d == c S for a packet (c | d) against the source")
 print("rows S; detectors never see it, the simulator uses it to score what")

@@ -35,7 +35,6 @@ from .analytic import (
     peak_attack_probability,
 )
 from .adversary import (
-    AttackModel,
     blind_forge_with_rng,
     corrupt_stream_with_rng,
     rewrite_rows,
@@ -55,7 +54,6 @@ from .detect import (
 from .rlnc import (
     Generation,
     NotDecodable,
-    Packet,
     decode,
     decode_batch,
     make_generation,

@@ -272,16 +272,13 @@ def roundtrip(seed: int = DEFAULT_SEED) -> CriterionResult:
         ref = _RefField(f.q, poly)
         g = int(rng.choice([1, 2, 4, 8]))
         k_data = int(rng.integers(1, 9))
-        gen, src = make_generation(
-            f.random_elements(rng, (g, k_data)), f, generation_id=t
-        )
+        gen = make_generation(f.random_elements(rng, (g, k_data)), f)
         short = t % 7 == 3 and g > 1  # exercise the erasure path too
         count = g - 1 if short else g
-        received = random_combinations(src, count, rng)
-        rows = [[int(v) for v in pk.wire()] for pk in received]
-        expected = _reference_solve(ref, rows, g)
+        _, received = random_combinations(f, gen.source_wire_rows(), count, rng)
+        expected = _reference_solve(ref, received.tolist(), g)
         try:
-            got = decode(received)
+            got = decode(f, received, g)
         except NotDecodable:
             got = None
         if expected is None or got is None:

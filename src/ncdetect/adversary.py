@@ -3,20 +3,20 @@
 Corruption happens in flight, upstream of the observing node: each packet
 is independently rewritten with probability p.  The rewrite never touches
 the encoding vector -- the attacker hijacks a packet's data while its
-claimed coefficients stay plausible.  Hash symbols are left stale, except
-that the hash-aware mode recomputes them so the forged row looks
-self-consistent in isolation, and the blind mode replaces them with junk.
-rewrite_rows is the one corruption kernel; the Packet functions use it.
+claimed coefficients stay plausible -- so the functions here take a
+stream's (payload | hash) rows, the wire rows without their G
+coefficients.  Hash symbols are left stale, except that the hash-aware
+mode recomputes them so the forged row looks self-consistent in
+isolation, and the blind mode replaces them with junk.  rewrite_rows is
+the one corruption kernel; the stream functions call it one row at a
+time, in row order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .detect import HashParams, gen_hash_append
-from .rlnc import Packet
 
 MODES = (
     "random-symbol",
@@ -24,27 +24,6 @@ MODES = (
     "hash-aware-forgery",
     "blind-s-packet",
 )
-
-
-@dataclass(frozen=True)
-class AttackModel:
-    """Per-packet corruption probability plus the rewrite behaviour.
-
-    hash_params is only consulted by hash-aware-forgery, which needs the
-    hash construction to recompute matching symbols.
-    """
-
-    p: float
-    mode: str = "random-symbol"
-    hash_params: HashParams | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown attack mode {self.mode!r}")
-        if self.mode == "hash-aware-forgery" and self.hash_params is None:
-            raise ValueError("hash-aware-forgery needs hash_params")
 
 
 def _change_one_symbol(field, rows: np.ndarray, k_data: int,
@@ -86,41 +65,53 @@ def rewrite_rows(field, rows, k_data: int, mode: str, rng: np.random.Generator,
     return out
 
 
-def _rewrite(packet: Packet, mode: str, rng: np.random.Generator,
-             hash_params: HashParams | None) -> Packet:
-    k = len(packet.payload)
-    row = np.concatenate([packet.payload, packet.hash_syms])[None]
-    (out,) = rewrite_rows(packet.field, row, k, mode, rng, hash_params)
-    return replace(packet, payload=out[:k], hash_syms=out[k:], corrupted=True)
+def _stream(rows, field, k_data: int) -> np.ndarray:
+    rows = field._elements(rows)
+    if rows.ndim != 2 or not 1 <= k_data <= rows.shape[1]:
+        raise ValueError(f"expected (R, width >= {k_data}) rows, got {rows.shape}")
+    return rows.copy()
 
 
-def corrupt_stream_with_rng(packets: list[Packet], model: AttackModel,
-                            rng: np.random.Generator) -> list[Packet]:
-    """Each packet is independently corrupted with probability model.p.
+def corrupt_stream_with_rng(rows, field, k_data: int, p: float,
+                            rng: np.random.Generator):
+    """Each row is independently corrupted with probability p.
 
-    Reproducible for a given rng state; untouched packets pass through
-    unchanged.
+    rows is (R, width): a stream's (payload | hash) rows, k_data payload
+    symbols first.  Each row draws rng.random(), and a hit row then has
+    one payload symbol changed (random-symbol; hash symbols stay stale)
+    before the next row draws; at p = 0 nothing is drawn.  Returns new
+    rows and the (R,) bool mask of the rows rewritten.
     """
-    return [
-        _rewrite(p, model.mode, rng, model.hash_params) if rng.random() < model.p else p
-        for p in packets
-    ]
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    out = _stream(rows, field, k_data)
+    hit = np.zeros(len(out), dtype=bool)
+    if p == 0.0:
+        return out, hit
+    for i in range(len(out)):
+        if rng.random() < p:
+            out[i] = rewrite_rows(field, out[i : i + 1], k_data, "random-symbol", rng)[0]
+            hit[i] = True
+    return out, hit
 
 
-def blind_forge_with_rng(packets: list[Packet], s: int,
-                         rng: np.random.Generator) -> list[Packet]:
-    """Replace s packets' (payload, hash) with blind forgeries.
+def blind_forge_with_rng(rows, field, k_data: int, s: int,
+                         rng: np.random.Generator):
+    """Replace s rows' (payload | hash) with blind forgeries.
 
-    The forger picks junk without reading the other packets, and the
-    victims' encoding vectors stay as claimed, so the forgery's deviation
-    from the true row space gets spread over the decoded rows by mixing
-    coefficients the forger never saw.  This is the adversary the
-    ((k+1)/q)^s miss bound is stated against.
+    rows is (R, width) as for corrupt_stream_with_rng.  The forger picks
+    junk without reading the other rows, and the victims' encoding
+    vectors stay as claimed, so the forgery's deviation from the true row
+    space gets spread over the decoded rows by mixing coefficients the
+    forger never saw.  This is the adversary the ((k+1)/q)^s miss bound
+    is stated against.  The s victims are drawn first, then rewritten in
+    index order.  Returns new rows and the (R,) bool mask of the victims.
     """
-    if s < 0 or s > len(packets):
-        raise ValueError(f"cannot forge {s} of {len(packets)} packets")
-    idx = set(rng.choice(len(packets), size=s, replace=False).tolist())
-    return [
-        _rewrite(p, "blind-s-packet", rng, None) if i in idx else p
-        for i, p in enumerate(packets)
-    ]
+    out = _stream(rows, field, k_data)
+    if s < 0 or s > len(out):
+        raise ValueError(f"cannot forge {s} of {len(out)} packets")
+    hit = np.zeros(len(out), dtype=bool)
+    hit[rng.choice(len(out), size=s, replace=False)] = True
+    for i in np.flatnonzero(hit):
+        out[i] = rewrite_rows(field, out[i : i + 1], k_data, "blind-s-packet", rng)[0]
+    return out, hit

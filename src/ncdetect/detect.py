@@ -129,8 +129,9 @@ def hash_consistent(rows, params: HashParams) -> np.ndarray:
 def gen_hash_verify(decoded: np.ndarray, params: HashParams) -> Verdict:
     """Check a decoded generation's rows for hash consistency.
 
-    decoded is the matrix returned by rlnc.decode: one row per source
-    packet, payload symbols followed by hash symbols.
+    decoded is the matrix rlnc.decode returns (or one trial of
+    rlnc.decode_batch): one row per source packet, payload symbols
+    followed by hash symbols.
     """
     d = params.field._elements(decoded)
     if d.ndim != 2:
@@ -230,8 +231,8 @@ def sig_keygen(generation: Generation, group: GroupSpec,
 def sig_verify(w, key: SignatureKey) -> bool:
     """Accept iff prod_i h_i^(w_i) = 1 (mod Q) for the wire vector w.
 
-    w is (coeffs | payload), a packet's wire(): signature generations
-    carry no hash symbols.  Every linear combination of signed source
+    w is a wire row (coeffs | payload): signature generations carry no
+    hash symbols.  Every linear combination of signed source
     packets accepts; anything outside the span accepts only if it happens
     to be orthogonal to the secret u, probability 1/P over the key draw.
     The all-zero vector accepts trivially (it lies in every subspace);

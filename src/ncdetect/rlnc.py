@@ -12,13 +12,14 @@ Gauss-Jordan decoding over any supported field, and the partial solve
 A generation's layout is the shape of its arrays, counted in symbols;
 :func:`fit_layout` turns a packet size in bits into such a layout.
 
-Two representations share the decoder's rules.  The packet path
-(:class:`Packet` lists, :func:`decode`) is the reference and serves the
-single-generation APIs.  The row path takes received wire rows (coeffs |
-data) as field arrays: :func:`recover_subspan` solves an (R, G + width)
-matrix with :func:`reduced_row_echelon`, and :func:`decode_batch` runs
-Gauss-Jordan on a (T, R, G + width) stack of T generations at once with
-the same pivot choice, so its rows equal :func:`decode`'s bit for bit.
+A packet is a wire row (coeffs | payload | hash) of field elements, and
+a stream of R packets is an (R, G + width) array.
+:func:`random_combinations` mixes any (..., R, width) stack,
+:func:`decode` solves one stream with :func:`reduced_row_echelon` and is
+the reference, :func:`recover_subspan` solves a partial one, and
+:func:`decode_batch` runs Gauss-Jordan on a (T, R, G + width) stack of T
+generations at once with the same pivot choice, so its rows equal
+:func:`decode`'s bit for bit.
 """
 
 from __future__ import annotations
@@ -62,30 +63,9 @@ def fit_layout(n: int, G: int, symbol_bits: int,
 
 
 @dataclass(frozen=True, eq=False)
-class Packet:
-    """One coded packet: encoding vector, payload, optional hash symbols.
-
-    corrupted is ground truth for simulation accounting only; detection
-    logic never reads it (use :meth:`wire` for the detector-visible part).
-    """
-
-    coeffs: np.ndarray
-    payload: np.ndarray
-    hash_syms: np.ndarray
-    field: FieldSpec
-    generation_id: int = 0
-    corrupted: bool = False
-
-    def wire(self) -> np.ndarray:
-        """The transmitted symbol vector: coeffs | payload | hash."""
-        return np.concatenate([self.coeffs, self.payload, self.hash_syms])
-
-
-@dataclass(frozen=True, eq=False)
 class Generation:
     """A block of G source packets mixed only among themselves."""
 
-    id: int
     source_payloads: np.ndarray  # G x k_data
     source_hashes: np.ndarray  # G x hash_symbols
     field: FieldSpec
@@ -98,35 +78,22 @@ class Generation:
         """
         return np.hstack([self.source_payloads, self.source_hashes])
 
-    def source_packets(self) -> list[Packet]:
-        out = []
+    def source_wire_rows(self) -> np.ndarray:
+        """The G source packets' wire rows (I | S): coeffs | payload | hash."""
         g = len(self.source_payloads)
-        for i in range(g):
-            coeffs = np.zeros(g, dtype=np.int64)
-            coeffs[i] = 1
-            out.append(Packet(
-                coeffs=self.field._arr(coeffs),
-                payload=self.source_payloads[i].copy(),
-                hash_syms=self.source_hashes[i].copy(),
-                field=self.field,
-                generation_id=self.id,
-            ))
-        return out
+        return np.hstack([self.field._arr(np.eye(g, dtype=np.int64)),
+                          self.source_rows()])
 
 
-def make_generation(
-    payloads,
-    field: FieldSpec,
-    hash_scheme=None,
-    generation_id: int = 0,
-) -> tuple[Generation, list[Packet]]:
-    """Build a generation and its G source packets from a (G, k_data) matrix.
+def make_generation(payloads, field: FieldSpec, hash_scheme=None) -> Generation:
+    """Build a generation from its (G, k_data) source payload matrix.
 
-    Source packet i carries the unit encoding vector e_i.  When a hash
-    scheme (detect.HashParams) is given, hash symbols are computed from
-    each packet's payload and appended; they are then carried through
-    recoding by the same linear combinations as the payload.  Payloads
-    and scheme must lie over field, or ValueError is raised.
+    Source packet i carries the unit encoding vector e_i
+    (:meth:`Generation.source_wire_rows`).  When a hash scheme
+    (detect.HashParams) is given, hash symbols are computed from each
+    packet's payload and appended; they are then carried through recoding
+    by the same linear combinations as the payload.  Payloads and scheme
+    must lie over field, or ValueError is raised.
     """
     payloads = np.asarray(payloads)
     if payloads.ndim != 2 or payloads.size == 0:
@@ -142,67 +109,25 @@ def make_generation(
         hashes = gen_hash_append(payloads, hash_scheme)
     else:
         hashes = field._arr(np.zeros((len(payloads), 0), dtype=np.int64))
-    gen = Generation(
-        id=generation_id, source_payloads=payloads, source_hashes=hashes,
-        field=field,
-    )
-    return gen, gen.source_packets()
+    return Generation(source_payloads=payloads, source_hashes=hashes, field=field)
 
 
-def _check_stream(packets: list[Packet]) -> Packet:
-    if not packets:
-        raise ValueError("empty packet list")
-    first = packets[0]
-    for p in packets[1:]:
-        if p.generation_id != first.generation_id:
-            raise ValueError("packets from different generations cannot mix")
-        if p.field != first.field:
-            raise ValueError("packets from different fields cannot mix")
-        if (len(p.coeffs) != len(first.coeffs)
-                or len(p.payload) != len(first.payload)
-                or len(p.hash_syms) != len(first.hash_syms)):
-            raise ValueError("packet symbol layouts differ")
-    return first
+def random_combinations(field: FieldSpec, rows, count: int,
+                        rng: np.random.Generator):
+    """count fresh random combinations of each stack's rows.
 
-
-def combine_with_coefficients(packets: list[Packet], coeffs) -> list[Packet]:
-    """One linear combination of packets per row of coeffs.
-
-    coeffs is (count, len(packets)).  A combination is tagged corrupted
-    when it gives a corrupted input a nonzero coefficient.
+    rows is (..., R, width) over field, e.g. wire rows (coeffs | data) or
+    source (payload | hash) rows.  Draws (..., count, R) coefficients and
+    returns (coeffs, coeffs @ rows).  Coefficients are uniform over the
+    whole field including zero; singular draws are not resampled, so
+    rank-deficient outcomes surface downstream as NotDecodable and
+    erasure accounting stays faithful.
     """
-    first = _check_stream(packets)
-    f = first.field
-    c = f._elements(coeffs)
-    if c.ndim != 2 or c.shape[1] != len(packets):
-        raise ValueError("coefficient matrix needs one column per packet")
-    out = f.matmul(c, np.vstack([p.wire() for p in packets]))
-    g = len(first.coeffs)
-    k = len(first.payload)
-    tainted = [i for i, p in enumerate(packets) if p.corrupted]
-    hit = np.not_equal(c[:, tainted], 0).any(axis=1)
-    return [
-        Packet(
-            coeffs=row[:g], payload=row[g : g + k], hash_syms=row[g + k :],
-            field=f, generation_id=first.generation_id,
-            corrupted=bool(h),
-        )
-        for row, h in zip(out, hit)
-    ]
-
-
-def random_combinations(packets: list[Packet], count: int,
-                        rng: np.random.Generator) -> list[Packet]:
-    """count fresh random combinations of the given packets.
-
-    Coefficients are uniform over the whole field including zero; singular
-    draws are not resampled, so rank-deficient outcomes surface downstream
-    as NotDecodable and erasure accounting stays faithful.
-    """
-    f = _check_stream(packets).field
-    return combine_with_coefficients(
-        packets, f.random_elements(rng, (count, len(packets)))
-    )
+    rows = field._elements(rows)
+    if rows.ndim < 2:
+        raise ValueError(f"expected (..., R, width) rows, got {rows.shape}")
+    coeffs = field.random_elements(rng, rows.shape[:-2] + (count, rows.shape[-2]))
+    return coeffs, field._matmul(coeffs, rows)
 
 
 # -- linear algebra over a FieldSpec ----------------------------------------
@@ -245,19 +170,20 @@ def reduced_row_echelon(field: FieldSpec, matrix,
     return m, pivots
 
 
-def decode(packets: list[Packet]) -> np.ndarray:
+def decode(field: FieldSpec, rows, G: int) -> np.ndarray:
     """Recover the source (payload | hash) matrix by Gaussian elimination.
 
-    The generation size G is the packets' encoding vector length.
-    Succeeds exactly when the received encoding vectors have rank G;
-    raises NotDecodable otherwise, which distinguishes "need more packets"
-    from corruption.  The returned matrix has one row per source packet;
-    columns are the payload symbols followed by any hash symbols.
+    rows is (R, G + width): R received wire rows over field.  Succeeds
+    exactly when their encoding vectors have rank G; raises NotDecodable
+    otherwise, which distinguishes "need more packets" from corruption.
+    The returned matrix has one row per source packet; columns are the
+    payload symbols followed by any hash symbols.  This is the reference
+    eliminator :func:`decode_batch` is tested against.
     """
-    first = _check_stream(packets)
-    G = len(first.coeffs)
-    m = np.vstack([p.wire() for p in packets])
-    r, pivots = reduced_row_echelon(first.field, m, pivot_width=G)
+    m = field._elements(rows)
+    if m.ndim != 2 or m.shape[1] < G:
+        raise ValueError(f"expected (R, G + width) rows, got {m.shape}")
+    r, pivots = reduced_row_echelon(field, m, pivot_width=G)
     if len(pivots) < G:
         raise NotDecodable(rank=len(pivots), needed=G)
     return r[:G, G:]

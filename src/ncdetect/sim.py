@@ -16,17 +16,19 @@ miss-rate run (estimate_hash_miss_rate), the signature accept/reject run
 detector_field, and the six-node relay scenario in which intermediate
 nodes check sub-generations and drop polluted ones before they reach the sink.
 
-The miss-rate run and the hash-detector node run share one batch
-pipeline: T generations at once as (T, G, width) field arrays, mixed by
-one batched product, corrupted by adversary.rewrite_rows, decoded by
-rlnc.decode_batch and checked by detect.hash_consistent.  The signature
-run verifies all valid combinations in one detect.sig_verify_batch call
-and all corrupted vectors in another.  The relay runs trial by trial on
-(R, G + width) wire rows with an (R,) ground-truth taint mask per edge:
-subspan_consistency checks, one 2-D product re-encodes, rewrite_rows
-corrupts row by row, and the sink runs decode_batch and oracle_verify.
-The Packet functions, with detect.sig_verify, are the scalar reference
-the batch kernels are tested against.
+Every mixing step is one rlnc.random_combinations call.  The miss-rate
+run and the hash-detector node run share one batch pipeline: T
+generations at once as (T, G, width) field arrays, mixed in one call,
+corrupted by adversary.rewrite_rows, decoded by rlnc.decode_batch and
+checked by detect.hash_consistent.  The signature run verifies all valid
+combinations in one detect.sig_verify_batch call and all corrupted
+vectors in another.  The relay runs trial by trial on (R, G + width) wire
+rows with an (R,) ground-truth taint mask per edge: subspan_consistency
+checks, random_combinations re-encodes (a combination is tainted when it
+gives a wrongly solved row a nonzero coefficient),
+adversary.corrupt_stream_with_rng corrupts row by row, and the sink runs
+decode_batch and oracle_verify.  rlnc.decode, with detect.sig_verify, is
+the scalar reference the batch kernels are tested against.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .adversary import MODES, rewrite_rows
+from .adversary import MODES, corrupt_stream_with_rng, rewrite_rows
 from .algebra import FieldSpec, binary_field, make_group, prime_field
 from .analytic import OverheadPoint, SchemeParams, overhead_point
 from .detect import (
@@ -51,7 +53,7 @@ from .detect import (
     sig_verify_batch,
     subspan_consistency,
 )
-from .rlnc import decode_batch, fit_layout, make_generation
+from .rlnc import decode_batch, fit_layout, make_generation, random_combinations
 
 _STDERR_BLOCKS = 50
 # Payload symbols per hash symbol in simulate_node's hash detector.
@@ -210,7 +212,7 @@ def _simulate_generation_with_hash(config: TrialConfig,
     hp = HashParams(k=_DETECTOR_HASH_K, field=f)
     x_counts, verdicts = [], []
     for src in _source_chunks(f, g, k_data, hp, config.trials, rng):
-        coeffs, data = _mix(f, src, rng)
+        coeffs, data = random_combinations(f, src, g, rng)
         hit = rng.random(data.shape[:2]) < params.p
         # The forger knows the public hash, so a hash-aware one uses hp.
         data[hit] = rewrite_rows(f, data[hit], k_data, config.attack_mode, rng, hp)
@@ -302,16 +304,6 @@ def _source_chunks(field: FieldSpec, G: int, k_data: int, hp: HashParams,
         yield np.concatenate([payloads, gen_hash_append(payloads, hp)], axis=-1)
 
 
-def _mix(field: FieldSpec, src: np.ndarray, rng: np.random.Generator):
-    """G uniform combinations of each trial's source rows: (coeffs, data)."""
-    T, G, _ = src.shape
-    coeffs = field.random_elements(rng, (T, G, G))
-    # The operands are field arrays already, so skip matmul's conversion;
-    # this also keeps the 2-D matmul accounting of benchmarks/spans.py
-    # exact, as no batched product passes through FieldSpec.matmul.
-    return coeffs, field._matmul(coeffs, src)
-
-
 def estimate_hash_miss_rate(field: FieldSpec, G: int, k_data: int,
                             hash_k: int, s: int, trials: int,
                             seed: int) -> HashMissReport:
@@ -357,7 +349,7 @@ def _blind_forge_and_decode(field: FieldSpec, src: np.ndarray, k_data: int,
     (full_rank, rows).
     """
     T, G, _ = src.shape
-    coeffs, data = _mix(field, src, rng)
+    coeffs, data = random_combinations(field, src, G, rng)
     # s distinct victims per trial: the first s of a random permutation.
     victims = rng.permuted(np.broadcast_to(np.arange(G), (T, G)), axis=1)[:, :s]
     hit = (np.repeat(np.arange(T), s), victims.ravel())
@@ -398,15 +390,15 @@ def signature_error_counts(accept_trials: int, reject_trials: int,
     group = make_group(bits_p, bits_q, random.Random(seed))
     f = prime_field(group.order)
     rng = _child_rng(seed)
-    gen, _ = make_generation(f.random_elements(rng, (G, k_data)), f)
+    gen = make_generation(f.random_elements(rng, (G, k_data)), f)
     key = sig_keygen(gen, group, rng)
+    x = gen.source_payloads
 
-    coeffs = f.random_elements(rng, (accept_trials, G))
-    w = np.concatenate([coeffs, f.matmul(coeffs, gen.source_payloads)], axis=1)
+    # A combination's wire row is its coefficients, then the mixed payload.
+    w = np.concatenate(random_combinations(f, x, accept_trials, rng), axis=1)
     false_rejects = int(np.count_nonzero(~sig_verify_batch(w, key)))
 
-    coeffs = f.random_elements(rng, (reject_trials, G))
-    w = np.concatenate([coeffs, f.matmul(coeffs, gen.source_payloads)], axis=1)
+    w = np.concatenate(random_combinations(f, x, reject_trials, rng), axis=1)
     for row in w:  # per-vector draws, in row order: they fix the outcomes
         j = int(rng.integers(G, G + k_data))  # corrupt a payload symbol
         delta = int(rng.integers(1, f.q))
@@ -489,26 +481,6 @@ def _normalize_edges(p_per_edge) -> dict:
     return out
 
 
-def _corrupt_edge(rows, taint, G: int, p: float, field: FieldSpec,
-                  rng: np.random.Generator) -> int:
-    """Corrupt one edge's wire rows in place; returns the newly tainted count.
-
-    Each row draws rng.random(), and a hit row's payload then has one
-    symbol changed (random-symbol) before the next row draws.  taint, the
-    rows' ground truth, is updated in place too.
-    """
-    if p == 0.0:
-        return 0
-    hits = 0
-    for i in range(len(rows)):
-        if rng.random() < p:
-            rows[i, G:] = rewrite_rows(field, rows[i : i + 1, G:], _RELAY_K_DATA,
-                                       "random-symbol", rng)[0]
-            hits += not taint[i]
-            taint[i] = True
-    return hits
-
-
 def _forward_blocks(rows, taint, blocks, hash_params, src,
                     rng: np.random.Generator):
     """Check a sub-generation, then re-encode one stream per block.
@@ -542,9 +514,8 @@ def _forward_blocks(rows, taint, blocks, hash_params, src,
         if not members:
             streams.append(empty)
             continue
-        coeffs = f.random_elements(rng, (len(block), len(members)))
-        streams.append((f.matmul(coeffs, sources[members]),
-                        np.any(coeffs[:, wrong[members]] != 0, axis=1)))
+        coeffs, mixed = random_combinations(f, sources[members], len(block), rng)
+        streams.append((mixed, np.any(coeffs[:, wrong[members]] != 0, axis=1)))
     return verdict, streams
 
 
@@ -579,20 +550,22 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
     records = []
     for t in range(trials):
         rng = _child_rng(seed, t)
-        gen, _ = make_generation(
-            f.random_elements(rng, (G, _RELAY_K_DATA)), f, hp, generation_id=t
-        )
-        src = np.concatenate([f._arr(np.eye(G, dtype=np.int64)), gen.source_rows()],
-                             axis=1)
+        gen = make_generation(f.random_elements(rng, (G, _RELAY_K_DATA)), f, hp)
+        src = gen.source_wire_rows()
         streams, verdicts, edge_hits = {}, {}, {}
 
         def corrupt(*edges):
+            # Only the data columns are rewritten; a row hit twice counts once.
             for edge in edges:
-                edge_hits[edge] = _corrupt_edge(*streams[edge], G, probs[edge], f, rng)
+                rows, taint = streams[edge]
+                rows[:, G:], hit = corrupt_stream_with_rng(
+                    rows[:, G:], f, _RELAY_K_DATA, probs[edge], rng)
+                edge_hits[edge] = int(np.count_nonzero(hit & ~taint))
+                taint |= hit
 
         for edge, half in (("A-B", src[:g2]), ("A-C", src[g2:])):
-            coeffs = f.random_elements(rng, (g2, g2))
-            streams[edge] = (f.matmul(coeffs, half), np.zeros(g2, dtype=bool))
+            streams[edge] = (random_combinations(f, half, g2, rng)[1],
+                             np.zeros(g2, dtype=bool))
         corrupt("A-B", "A-C")
         for node, blocks in (("B", quarters[:2]), ("C", quarters[2:])):
             v, (streams[f"{node}-D"], streams[f"{node}-E"]) = _forward_blocks(

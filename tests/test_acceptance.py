@@ -69,10 +69,9 @@ def test_roundtrip_rank_deficient_count_follows_the_rank_probability(monkeypatch
     seen = []  # (q, G, rows, deficient) per decoded trial
     real_decode = acceptance.decode
 
-    def decode_spy(packets):
-        first = packets[0]
-        seen.append([first.field.q, len(first.coeffs), len(packets), True])
-        rows = real_decode(packets)  # NotDecodable leaves deficient True
+    def decode_spy(field, received, G):
+        seen.append([field.q, G, len(received), True])
+        rows = real_decode(field, received, G)  # NotDecodable leaves deficient True
         seen[-1][3] = False
         return rows
 

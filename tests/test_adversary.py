@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ncdetect.adversary import (
     MODES,
-    AttackModel,
     blind_forge_with_rng,
     corrupt_stream_with_rng,
     rewrite_rows,
@@ -26,102 +25,107 @@ def seeded(seed):
 
 
 def sources(G=4, k_data=3, hash_k=None, seed=0, count=None):
+    """A stream's (payload | hash) rows: a generation's source rows, repeated
+    up to count rows."""
     rng = np.random.default_rng(seed)
     hp = HashParams(k=hash_k, field=GF256) if hash_k else None
-    _, src = make_generation(GF256.random_elements(rng, (G, k_data)), GF256, hp)
+    gen = make_generation(GF256.random_elements(rng, (G, k_data)), GF256, hp)
+    src = gen.source_rows()
     if count:
-        src = (src * (count // G + 1))[:count]
+        src = np.resize(src, (count, src.shape[1]))
     return src, hp
 
 
 def test_p_zero_leaves_stream_unchanged():
+    # The one case that draws nothing: no row can be hit.
     src, _ = sources()
-    out = corrupt_stream_with_rng(src, AttackModel(p=0.0), seeded(1))
-    assert all(o is p for o, p in zip(out, src))
+    rng = seeded(1)
+    state = rng.bit_generator.state
+    out, hit = corrupt_stream_with_rng(src, GF256, 3, 0.0, rng)
+    assert np.array_equal(out, src) and not hit.any()
+    assert rng.bit_generator.state == state
 
 
 def test_p_one_corrupts_everything():
     src, _ = sources()
-    out = corrupt_stream_with_rng(src, AttackModel(p=1.0), seeded(2))
-    assert all(o.corrupted for o in out)
+    out, hit = corrupt_stream_with_rng(src, GF256, 3, 1.0, seeded(2))
+    assert hit.all()
 
 
 def test_binomial_concentration_at_scale():
     src, _ = sources(G=4, k_data=1, count=100_000, seed=3)
-    out = corrupt_stream_with_rng(src, AttackModel(p=0.1), seeded(4))
-    hits = sum(o.corrupted for o in out)
+    _, hit = corrupt_stream_with_rng(src, GF256, 1, 0.1, seeded(4))
     sigma = math.sqrt(100_000 * 0.1 * 0.9)
-    assert abs(hits - 10_000) <= 3 * sigma
+    assert abs(int(hit.sum()) - 10_000) <= 3 * sigma
 
 
 def test_identical_seed_identical_stream():
     src, _ = sources(hash_k=3)
-    model = AttackModel(p=0.5)
-    out1 = corrupt_stream_with_rng(src, model, seeded(5))
-    out2 = corrupt_stream_with_rng(src, model, seeded(5))
-    for a, b in zip(out1, out2):
-        assert np.array_equal(a.wire(), b.wire())
-        assert a.corrupted == b.corrupted
+    out1, hit1 = corrupt_stream_with_rng(src, GF256, 3, 0.5, seeded(5))
+    out2, hit2 = corrupt_stream_with_rng(src, GF256, 3, 0.5, seeded(5))
+    assert np.array_equal(out1, out2)
+    assert np.array_equal(hit1, hit2)
 
 
 def test_corrupted_packet_always_differs():
-    for mode in ("random-symbol", "random-payload", "blind-s-packet"):
-        src, _ = sources(hash_k=3, seed=6)
-        out = corrupt_stream_with_rng(src, AttackModel(p=1.0, mode=mode), seeded(7))
-        for before, after in zip(src, out):
-            assert not np.array_equal(before.wire(), after.wire())
+    src, _ = sources(hash_k=3, seed=6)
+    for out, _ in (corrupt_stream_with_rng(src, GF256, 3, 1.0, seeded(7)),
+                   blind_forge_with_rng(src, GF256, 3, len(src), seeded(7))):
+        assert np.all(np.any(out != src, axis=1))
 
 
 def test_random_symbol_touches_one_payload_symbol_only():
     src, _ = sources(hash_k=3, seed=8)
-    out = corrupt_stream_with_rng(src, AttackModel(p=1.0), seeded(9))
-    for before, after in zip(src, out):
-        assert np.array_equal(before.coeffs, after.coeffs)
-        assert np.array_equal(before.hash_syms, after.hash_syms)  # left stale
-        diff = np.sum(np.not_equal(before.payload, after.payload))
-        assert diff == 1
+    out, _ = corrupt_stream_with_rng(src, GF256, 3, 1.0, seeded(9))
+    assert np.array_equal(out[:, 3:], src[:, 3:])  # hash left stale
+    assert np.all(np.sum(out[:, :3] != src[:, :3], axis=1) == 1)
 
 
 def test_hash_aware_forgery_is_self_consistent():
     src, hp = sources(hash_k=3, seed=10)
-    model = AttackModel(p=1.0, mode="hash-aware-forgery", hash_params=hp)
-    for pkt in corrupt_stream_with_rng(src, model, seeded(11)):
-        assert np.array_equal(pkt.hash_syms, gen_hash_append(pkt.payload, hp))
+    out = rewrite_rows(GF256, src, 3, "hash-aware-forgery", seeded(11), hp)
+    assert np.array_equal(out[:, 3:], gen_hash_append(out[:, :3], hp))
 
 
 def test_hash_aware_requires_params():
-    with pytest.raises(ValueError):
-        AttackModel(p=0.5, mode="hash-aware-forgery")
+    src, _ = sources(hash_k=3, seed=10)
+    with pytest.raises(ValueError, match="needs hash_params"):
+        rewrite_rows(GF256, src, 3, "hash-aware-forgery", seeded(11))
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        AttackModel(p=1.5)
-    with pytest.raises(ValueError):
-        AttackModel(p=0.5, mode="downgrade")
+    src, _ = sources()
+    for p in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="p must lie"):
+            corrupt_stream_with_rng(src, GF256, 3, p, seeded(12))
+    for k_data in (0, 4):
+        with pytest.raises(ValueError, match="expected"):
+            corrupt_stream_with_rng(src, GF256, k_data, 0.5, seeded(12))
+    with pytest.raises(ValueError, match="unknown attack mode"):
+        rewrite_rows(GF256, src, 3, "downgrade", seeded(12))
 
 
 def test_blind_forge_zero_is_noop():
     src, _ = sources(hash_k=3, seed=12)
-    out = blind_forge_with_rng(src, 0, seeded(13))
-    assert all(o is p for o, p in zip(out, src))
+    out, hit = blind_forge_with_rng(src, GF256, 3, 0, seeded(13))
+    assert np.array_equal(out, src) and not hit.any()
 
 
 def test_blind_forge_all():
     src, _ = sources(hash_k=3, seed=14)
-    out = blind_forge_with_rng(src, len(src), seeded(15))
-    assert all(o.corrupted for o in out)
-    for before, after in zip(src, out):
-        assert np.array_equal(before.coeffs, after.coeffs)  # claims stay
+    out, hit = blind_forge_with_rng(src, GF256, 3, len(src), seeded(15))
+    assert hit.all()
+    assert np.all(np.any(out[:, :3] != src[:, :3], axis=1))
 
 
 def test_blind_forge_count_and_bounds():
     src, _ = sources(G=8, k_data=3, seed=16)
-    out = blind_forge_with_rng(src, 3, seeded(17))
-    assert sum(o.corrupted for o in out) == 3
+    out, hit = blind_forge_with_rng(src, GF256, 3, 3, seeded(17))
+    assert int(hit.sum()) == 3
+    assert np.array_equal(out[~hit], src[~hit])  # the others pass untouched
     for s in (-1, 9):
         with pytest.raises(ValueError, match="cannot forge"):
-            blind_forge_with_rng(src, s, seeded(18))
+            blind_forge_with_rng(src, GF256, 3, s, seeded(18))
 
 
 # -- the row kernel -----------------------------------------------------------

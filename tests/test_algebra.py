@@ -24,7 +24,7 @@ from ncdetect.algebra import (
     make_group,
     prime_field,
 )
-from ncdetect.adversary import rewrite_rows
+from ncdetect.adversary import blind_forge_with_rng, corrupt_stream_with_rng, rewrite_rows
 from ncdetect.detect import (
     HashParams,
     gen_hash_append,
@@ -34,9 +34,10 @@ from ncdetect.detect import (
     subspan_consistency,
 )
 from ncdetect.rlnc import (
-    combine_with_coefficients,
+    decode,
     decode_batch,
     make_generation,
+    random_combinations,
     recover_subspan,
     reduced_row_echelon,
 )
@@ -565,22 +566,26 @@ def test_scalar_ops_reject_elements_outside_the_field(f, op):
 
 
 # Row and hash entry points of the other modules, each given one (1, 3)
-# matrix of symbols: a wire row with G = 1, a payload row, or one
-# combination's coefficients over three packets.
+# matrix of symbols: a wire row with G = 1 or a (payload | hash) row.
 ENTRY_POINTS = {
     "gen_hash_append": lambda f, x: gen_hash_append(x, HashParams(k=2, field=f)),
     "hash_consistent": lambda f, x: hash_consistent(x, HashParams(k=2, field=f)),
     "gen_hash_verify": lambda f, x: gen_hash_verify(x, HashParams(k=2, field=f)),
     "rewrite_rows": lambda f, x: rewrite_rows(f, x, 1, "random-symbol",
                                               np.random.default_rng(0)),
+    "corrupt_stream_with_rng": lambda f, x: corrupt_stream_with_rng(
+        x, f, 1, 0.5, np.random.default_rng(0)),
+    "blind_forge_with_rng": lambda f, x: blind_forge_with_rng(
+        x, f, 1, 1, np.random.default_rng(0)),
+    "decode": lambda f, x: decode(f, x, 1),
     "decode_batch": lambda f, x: decode_batch(f, [x], 1),
     "reduced_row_echelon": lambda f, x: reduced_row_echelon(f, x),
-    "combine_with_coefficients": lambda f, x: combine_with_coefficients(
-        make_generation([[1], [1], [1]], f)[1], x),
+    "random_combinations": lambda f, x: random_combinations(
+        f, x, 2, np.random.default_rng(0)),
     "recover_subspan": lambda f, x: recover_subspan(f, x, 1),
     "subspan_consistency": lambda f, x: subspan_consistency(
         x, 1, HashParams(k=2, field=f)),
-    "oracle_verify": lambda f, x: oracle_verify(x, make_generation([[1, 1]], f)[0]),
+    "oracle_verify": lambda f, x: oracle_verify(x, make_generation([[1, 1]], f)),
 }
 
 

@@ -21,7 +21,7 @@ from ncdetect.algebra import (
 )
 from ncdetect.analytic import SchemeParams
 from ncdetect.detect import HashParams, Verdict, gen_hash_append, gen_hash_verify, hash_consistent
-from ncdetect.rlnc import NotDecodable, Packet, decode, decode_batch, reduced_row_echelon
+from ncdetect.rlnc import NotDecodable, decode, decode_batch, reduced_row_echelon
 from ncdetect.sim import TrialConfig, estimate_hash_miss_rate, simulate_node
 
 
@@ -134,12 +134,9 @@ def test_decode_batch_matches_decode(f, seed, T, G, extra_rows, width, deficit):
 
 def _assert_decode_batch_equals_decode(f, m, G, full_rank, rows):
     """Each trial's rows equal decode's, or decode raises NotDecodable."""
-    empty = f._arr(np.zeros(0, dtype=np.int64))
     for t in range(len(m)):
-        packets = [Packet(coeffs=r[:G], payload=r[G:], hash_syms=empty, field=f)
-                   for r in m[t]]
         try:
-            ref = decode(packets)
+            ref = decode(f, m[t], G)
         except NotDecodable:
             assert not full_rank[t]
         else:

@@ -3,7 +3,6 @@
 import functools
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +30,6 @@ from ncdetect.detect import (
     subspan_consistency,
 )
 from ncdetect.rlnc import (
-    combine_with_coefficients,
     decode,
     make_generation,
     random_combinations,
@@ -43,17 +41,22 @@ GF128 = binary_field(7)
 
 
 def build(G, k_data, field=GF256, hash_k=4, seed=0):
+    """A hashed generation, its source wire rows (I | S), hash and rng."""
     rng = np.random.default_rng(seed)
     hp = HashParams(k=hash_k, field=field)
-    gen, src = make_generation(
-        field.random_elements(rng, (G, k_data)), field, hp
-    )
-    return gen, src, hp, rng
+    gen = make_generation(field.random_elements(rng, (G, k_data)), field, hp)
+    return gen, gen.source_wire_rows(), hp, rng
 
 
-def wires(packets):
-    """The packets' wire vectors as one (R, n) matrix of rows."""
-    return np.vstack([p.wire() for p in packets])
+def mix(field, rows, count, rng):
+    """count random combinations of the wire rows."""
+    return random_combinations(field, rows, count, rng)[1]
+
+
+def blind_forge(field, rows, G, k_data, s, rng):
+    """The wire rows with s of them blind-forged; every claim stays."""
+    data, _ = blind_forge_with_rng(rows[:, G:], field, k_data, s, rng)
+    return np.hstack([rows[:, :G], data])
 
 
 def brute_force_hash(field, payload, k):
@@ -108,7 +111,7 @@ def test_split_decoded_width():
 
 def test_verify_untouched_generation():
     gen, src, hp, rng = build(8, 12, seed=2)
-    decoded = decode(random_combinations(src, 8, rng))
+    decoded = decode(GF256, mix(GF256, src, 8, rng), 8)
     assert gen_hash_verify(decoded, hp) is Verdict.VALID
 
 
@@ -151,10 +154,10 @@ def test_blind_forgery_is_caught_after_mixing():
     gen, src, hp, rng = build(8, 12, field=GF128, hash_k=12, seed=5)
     caught = trials = 0
     for t in range(100):
-        rx = random_combinations(src, 8, rng)
-        forged = blind_forge_with_rng(rx, 3, np.random.default_rng(t))
+        rx = mix(GF128, src, 8, rng)
+        forged = blind_forge(GF128, rx, 8, 12, 3, np.random.default_rng(t))
         try:
-            decoded = decode(forged)
+            decoded = decode(GF128, forged, 8)
         except Exception:
             continue
         trials += 1
@@ -171,10 +174,10 @@ def test_blind_forgery_of_entire_generation_detected():
     gen, src, hp, rng = build(6, 12, field=GF128, hash_k=12, seed=21)
     caught = trials = 0
     for t in range(100):
-        rx = random_combinations(src, 6, rng)
-        forged = blind_forge_with_rng(rx, 6, np.random.default_rng(t))
+        rx = mix(GF128, src, 6, rng)
+        forged = blind_forge(GF128, rx, 6, 12, 6, np.random.default_rng(t))
         try:
-            decoded = decode(forged)
+            decoded = decode(GF128, forged, 6)
         except Exception:
             continue
         trials += 1
@@ -185,23 +188,23 @@ def test_blind_forgery_of_entire_generation_detected():
 
 def test_subspan_valid_packets():
     gen, src, hp, rng = build(8, 6, seed=6)
-    half = random_combinations(src[:4], 4, rng)
-    verdict, _, _ = subspan_consistency(wires(half), 8, hp)
+    half = mix(GF256, src[:4], 4, rng)
+    verdict, _, _ = subspan_consistency(half, 8, hp)
     assert verdict in (Verdict.VALID, Verdict.INCONCLUSIVE)
     # full-rank draws decide; force one by retrying
     for _ in range(20):
-        half = random_combinations(src[:4], 4, rng)
-        if subspan_consistency(wires(half), 8, hp)[0] is Verdict.VALID:
+        half = mix(GF256, src[:4], 4, rng)
+        if subspan_consistency(half, 8, hp)[0] is Verdict.VALID:
             return
     pytest.fail("no full-rank half-generation draw in 20 tries")
 
 
 def test_subspan_equivalent_to_full_check_at_size_g():
     gen, src, hp, rng = build(8, 6, seed=7)
-    rx = random_combinations(src, 8, rng)
-    sub, _, _ = subspan_consistency(wires(rx), 8, hp)
+    rx = mix(GF256, src, 8, rng)
+    sub, _, _ = subspan_consistency(rx, 8, hp)
     try:
-        full = gen_hash_verify(decode(rx), hp)
+        full = gen_hash_verify(decode(GF256, rx, 8), hp)
     except Exception:
         full = None
     if full is not None:
@@ -214,11 +217,9 @@ def test_subspan_flags_corruption_with_sufficient_rank():
     gen, src, hp, rng = build(8, 10, field=GF128, hash_k=10, seed=8)
     flags = checks = 0
     for t in range(60):
-        half = random_combinations(src[:4], 4, rng)
-        bad = replace(
-            half[0], payload=GF128.add_arr(half[0].payload, 1), corrupted=True
-        )
-        verdict, _, _ = subspan_consistency(wires([bad] + half[1:]), 8, hp)
+        half = mix(GF128, src[:4], 4, rng)
+        half[0, 8:18] = GF128.add_arr(half[0, 8:18], 1)  # every payload symbol
+        verdict, _, _ = subspan_consistency(half, 8, hp)
         if verdict is Verdict.INCONCLUSIVE:
             continue
         checks += 1
@@ -229,10 +230,10 @@ def test_subspan_flags_corruption_with_sufficient_rank():
 
 def test_subspan_single_combination_inconclusive():
     gen, src, hp, rng = build(8, 6, seed=9)
-    one = random_combinations(src, 1, rng)[0]
-    while np.count_nonzero(one.coeffs) < 2:
-        one = random_combinations(src, 1, rng)[0]
-    assert subspan_consistency(one.wire()[None], 8, hp)[0] is Verdict.INCONCLUSIVE
+    one = mix(GF256, src, 1, rng)
+    while np.count_nonzero(one[0, :8]) < 2:
+        one = mix(GF256, src, 1, rng)
+    assert subspan_consistency(one, 8, hp)[0] is Verdict.INCONCLUSIVE
 
 
 def test_subspan_empty_is_vacuously_valid():
@@ -246,7 +247,7 @@ def test_subspan_rejects_a_hash_over_another_field():
     # own elements and rejects the symbols outside GF(2^4).
     gen, src, _, rng = build(8, 6, seed=9)  # GF(2^8) packets
     hp = HashParams(k=4, field=binary_field(4))
-    rows = wires(random_combinations(src, 2, rng))
+    rows = mix(GF256, src, 2, rng)
     assert rows.max() >= 16
     with pytest.raises(ValueError, match=r"GF\(2\^4\) elements"):
         subspan_consistency(rows, 8, hp)
@@ -256,40 +257,29 @@ def test_subspan_linear_inconsistency_is_corrupted():
     # Two packets claiming the same combination but carrying different
     # data cannot both be images of any source matrix.
     gen, src, hp, rng = build(8, 6, seed=10)
-    pkt = random_combinations(src, 1, rng)[0]
-    clash = replace(pkt, payload=GF256.add_arr(pkt.payload, 3))
-    verdict, _, _ = subspan_consistency(wires([pkt, clash]), 8, hp)
+    pkt = mix(GF256, src, 1, rng)
+    clash = pkt.copy()
+    clash[0, 8:14] = GF256.add_arr(clash[0, 8:14], 3)
+    verdict, _, _ = subspan_consistency(np.vstack([pkt, clash]), 8, hp)
     assert verdict is Verdict.CORRUPTED
 
 
 def test_subspan_solves_scaled_source_packet():
     gen, src, hp, rng = build(8, 6, seed=11)
-    scaled = combine_with_coefficients([src[2]], [[5]])[0]
-    verdict, support, rows = subspan_consistency(scaled.wire()[None], 8, hp)
+    scaled = GF256.mul_arr(5, src[2:3])
+    verdict, support, rows = subspan_consistency(scaled, 8, hp)
     assert verdict is Verdict.VALID
     assert list(support) == [2]
     assert np.array_equal(rows[0, :6], gen.source_payloads[2])
-
-
-def test_verdicts_ignore_corrupted_flags():
-    gen, src, hp, rng = build(8, 6, seed=12)
-    rx = random_combinations(src, 8, rng)
-    lied = [replace(p, corrupted=True) for p in rx]
-    v1, _, _ = subspan_consistency(wires(rx), 8, hp)
-    v2, _, _ = subspan_consistency(wires(lied), 8, hp)
-    assert v1 is v2
-    assert oracle_verify(rx[0].wire(), gen) == oracle_verify(lied[0].wire(), gen)
 
 
 def test_hash_completeness_no_false_flags():
     rng = np.random.default_rng(13)
     hp = HashParams(k=6, field=GF256)
     for t in range(300):
-        gen, src = make_generation(
-            GF256.random_elements(rng, (4, 6)), GF256, hp, generation_id=t
-        )
+        gen = make_generation(GF256.random_elements(rng, (4, 6)), GF256, hp)
         try:
-            decoded = decode(random_combinations(src, 4, rng))
+            decoded = decode(GF256, mix(GF256, gen.source_wire_rows(), 4, rng), 4)
         except Exception:
             continue
         assert gen_hash_verify(decoded, hp) is Verdict.VALID
@@ -314,49 +304,43 @@ def sig_setup():
     group = make_group(32, 33, rng=random.Random(7))
     field = prime_field(group.order)
     rng = np.random.default_rng(14)
-    gen, src = make_generation(field.random_elements(rng, (3, 4)), field)
+    gen = make_generation(field.random_elements(rng, (3, 4)), field)
     key = sig_keygen(gen, group, rng)
-    return group, field, gen, src, key, rng
+    return group, field, gen, gen.source_wire_rows(), key, rng
 
 
 def test_sig_accepts_source_packets(sig_setup):
     _, _, gen, src, key, _ = sig_setup
-    assert all(sig_verify(p.wire(), key) for p in src)
+    assert all(sig_verify(w, key) for w in src)
 
 
 def test_sig_accepts_random_combinations(sig_setup):
-    _, _, gen, src, key, rng = sig_setup
-    for pkt in random_combinations(src, 200, rng):
-        assert sig_verify(pkt.wire(), key)
+    _, field, gen, src, key, rng = sig_setup
+    for w in mix(field, src, 200, rng):
+        assert sig_verify(w, key)
 
 
 def test_sig_accepts_zero_vector(sig_setup):
     _, field, gen, src, key, _ = sig_setup
-    zero = replace(
-        src[0],
-        coeffs=field._arr(np.zeros(3, dtype=np.int64)),
-        payload=field._arr(np.zeros(4, dtype=np.int64)),
-    )
-    assert sig_verify(zero.wire(), key)  # zero lies in every subspace
+    zero = np.zeros_like(src[0])
+    assert sig_verify(zero, key)  # zero lies in every subspace
 
 
 def test_sig_rejects_corruptions(sig_setup):
     _, field, gen, src, key, rng = sig_setup
-    for pkt in random_combinations(src, 300, rng):
-        j = int(rng.integers(0, 4))
-        payload = pkt.payload.copy()
-        payload[j] = field.add(int(payload[j]), 1 + int(rng.integers(0, field.q - 1)))
-        assert not sig_verify(replace(pkt, payload=payload).wire(), key)
+    for w in mix(field, src, 300, rng):
+        j = 3 + int(rng.integers(0, 4))  # a payload symbol
+        w[j] = field.add(int(w[j]), 1 + int(rng.integers(0, field.q - 1)))
+        assert not sig_verify(w, key)
 
 
 def test_sig_linearity_exact(sig_setup):
     _, field, gen, src, key, rng = sig_setup
-    w1 = random_combinations(src, 1, rng)[0]
-    w2 = random_combinations(src, 1, rng)[0]
+    w1 = mix(field, src, 1, rng)
+    w2 = mix(field, src, 1, rng)
     for _ in range(20):
-        c1, c2 = (int(v) for v in field.random_elements(rng, 2))
-        mix = combine_with_coefficients([w1, w2], [[c1, c2]])[0]
-        assert sig_verify(mix.wire(), key)
+        c = field.random_elements(rng, (1, 2))
+        assert sig_verify(field.matmul(c, np.vstack([w1, w2]))[0], key)
 
 
 def test_sig_key_size_accounting(sig_setup):
@@ -367,9 +351,8 @@ def test_sig_key_size_accounting(sig_setup):
 
 def test_sig_length_mismatch_rejected(sig_setup):
     _, field, _, src, key, _ = sig_setup
-    short = replace(src[0], payload=src[0].payload[:-1])
     with pytest.raises(ValueError):
-        sig_verify(short.wire(), key)
+        sig_verify(src[0][:-1], key)
 
 
 def test_sig_keygen_minimal_dimensions():
@@ -378,22 +361,22 @@ def test_sig_keygen_minimal_dimensions():
     group = make_group(16, 20, rng=21)
     field = prime_field(group.order)
     rng = np.random.default_rng(22)
-    gen, src = make_generation(field.random_elements(rng, (2, 2)), field)
+    gen = make_generation(field.random_elements(rng, (2, 2)), field)
     key = sig_keygen(gen, group, rng)
     assert len(key.h_vec) == 4
-    assert all(sig_verify(p.wire(), key) for p in src)
+    assert all(sig_verify(w, key) for w in gen.source_wire_rows())
 
 
 def test_sig_keygen_preconditions():
     rng = np.random.default_rng(15)
-    gen, _ = make_generation(GF256.random_elements(rng, (3, 4)), GF256)
+    gen = make_generation(GF256.random_elements(rng, (3, 4)), GF256)
     group = make_group(16, 20, rng=3)
     with pytest.raises(ValueError):
         sig_keygen(gen, group, rng)  # binary coding field
 
     field = prime_field(group.order)
     hp = HashParams(k=4, field=field)
-    genh, _ = make_generation(field.random_elements(rng, (3, 4)), field, hp)
+    genh = make_generation(field.random_elements(rng, (3, 4)), field, hp)
     with pytest.raises(ValueError):
         sig_keygen(genh, group, rng)  # hash symbols present
 
@@ -420,15 +403,13 @@ def sig_case(name, G=4, k_data=4):
     group = make_group(bits_p, bits_q, random.Random(seed))
     field = prime_field(group.order)
     rng = np.random.default_rng(seed)
-    gen, _ = make_generation(field.random_elements(rng, (G, k_data)), field)
+    gen = make_generation(field.random_elements(rng, (G, k_data)), field)
     return field, gen, sig_keygen(gen, group, rng)
 
 
 def sig_rows(field, gen, rng, count):
     """In-span rows, one-symbol corruptions of them, zero and uniform rows."""
-    G = len(gen.source_payloads)
-    c = field.random_elements(rng, (count, G))
-    good = np.concatenate([c, field.matmul(c, gen.source_payloads)], axis=1)
+    good = mix(field, gen.source_wire_rows(), count, rng)
     bad = good.copy()
     for row in bad:
         j = int(rng.integers(0, len(row)))
@@ -516,18 +497,17 @@ def test_sig_batch_empty_and_bad_shapes():
 
 def test_oracle_accepts_source_and_combines():
     gen, src, hp, rng = build(6, 5, seed=16)
-    assert oracle_verify(wires(src), gen).all()
-    for pkt in random_combinations(src, 30, rng):
-        assert oracle_verify(pkt.wire(), gen)
+    assert oracle_verify(src, gen).all()
+    for w in mix(GF256, src, 30, rng):
+        assert oracle_verify(w, gen)
 
 
 def test_oracle_rejects_any_flip():
     gen, src, hp, rng = build(6, 5, seed=17)
-    for pkt in random_combinations(src, 30, rng):
-        j = int(rng.integers(0, 5))
-        payload = pkt.payload.copy()
-        payload[j] = GF256.add(int(payload[j]), 1 + int(rng.integers(0, 255)))
-        assert not oracle_verify(replace(pkt, payload=payload).wire(), gen)
+    for w in mix(GF256, src, 30, rng):
+        j = 6 + int(rng.integers(0, 5))  # a payload symbol
+        w[j] = GF256.add(int(w[j]), 1 + int(rng.integers(0, 255)))
+        assert not oracle_verify(w, gen)
 
 
 def _prime_near(q: int, step: int) -> int:
@@ -555,13 +535,13 @@ def test_oracle_matches_rank_oracle(f, seed, G, k_data, hash_k):
     # the span of the source rows iff appending it leaves the rank at G.
     rng = np.random.default_rng(seed)
     hp = HashParams(k=hash_k, field=f)
-    gen, src = make_generation(f.random_elements(rng, (G, k_data)), f, hp)
-    rows = np.hstack([f._arr(np.eye(G, dtype=np.int64)), gen.source_rows()])
+    gen = make_generation(f.random_elements(rng, (G, k_data)), f, hp)
+    rows = gen.source_wire_rows()
 
     def in_span_by_rank(w):
         return len(reduced_row_echelon(f, np.vstack([rows, w[None, :]]))[1]) == G
 
-    mixes = wires(random_combinations(src, 3, rng))
+    mixes = mix(f, rows, 3, rng)
     assert list(oracle_verify(mixes, gen)) == [True] * 3
     for w in mixes:
         assert oracle_verify(w, gen) is True
@@ -575,6 +555,6 @@ def test_oracle_matches_rank_oracle(f, seed, G, k_data, hash_k):
 def test_oracle_width_mismatch():
     gen, src, hp, rng = build(6, 5, seed=18)
     with pytest.raises(ValueError, match="width"):
-        oracle_verify(src[0].wire()[:-1], gen)
+        oracle_verify(src[0][:-1], gen)
     with pytest.raises(ValueError, match="width"):
-        oracle_verify(wires(src)[None], gen)
+        oracle_verify(src[None], gen)

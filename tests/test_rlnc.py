@@ -1,7 +1,6 @@
 """Generation construction, recoding and decoding."""
 
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from ncdetect.algebra import binary_field, prime_field
 from ncdetect.detect import HashParams, oracle_verify
 from ncdetect.rlnc import (
     NotDecodable,
-    combine_with_coefficients,
     decode,
     fit_layout,
     make_generation,
@@ -22,13 +20,12 @@ from ncdetect.rlnc import (
 GF256 = binary_field(8)
 
 
-def build(G, k_data, field=GF256, hash_k=None, seed=0, gen_id=0):
+def build(G, k_data, field=GF256, hash_k=None, seed=0):
+    """A generation, its source wire rows (I | S) and the rng that drew it."""
     rng = np.random.default_rng(seed)
     hp = None if hash_k is None else HashParams(k=hash_k, field=field)
-    gen, src = make_generation(
-        field.random_elements(rng, (G, k_data)), field, hp, generation_id=gen_id
-    )
-    return gen, src, rng
+    gen = make_generation(field.random_elements(rng, (G, k_data)), field, hp)
+    return gen, gen.source_wire_rows(), rng
 
 
 def test_accounting_identity_enforced():
@@ -60,23 +57,22 @@ def test_fit_solves_layout():
 
 def test_single_packet_generation():
     gen, src, _ = build(1, 4)
-    assert list(src[0].coeffs) == [1]
-    assert np.array_equal(src[0].payload, gen.source_payloads[0])
+    assert src[0, :1].tolist() == [1]
+    assert np.array_equal(src[0, 1:], gen.source_payloads[0])
 
 
 def test_source_packets_are_unit_vectors():
-    gen, src = make_generation(np.zeros((4, 3), dtype=np.int64), GF256)
-    for i, pkt in enumerate(src):
-        expect = np.zeros(4)
-        expect[i] = 1
-        assert np.array_equal(pkt.coeffs, expect)
-        assert np.all(pkt.payload == 0)
+    src = make_generation(np.zeros((4, 3), dtype=np.int64), GF256).source_wire_rows()
+    assert src.dtype == GF256.dtype
+    assert np.array_equal(src[:, :4], np.eye(4))
+    assert np.all(src[:, 4:] == 0)
 
 
 def test_two_percent_hash_overhead_layout():
     # One hash symbol per 50 payload symbols: 1/51 of the data symbols.
     gen, src, _ = build(50, 50, hash_k=50)
-    assert len(src[0].hash_syms) == 1
+    assert gen.source_hashes.shape == (50, 1)
+    assert src.shape == (50, 50 + 50 + 1)
     frac = 1 / (50 + 1)
     assert abs(frac - 0.02) < 0.0004
 
@@ -106,49 +102,50 @@ def test_make_generation_rejects_a_hash_over_another_field(value):
 
 def test_generation_layout_is_the_payload_shape():
     hp = HashParams(k=3, field=GF256)
-    gen, src = make_generation(np.ones((5, 7), dtype=np.int64), GF256, hp,
-                               generation_id=9)
+    gen = make_generation(np.ones((5, 7), dtype=np.int64), GF256, hp)
     assert gen.source_payloads.shape == (5, 7)
     assert gen.source_hashes.shape == (5, 3)
-    layouts = {(len(p.coeffs), len(p.payload), len(p.hash_syms)) for p in src}
-    assert layouts == {(5, 7, 3)}
-    assert {p.generation_id for p in src} == {9}
+    assert gen.source_rows().shape == (5, 7 + 3)
+    assert gen.source_wire_rows().shape == (5, 5 + 7 + 3)
 
 
 def test_singleton_combine_is_scaling():
     gen, src, rng = build(4, 5, seed=1)
-    out = random_combinations([src[2]], 1, rng)[0]
-    c = int(out.coeffs[2])
-    expect = combine_with_coefficients([src[2]], [[c]])[0]
-    assert np.array_equal(out.wire(), expect.wire())
+    coeffs, out = random_combinations(GF256, src[2:3], 1, rng)
+    c = int(coeffs[0, 0])
+    assert int(out[0, 2]) == c
+    assert np.array_equal(out[0], GF256.mul_arr(c, src[2]))
 
 
 def test_combine_of_two_sources_has_their_support():
     gen, src, rng = build(8, 5, seed=2)
-    out = random_combinations([src[1], src[6]], 1, rng)[0]
-    support = set(np.nonzero(out.coeffs)[0].tolist())
+    _, out = random_combinations(GF256, src[[1, 6]], 1, rng)
+    support = set(np.nonzero(out[0, :8])[0].tolist())
     assert support <= {1, 6}
 
 
 def test_combine_stays_in_span():
     gen, src, rng = build(8, 6, hash_k=3, seed=3)
-    pool = list(src)
+    pool = src
     for _ in range(20):
-        pkt = random_combinations(pool, 1, rng)[0]
-        assert oracle_verify(pkt.wire(), gen)
-        pool.append(pkt)  # recoded recodings stay in the span too
+        _, row = random_combinations(GF256, pool, 1, rng)
+        assert oracle_verify(row[0], gen)
+        pool = np.vstack([pool, row])  # recoded recodings stay in the span too
 
 
-def test_mixing_generations_rejected():
-    _, src_a, rng = build(4, 3, seed=4, gen_id=0)
-    _, src_b, _ = build(4, 3, seed=5, gen_id=1)
-    with pytest.raises(ValueError):
-        random_combinations([src_a[0], src_b[0]], 1, rng)
+def test_random_combinations_over_a_stack():
+    # A (T, R, width) stack draws (T, count, R) coefficients, one product each.
+    gen, src, rng = build(4, 3, seed=4)
+    stack = np.stack([src, src[::-1]])
+    coeffs, out = random_combinations(GF256, stack, 5, rng)
+    assert coeffs.shape == (2, 5, 4) and out.shape == (2, 5, 4 + 3)
+    for t in range(2):
+        assert np.array_equal(out[t], GF256.matmul(coeffs[t], stack[t]))
 
 
 def test_decode_of_source_packets_is_identity():
     gen, src, _ = build(6, 9, seed=6)
-    assert np.array_equal(decode(src), gen.source_payloads)
+    assert np.array_equal(decode(GF256, src, 6), gen.source_payloads)
 
 
 @pytest.mark.parametrize("field", [GF256, binary_field(7), prime_field(127)],
@@ -157,9 +154,9 @@ def test_decode_of_source_packets_is_identity():
 def test_roundtrip_exact(field, G):
     gen, src, rng = build(G, 7, field=field, seed=G)
     for _ in range(50):
-        rx = random_combinations(src, G, rng)
+        _, rx = random_combinations(field, src, G, rng)
         try:
-            got = decode(rx)
+            got = decode(field, rx, G)
         except NotDecodable:
             continue
         assert np.array_equal(got, gen.source_payloads)
@@ -169,9 +166,9 @@ def test_roundtrip_exact(field, G):
 
 def test_rank_deficient_returns_not_decodable():
     gen, src, rng = build(8, 4, seed=7)
-    rx = random_combinations(src, 7, rng)
+    _, rx = random_combinations(GF256, src, 7, rng)
     with pytest.raises(NotDecodable) as err:
-        decode(rx)
+        decode(GF256, rx, 8)
     assert err.value.rank <= 7
     assert err.value.needed == 8
 
@@ -182,11 +179,10 @@ def test_decode_failure_agrees_with_reference_oracle():
     gen, src, rng = build(4, 3, seed=8)
     outcomes = {True: 0, False: 0}
     for _ in range(300):
-        rx = random_combinations(src, 4, rng)
-        rows = [[int(v) for v in p.wire()] for p in rx]
-        expected = _reference_solve(ref, rows, 4)
+        _, rx = random_combinations(GF256, src, 4, rng)
+        expected = _reference_solve(ref, rx.tolist(), 4)
         try:
-            got = decode(rx)
+            got = decode(GF256, rx, 4)
         except NotDecodable:
             got = None
         assert (got is None) == (expected is None)
@@ -199,19 +195,17 @@ def test_decode_failure_agrees_with_reference_oracle():
 
 def test_decode_never_fabricates_on_corruption():
     gen, src, rng = build(6, 5, seed=9)
-    bad = replace(
-        src[3], payload=src[3].field.add_arr(src[3].payload, 1), corrupted=True
-    )
-    stream = src[:3] + [bad] + src[4:]
-    got = decode(stream)
+    stream = src.copy()
+    stream[3, 6:] = GF256.add_arr(stream[3, 6:], 1)
+    got = decode(GF256, stream, 6)
     assert not np.array_equal(got, gen.source_payloads)
 
 
 def test_hash_symbols_ride_the_same_combination():
     gen, src, rng = build(4, 6, hash_k=2, seed=10)
-    rx = random_combinations(src, 4, rng)
+    _, rx = random_combinations(GF256, src, 4, rng)
     try:
-        got = decode(rx)
+        got = decode(GF256, rx, 4)
     except NotDecodable:
         pytest.skip("singular draw")
     assert np.array_equal(got[:, :6], gen.source_payloads)
@@ -233,20 +227,18 @@ def test_matrix_rank_over_fields():
 def test_wire_size_accounting():
     k_data, n_h = fit_layout(1000, G=10, symbol_bits=GF256.w, hash_k=50)
     gen, src, _ = build(10, k_data, hash_k=50)
-    assert len(src[0].hash_syms) == n_h
-    assert len(src[0].wire()) * GF256.w == 1000
+    assert gen.source_hashes.shape[1] == n_h
+    assert src.shape[1] * GF256.w == 1000
 
 
-def test_corrupted_flag_propagates_through_combines():
-    gen, src, rng = build(4, 3, seed=12)
-    tainted = replace(src[1], corrupted=True)
-    out = combine_with_coefficients([src[0], tainted], [[1, 1], [1, 0]])
-    assert out[0].corrupted
-    assert not out[1].corrupted
-
-
-def test_combine_needs_one_column_per_packet():
+def test_random_combinations_needs_a_row_stack():
     gen, src, rng = build(4, 3, seed=13)
-    for coeffs in ([1, 1], [[1, 1, 1]]):
-        with pytest.raises(ValueError, match="one column per packet"):
-            combine_with_coefficients(src[:2], coeffs)
+    with pytest.raises(ValueError, match="expected"):
+        random_combinations(GF256, src[0], 1, rng)
+
+
+def test_decode_rejects_rows_narrower_than_G():
+    gen, src, rng = build(4, 3, seed=14)
+    for rows, G in ((src[0], 4), (src[:, :3], 4)):
+        with pytest.raises(ValueError, match="expected"):
+            decode(GF256, rows, G)

@@ -1,5 +1,6 @@
 """Monte Carlo node simulation, grid comparison and the relay scenario."""
 
+import hashlib
 import math
 from collections import Counter
 
@@ -8,7 +9,7 @@ import pytest
 
 from ncdetect import analytic, sim
 from ncdetect.acceptance import DEFAULT_SEED
-from ncdetect.adversary import MODES, AttackModel, corrupt_stream_with_rng
+from ncdetect.adversary import MODES, corrupt_stream_with_rng, rewrite_rows
 from ncdetect.algebra import (
     _INT64_SAFE_Q,
     binary_field,
@@ -29,7 +30,6 @@ from ncdetect.detect import (
 )
 from ncdetect.rlnc import (
     NotDecodable,
-    Packet,
     decode,
     decode_batch,
     make_generation,
@@ -335,10 +335,8 @@ def test_hash_detector_verdicts_match_packet_reference(case, mode, monkeypatch):
     verdicts = []
     for m, full_rank, ok in chunks:
         for t, rows in enumerate(m):
-            packets = [Packet(coeffs=r[:G], payload=r[G:], hash_syms=r[:0], field=f)
-                       for r in rows]
             try:
-                ref = gen_hash_verify(decode(packets), hp)
+                ref = gen_hash_verify(decode(f, rows, G), hp)
             except NotDecodable:
                 ref = None
             got = None
@@ -405,22 +403,48 @@ def test_signature_error_counts_small(seed, monkeypatch):
     assert rep.group_order.bit_length() == bits_p
 
 
+def _signature_draws_digest(seed, monkeypatch):
+    """sha256 of every matrix signature_error_counts verifies, and its key."""
+    h = hashlib.sha256()
+
+    def spy(W, key):
+        h.update(repr((np.shape(W), [int(v) for v in np.ravel(W)])).encode())
+        h.update(repr(key.h_vec).encode())
+        return sig_verify_batch(W, key)
+
+    monkeypatch.setattr(sim, "sig_verify_batch", spy)
+    signature_error_counts(accept_trials=50, reject_trials=30, seed=seed)
+    return h.hexdigest()
+
+
+# The report's counts are 0 under any draw order, so these pins are what
+# shows a moved coefficient, corruption or key draw.
+SIGNATURE_DRAWS_GOLDEN = {
+    1: "bef2690f4bad9f178a4530fb62541a008d25a51aa8c581cdc149429d037efcac",
+    2: "451daf9c6db4da248a5cdd0b57df2fc08d091447b897abf818a0e7c8644cf09b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SIGNATURE_DRAWS_GOLDEN))
+def test_signature_draws_golden(seed, monkeypatch):
+    assert _signature_draws_digest(seed, monkeypatch) == SIGNATURE_DRAWS_GOLDEN[seed]
+
+
 def test_packet_filter_soundness_with_signature():
     # Packet-mode forwarding rule realized with the real verifier: every
     # forwarded packet must be a member of the source span.
     group = make_group(32, 33, rng=10)
     f = prime_field(group.order)
     rng = np.random.default_rng(11)
-    gen, src = make_generation(f.random_elements(rng, (4, 4)), f)
+    gen = make_generation(f.random_elements(rng, (4, 4)), f)
     key = sig_keygen(gen, group, rng)
-    stream = random_combinations(src, 300, rng)
-    stream = corrupt_stream_with_rng(stream, AttackModel(p=0.3),
-                                     np.random.default_rng(12))
-    forwarded = [p for p in stream if sig_verify(p.wire(), key)]
-    dropped = [p for p in stream if not sig_verify(p.wire(), key)]
-    assert all(oracle_verify(p.wire(), gen) for p in forwarded)
-    assert all(p.corrupted for p in dropped)
-    assert len(forwarded) + len(dropped) == 300
+    _, stream = random_combinations(f, gen.source_wire_rows(), 300, rng)
+    stream[:, 4:], corrupted = corrupt_stream_with_rng(
+        stream[:, 4:], f, 4, 0.3, np.random.default_rng(12))
+    forwarded = np.array([sig_verify(w, key) for w in stream])
+    assert oracle_verify(stream[forwarded], gen).all()
+    assert corrupted[~forwarded].all()
+    assert corrupted.any() and forwarded.any()
 
 
 # -- relay scenario -----------------------------------------------------------
@@ -465,6 +489,27 @@ def test_relay_conservation_of_packets_at_sink():
                          trials=60)
     for t in rep.trials:
         assert t.f_received == t.forwarded["D"] + t.forwarded["E"]
+
+
+def test_relay_reencode_taints_combinations_of_wrongly_solved_rows():
+    # A hash-consistent forgery of source row 0 passes the node's check,
+    # so the node solves row 0 wrongly; every re-encoded combination that
+    # gives row 0 a nonzero coefficient is tainted, and only those.
+    f = binary_field(3)
+    hp = HashParams(k=4, field=f)
+    rng = np.random.default_rng(31)
+    gen = make_generation(f.random_elements(rng, (8, 4)), f, hp)
+    src = gen.source_wire_rows()
+    rows = src[:2].copy()
+    rows[:1, 8:] = rewrite_rows(f, rows[:1, 8:], 4, "hash-aware-forgery", rng, hp)
+    verdict, (stream,) = sim._forward_blocks(
+        rows, np.array([True, False]), [range(8)], hp, src, rng)
+    assert verdict is Verdict.VALID
+    mixed, taint = stream
+    assert len(mixed) == 8 and 0 < taint.sum() < 8
+    assert np.array_equal(taint, mixed[:, 0] != 0)
+    assert not oracle_verify(mixed[taint], gen).any()
+    assert oracle_verify(mixed[~taint], gen).all()
 
 
 def test_relay_requires_divisible_g():
