@@ -262,6 +262,7 @@ def _cmd_missrate(args) -> int:
           f"generations (rate {report.miss_rate:.5f})")
     print(f"miss bound ((k+1)/q)^s = {report.bound:.5f}; "
           f"detection rate {report.detection_rate:.5f}")
+    print(f"{report.redraws} singular mixings redrawn")
     return 0
 
 

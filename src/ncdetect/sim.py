@@ -199,11 +199,12 @@ def _simulate_generation_with_hash(config: TrialConfig,
                                    rng: np.random.Generator) -> EmpiricalReport:
     """Generation scheme with the node really decoding and hash-checking.
 
-    Chunks of generations are materialized and mixed, each received packet
-    is corrupted in flight with probability p, then the node decodes and
-    verifies.  Forwarding follows the detector's verdict (undecodable
-    generations are counted and pass through unverified); overhead is
-    still scored from ground truth per the model's definition.
+    Chunks of generations (_NODE_CHUNK_ELEMENTS each) are materialized
+    and mixed, each received packet is corrupted in flight with
+    probability p, then the node decodes and verifies.  Forwarding
+    follows the detector's verdict (undecodable generations are counted
+    and pass through unverified); overhead is still scored from ground
+    truth per the model's definition.
     """
     params, f = config.params, config.detector_field
     g = params.G
@@ -211,7 +212,8 @@ def _simulate_generation_with_hash(config: TrialConfig,
     k_data, _ = fit_layout(int(params.n), g, symbol_bits, hash_k=_DETECTOR_HASH_K)
     hp = HashParams(k=_DETECTOR_HASH_K, field=f)
     x_counts, verdicts = [], []
-    for src in _source_chunks(f, g, k_data, hp, config.trials, rng):
+    for src in _source_chunks(f, g, k_data, hp, config.trials, rng,
+                              _NODE_CHUNK_ELEMENTS):
         coeffs, data = random_combinations(f, src, g, rng)
         hit = rng.random(data.shape[:2]) < params.p
         # The forger knows the public hash, so a hash-aware one uses hp.
@@ -287,18 +289,28 @@ class HashMissReport:
         return 1.0 - self.miss_rate
 
 
-# Elements of one (T, G, G + width) array in a chunk of a batch run.
-# Chunks hold as many trials as fit, so peak memory does not grow with the
-# trial count.  2^14 keeps a chunk's arrays at a few hundred KiB and
-# still holds 18-34 trials at the hashbound criterion's shapes.
-_CHUNK_ELEMENTS = 1 << 14
+# Chunk budgets: elements of one (T, G, G + width) array in a chunk of a
+# batch run.  Chunks hold as many trials as fit, and at least one, so peak
+# memory does not grow with the trial count.  Chunk boundaries fix the
+# order of the draws, so each budget is pinned by its run's golden values.
+#
+# The miss-rate run's 2^16 holds a whole 32-trial call in one pass at both
+# hashbound criterion shapes (75 trials fit at G=8, k=100; 138 at k=50),
+# so a call pays numpy's fixed per-pass cost once.  A G=32, k=1000 trial
+# (33 056 elements) still gets a pass of its own: at three trials per pass
+# its int64 index temporaries outgrow the cache and the run slows by
+# 15-20% (2-vCPU VM).  The hash-detector node run keeps 2^14, which its
+# golden values were recorded with.
+_MISS_RATE_CHUNK_ELEMENTS = 1 << 16
+_NODE_CHUNK_ELEMENTS = 1 << 14
 
 
 def _source_chunks(field: FieldSpec, G: int, k_data: int, hp: HashParams,
-                   trials: int, rng: np.random.Generator):
-    """Yield fresh (T, G, width) source (payload | hash) rows per chunk."""
+                   trials: int, rng: np.random.Generator, budget: int):
+    """Yield fresh (T, G, width) source (payload | hash) rows per chunk,
+    with as many trials per chunk as fit in budget elements (at least 1)."""
     width = k_data + hp.hash_symbol_count(k_data)
-    chunk = max(1, _CHUNK_ELEMENTS // (G * (G + width)))
+    chunk = max(1, budget // (G * (G + width)))
     for start in range(0, trials, chunk):
         payloads = field.random_elements(rng, (min(chunk, trials - start), G, k_data))
         yield np.concatenate([payloads, gen_hash_append(payloads, hp)], axis=-1)
@@ -316,17 +328,22 @@ def estimate_hash_miss_rate(field: FieldSpec, G: int, k_data: int,
     generation; the bound is ((k+1)/q)^s.  Singular mixing draws are
     redrawn (the receiver cannot check what it cannot decode).
 
-    Trials run in chunks on the batch pipeline of the module docstring,
-    with adversary.rewrite_rows's "blind-s-packet" mode as the forgery.
+    Trials run on the batch pipeline of the module docstring, with
+    adversary.rewrite_rows's "blind-s-packet" mode as the forgery, in
+    chunks of _MISS_RATE_CHUNK_ELEMENTS: a 32-trial call at either
+    hashbound criterion shape is one pass.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 1 <= s <= G:
         raise ValueError(f"s must lie in [1, G]; got s={s}, G={G}")
+    if k_data < 1:
+        raise ValueError(f"k_data must be >= 1; got k_data={k_data}")
     hp = HashParams(k=hash_k, field=field)
     rng = _child_rng(seed)
     misses = redraws = 0
-    for src in _source_chunks(field, G, k_data, hp, trials, rng):
+    for src in _source_chunks(field, G, k_data, hp, trials, rng,
+                              _MISS_RATE_CHUNK_ELEMENTS):
         decoded = np.empty_like(src)
         todo = np.arange(len(src))
         while todo.size:

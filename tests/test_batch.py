@@ -381,9 +381,14 @@ def test_decode_batch_edge_cases_match_decode(f, case):
     _assert_decode_batch_equals_decode(f, m, G, *decode_batch(f, m, G))
 
 
-# (misses, redraws) of estimate_hash_miss_rate at seeds 1, 2 and 11, as
-# recorded before the table-driven kernels: the draws and verdicts of this
-# run must not move.  Small fields and G = 1 make misses frequent.
+# (misses, redraws) of estimate_hash_miss_rate at seeds 1, 2 and 11: the
+# draws and verdicts of this run must not move.  Chunk boundaries fix the
+# draw order.  The two criterion shapes were re-pinned when the miss-rate
+# chunk budget went from 2^14 to 2^16 elements, which cut their 200
+# trials from 6 chunks to 2 (k=50) and from 12 to 3 (k=100).  Every other
+# entry fits in one chunk under either budget and keeps the values
+# recorded before the table-driven kernels.  Small fields and G = 1 make
+# misses frequent.
 MISS_RATE_GOLDEN = {
     "GF(2^2)": (binary_field(2), dict(G=3, k_data=4, hash_k=2, s=1, trials=200),
                 [(3, 107), (2, 108), (1, 87)]),
@@ -393,12 +398,12 @@ MISS_RATE_GOLDEN = {
                 [(11, 5), (10, 10), (7, 5)]),
     "GF(2^7) criterion": (binary_field(7),
                           dict(G=8, k_data=50, hash_k=50, s=5, trials=200),
-                          [(0, 0), (0, 3), (0, 0)]),
+                          [(0, 3), (0, 0), (0, 2)]),
     "GF(2^8)": (binary_field(8), dict(G=1, k_data=3, hash_k=3, s=1, trials=2000),
                 [(8, 12), (9, 6), (7, 7)]),
     "GF(2^8) criterion": (binary_field(8),
                           dict(G=8, k_data=100, hash_k=100, s=5, trials=200),
-                          [(0, 0), (0, 0), (0, 0)]),
+                          [(0, 2), (0, 2), (0, 0)]),
     "GF(257)": (prime_field(257), dict(G=1, k_data=3, hash_k=3, s=1, trials=2000),
                 [(9, 12), (8, 6), (6, 7)]),
     "GF(4294967291)": (prime_field(4294967291),

@@ -2,7 +2,8 @@
 
 import pytest
 
-from ncdetect import acceptance, analytic, cli
+from ncdetect import acceptance, analytic, cli, sim
+from ncdetect.algebra import binary_field
 
 
 def run(args):
@@ -180,6 +181,14 @@ def test_missrate_subcommand(capsys):
     assert rc == 0
     assert "miss bound ((k+1)/q)^s = 0.01031" in out  # (13/128)^2
     assert "60 polluted generations" in out
+    assert "\n0 singular mixings redrawn\n" in out
+    # Over GF(2^3) a 6 x 6 mixing is singular often enough to be redrawn.
+    args = dict(G=6, k_data=12, hash_k=12, s=2, trials=60, seed=7)
+    redraws = sim.estimate_hash_miss_rate(binary_field(3), **args).redraws
+    assert redraws > 0
+    run(["missrate", "--G", "6", "--k", "12", "--s", "2",
+         "--logq", "3", "--trials", "60", "--seed", "7"])
+    assert f"\n{redraws} singular mixings redrawn\n" in capsys.readouterr().out
 
 
 def test_missrate_rejects_s_above_g(capsys):

@@ -184,6 +184,12 @@ def test_miss_rate_validates_input():
         with pytest.raises(ValueError):
             estimate_hash_miss_rate(f, G=6, k_data=14, hash_k=14, s=s,
                                     trials=trials, seed=1)
+    # Checked before any draw: unchecked, k_data=-2 with hash_k=2 divides
+    # by zero sizing a chunk, and k_data=-1 is a negative array dimension.
+    for k_data, hash_k in ((0, 14), (-1, 2), (-2, 2)):
+        with pytest.raises(ValueError, match="k_data"):
+            estimate_hash_miss_rate(f, G=6, k_data=k_data, hash_k=hash_k,
+                                    s=2, trials=10, seed=1)
 
 
 def test_miss_rate_single_packet_generation():
@@ -197,12 +203,10 @@ def test_miss_rate_single_packet_generation():
 
 
 def test_miss_rate_chunking_is_deterministic(monkeypatch):
-    import ncdetect.sim as sim_mod
-
     args = dict(field=binary_field(3), G=3, k_data=4, hash_k=2, s=1,
                 trials=300, seed=5)
     whole = estimate_hash_miss_rate(**args)
-    monkeypatch.setattr(sim_mod, "_CHUNK_ELEMENTS", 64)  # 7-trial chunks
+    monkeypatch.setattr(sim, "_MISS_RATE_CHUNK_ELEMENTS", 64)  # 2-trial chunks
     chunked = estimate_hash_miss_rate(**args)
     assert chunked == estimate_hash_miss_rate(**args)
     assert chunked.trials == whole.trials == 300
@@ -210,6 +214,29 @@ def test_miss_rate_chunking_is_deterministic(monkeypatch):
     sd = math.sqrt(whole.bound / 300)
     assert abs(chunked.miss_rate - whole.miss_rate) <= 6 * sd
     assert chunked.redraws > 0 and whole.redraws > 0
+
+
+@pytest.mark.parametrize("w, G, k, trials, passes", [
+    (7, 8, 50, 32, [32]),  # hashbound criterion, k=50
+    (8, 8, 100, 32, [32]),  # hashbound criterion, k=100
+    (16, 32, 1000, 3, [1, 1, 1]),  # wide16: one trial per pass
+])
+def test_miss_rate_pass_structure(monkeypatch, w, G, k, trials, passes):
+    # The miss-rate chunk budget runs a 32-trial call at either hashbound
+    # shape as one pass, and keeps a G=32, k=1000 trial in a pass of its
+    # own, where several would outgrow the cache.
+    sizes = []
+    source_chunks = sim._source_chunks
+
+    def recording(*args):
+        for src in source_chunks(*args):
+            sizes.append(len(src))
+            yield src
+
+    monkeypatch.setattr(sim, "_source_chunks", recording)
+    estimate_hash_miss_rate(binary_field(w), G=G, k_data=k, hash_k=k, s=5,
+                            trials=trials, seed=1)
+    assert sizes == passes
 
 
 def _negative_binomial_region(successes: int, p: float, alpha: float):
