@@ -60,7 +60,7 @@ print("=" * 70)
 print("STEP 4: a prime-order subgroup of Z_Q^* for signatures")
 print("=" * 70)
 
-group = make_group(bits_p=16, bits_q=24, rng=42)
+group = make_group(bits_p=16, bits_q=24, rng=np.random.default_rng(42))
 print(f"P = {group.order} (prime), Q = {group.modulus} (prime), "
       f"P | Q-1: {(group.modulus - 1) % group.order == 0}")
 print(f"generator g = {group.generator}")
@@ -68,5 +68,6 @@ print(f"g^P mod Q = {pow(group.generator, group.order, group.modulus)} "
       "(the subgroup closes)")
 print(f"g^1 mod Q = {group.generator} != 1")
 print()
-print("Cryptographic sizes (160/1024 bits) work too but take a few")
-print("seconds; the package warns when it is on that slow path.")
+print("Cryptographic sizes (160/1024 bits) work too, keys and signature")
+print("checks included; the package warns when group generation is on")
+print("that slow path.")

@@ -94,7 +94,7 @@ print("=" * 70)
 print("STEP 4: the per-packet signature")
 print("=" * 70)
 
-group = make_group(bits_p=32, bits_q=33, rng=11)
+group = make_group(bits_p=32, bits_q=33, rng=np.random.default_rng(11))
 pf = prime_field(group.order)
 sgen = make_generation(pf.random_elements(rng, (4, 4)), pf)
 key = sig_keygen(sgen, group, rng)

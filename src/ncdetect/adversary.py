@@ -8,14 +8,15 @@ stream's (payload | hash) rows, the wire rows without their G
 coefficients.  Hash symbols are left stale, except that the hash-aware
 mode recomputes them so the forged row looks self-consistent in
 isolation, and the blind mode replaces them with junk.  rewrite_rows is
-the one corruption kernel; the stream functions call it one row at a
-time, in row order.
+the one corruption kernel: corrupt_stream_with_rng calls it one row at a
+time, in row order, and blind_forge_with_rng once per stack of streams.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .algebra import _randbelow
 from .detect import HashParams, gen_hash_append
 
 MODES = (
@@ -30,7 +31,7 @@ def _change_one_symbol(field, rows: np.ndarray, k_data: int,
                        rng: np.random.Generator) -> None:
     """In place, move one uniform payload symbol per row to a uniform other value."""
     at = (np.arange(len(rows)), rng.integers(0, k_data, size=len(rows)))
-    r = rng.integers(0, field.q - 1, size=len(rows))
+    r = _randbelow(rng, field.q - 1, len(rows))
     rows[at] = field._arr(np.where(r >= rows[at], r + 1, r))
 
 
@@ -65,13 +66,6 @@ def rewrite_rows(field, rows, k_data: int, mode: str, rng: np.random.Generator,
     return out
 
 
-def _stream(rows, field, k_data: int) -> np.ndarray:
-    rows = field._elements(rows)
-    if rows.ndim != 2 or not 1 <= k_data <= rows.shape[1]:
-        raise ValueError(f"expected (R, width >= {k_data}) rows, got {rows.shape}")
-    return rows.copy()
-
-
 def corrupt_stream_with_rng(rows, field, k_data: int, p: float,
                             rng: np.random.Generator):
     """Each row is independently corrupted with probability p.
@@ -84,7 +78,9 @@ def corrupt_stream_with_rng(rows, field, k_data: int, p: float,
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    out = _stream(rows, field, k_data)
+    out = field._elements(rows).copy()
+    if out.ndim != 2 or not 1 <= k_data <= out.shape[1]:
+        raise ValueError(f"expected (R, width >= {k_data}) rows, got {out.shape}")
     hit = np.zeros(len(out), dtype=bool)
     if p == 0.0:
         return out, hit
@@ -97,21 +93,29 @@ def corrupt_stream_with_rng(rows, field, k_data: int, p: float,
 
 def blind_forge_with_rng(rows, field, k_data: int, s: int,
                          rng: np.random.Generator):
-    """Replace s rows' (payload | hash) with blind forgeries.
+    """Replace s rows' (payload | hash) with blind forgeries in each stream.
 
-    rows is (R, width) as for corrupt_stream_with_rng.  The forger picks
-    junk without reading the other rows, and the victims' encoding
-    vectors stay as claimed, so the forgery's deviation from the true row
-    space gets spread over the decoded rows by mixing coefficients the
-    forger never saw.  This is the adversary the ((k+1)/q)^s miss bound
-    is stated against.  The s victims are drawn first, then rewritten in
-    index order.  Returns new rows and the (R,) bool mask of the victims.
+    rows is (..., R, width): streams as for corrupt_stream_with_rng.
+    The forger picks junk without reading the other rows, and the
+    victims' encoding vectors stay as claimed, so the forgery's deviation
+    from the true row space gets spread over the decoded rows by mixing
+    coefficients the forger never saw.  This is the adversary the
+    ((k+1)/q)^s miss bound is stated against.  Each stream's victims are
+    the first s of an rng.permuted order; one rewrite_rows call forges
+    them all, stream by stream, in victim order.  Returns new rows and the
+    (..., R) bool mask of the victims.
     """
-    out = _stream(rows, field, k_data)
-    if s < 0 or s > len(out):
-        raise ValueError(f"cannot forge {s} of {len(out)} packets")
-    hit = np.zeros(len(out), dtype=bool)
-    hit[rng.choice(len(out), size=s, replace=False)] = True
-    for i in np.flatnonzero(hit):
-        out[i] = rewrite_rows(field, out[i : i + 1], k_data, "blind-s-packet", rng)[0]
-    return out, hit
+    rows = field._elements(rows)
+    if rows.ndim < 2 or not 1 <= k_data <= rows.shape[-1]:
+        raise ValueError(f"expected (..., R, width >= {k_data}) rows, got {rows.shape}")
+    *lead, R, width = rows.shape
+    if not 0 <= s <= R:
+        raise ValueError(f"cannot forge {s} of {R} packets")
+    n = int(np.prod(lead))
+    out = rows.reshape(n, R, width).copy()
+    victims = rng.permuted(np.broadcast_to(np.arange(R), (n, R)), axis=1)[:, :s]
+    hit = (np.repeat(np.arange(n), s), victims.ravel())
+    out[hit] = rewrite_rows(field, out[hit], k_data, "blind-s-packet", rng)
+    mask = np.zeros((n, R), dtype=bool)
+    mask[hit] = True
+    return out.reshape(rows.shape), mask.reshape(rows.shape[:-1])

@@ -27,7 +27,6 @@ from __future__ import annotations
 import bisect
 import functools
 import operator
-import random
 import warnings
 from dataclasses import dataclass
 
@@ -127,6 +126,31 @@ def _carryless_mul_mod(a: int, b: int, poly: int, w: int) -> int:
         if a >> w:
             a ^= poly
     return r
+
+
+def _randbelow(rng: np.random.Generator, n: int, size=None):
+    """Uniform ints in [0, n) for any n >= 1: one int, or an array of size.
+
+    An array with n <= 2^64 is one uint64 rng.integers call.  Otherwise each
+    try joins ceil(bits / 64) raw words of rng's bit generator (a twentieth
+    of the cost of an rng.bytes call), keeps bit_length(n - 1) bits and
+    rejects values >= n, so a try succeeds with probability above 1/2.
+    """
+    if size is not None:
+        if n <= 1 << 64:
+            return rng.integers(0, n, size=size, dtype=np.uint64)
+        out = np.empty(size, dtype=object)
+        out.reshape(-1)[:] = [_randbelow(rng, n) for _ in range(out.size)]
+        return out
+    bits = (n - 1).bit_length()
+    raw = rng.bit_generator.random_raw
+    while True:
+        r = 0
+        for _ in range(-(-bits // 64)):
+            r = r << 64 | raw()
+        r &= (1 << bits) - 1
+        if r < n:
+            return r
 
 
 class FieldSpec:
@@ -426,8 +450,7 @@ class FieldSpec:
         return out
 
     def random_elements(self, rng: np.random.Generator, size) -> np.ndarray:
-        vals = rng.integers(0, self.q, size=size, dtype=np.uint64)
-        return self._arr(vals.astype(object) if self.dtype == object else vals)
+        return self._arr(_randbelow(rng, self.q, size))
 
     # -- identity -----------------------------------------------------------
 
@@ -519,73 +542,46 @@ def check_group_bits(bits_p: int, bits_q: int) -> None:
         raise ValueError("bits_q must exceed bits_p")
 
 
-def _skip_randrange(rng: random.Random, width: int, count: int) -> None:
-    """Advance rng exactly as count calls of rng.randrange(a, a + width).
-
-    Once every candidate k is known composite, make_group's remaining
-    search iterations cannot find Q, but their draws are still consumed:
-    every later P, Q and generator comes from the state they leave, so
-    skipping them would change the groups.  randrange(a, a + width) is
-    a + _randbelow(width), and CPython's _randbelow redraws
-    getrandbits(width.bit_length()) until the value is below width; this
-    makes the same getrandbits calls without the per-call overhead.
-    """
-    k = width.bit_length()
-    getrandbits = rng.getrandbits
-    for _ in range(count):
-        while getrandbits(k) >= width:
-            pass
-
-
-def make_group(bits_p: int, bits_q: int, rng: random.Random | int) -> GroupSpec:
+def make_group(bits_p: int, bits_q: int, rng: np.random.Generator) -> GroupSpec:
     """Generate a GroupSpec with P of bits_p bits and Q of bits_q bits.
 
-    Draws P prime, then searches Q = k*P + 1 prime in the requested size,
-    then derives a generator of the order-P subgroup.  Deterministic for a
-    given rng state.  Requests at cryptographic sizes (e.g. 160/1024 bits)
+    Draws P prime, then searches Q = k*P + 1 prime over the even k that
+    put Q in the requested size, then derives a generator of the order-P
+    subgroup.  Every draw comes from rng, so equal generator states give
+    equal groups.  Requests at cryptographic sizes (e.g. 160/1024 bits)
     are honored but slow; a warning marks that path.
     """
     check_group_bits(bits_p, bits_q)
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     if bits_q >= 512:
         warnings.warn(
             f"group generation at {bits_p}/{bits_q} bits is a slow path",
             stacklevel=2,
         )
-    if isinstance(rng, int):
-        rng = random.Random(rng)
 
     while True:
-        p = rng.getrandbits(bits_p) | (1 << (bits_p - 1)) | 1
+        p = (1 << (bits_p - 1)) | _randbelow(rng, 1 << (bits_p - 1)) | 1
         if not is_prime(p):
             continue
         k_lo = -(-(1 << (bits_q - 1)) // p)  # ceil
-        k_hi = ((1 << bits_q) - 1) // p
         k_lo += k_lo % 2  # Q odd needs k even
-        if k_lo > k_hi:
-            continue
-        q = 0
-        # Narrow k ranges redraw the same candidate many times (k is 2 or
-        # 4 at 32/33 bits), so known composites are not retested.
+        evens = (((1 << bits_q) - 1) // p - k_lo) // 2 + 1
+        # Narrow k ranges redraw the same candidate (only k = 2 at 32/33
+        # bits), so known composites are not retested.
         composite = set()
-        evens = (k_hi - k_lo) // 2 + 1
-        for i in range(4 * bits_q):
-            k = rng.randrange(k_lo, k_hi + 1)
-            k -= k % 2
-            if k < k_lo or k in composite:
+        while len(composite) < evens:
+            k = k_lo + 2 * _randbelow(rng, evens)
+            if k in composite:
                 continue
-            cand = k * p + 1
-            if is_prime(cand):
-                q = cand
+            if is_prime(k * p + 1):
                 break
             composite.add(k)
-            if len(composite) == evens:  # the rest can only draw
-                _skip_randrange(rng, k_hi + 1 - k_lo, 4 * bits_q - i - 1)
-                break
-        if not q:
-            continue
+        else:
+            continue  # every even k is composite: draw the next P
+        q = k * p + 1
         cofactor = (q - 1) // p
         while True:
-            h = rng.randrange(2, q - 1)
-            g = pow(h, cofactor, q)
+            g = pow(2 + _randbelow(rng, q - 3), cofactor, q)
             if g != 1:
                 return GroupSpec(modulus=q, order=p, generator=g)

@@ -16,13 +16,14 @@ miss-rate run (estimate_hash_miss_rate), the signature accept/reject run
 detector_field, and the six-node relay scenario in which intermediate
 nodes check sub-generations and drop polluted ones before they reach the sink.
 
-Every mixing step is one rlnc.random_combinations call.  The miss-rate
+Every draw comes from one numpy Generator per run, _child_rng(seed, ...),
+and every mixing step is one rlnc.random_combinations call.  The miss-rate
 run and the hash-detector node run share one batch pipeline: T
 generations at once as (T, G, width) field arrays, mixed in one call,
 corrupted by adversary.rewrite_rows, decoded by rlnc.decode_batch and
-checked by detect.hash_consistent.  The signature run verifies all valid
-combinations in one detect.sig_verify_batch call and all corrupted
-vectors in another.  The relay runs trial by trial on (R, G + width) wire
+checked by detect.hash_consistent.  The signature run corrupts in one
+rewrite_rows call and verifies each side in one detect.sig_verify_batch
+call.  The relay runs trial by trial on (R, G + width) wire
 rows with an (R,) ground-truth taint mask per edge: subspan_consistency
 checks, random_combinations re-encodes (a combination is tainted when it
 gives a wrongly solved row a nonzero coefficient),
@@ -34,13 +35,12 @@ the scalar reference the batch kernels are tested against.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analytic
-from .adversary import MODES, corrupt_stream_with_rng, rewrite_rows
+from .adversary import MODES, blind_forge_with_rng, corrupt_stream_with_rng, rewrite_rows
 from .algebra import FieldSpec, binary_field, make_group, prime_field
 from .analytic import OverheadPoint, SchemeParams, overhead_point
 from .detect import (
@@ -361,16 +361,13 @@ def _blind_forge_and_decode(field: FieldSpec, src: np.ndarray, k_data: int,
     """Mix, blind-forge and decode each of T generations once.
 
     src is (T, G, width), the source (payload | hash) rows.  Each trial
-    draws G uniform combinations, then s distinct victims' rows go through
-    one rewrite_rows call, in victim order.  Returns decode_batch's
+    draws G uniform combinations, then blind_forge_with_rng forges s
+    distinct victims per trial in one call.  Returns decode_batch's
     (full_rank, rows).
     """
-    T, G, _ = src.shape
+    G = src.shape[1]
     coeffs, data = random_combinations(field, src, G, rng)
-    # s distinct victims per trial: the first s of a random permutation.
-    victims = rng.permuted(np.broadcast_to(np.arange(G), (T, G)), axis=1)[:, :s]
-    hit = (np.repeat(np.arange(T), s), victims.ravel())
-    data[hit] = rewrite_rows(field, data[hit], k_data, "blind-s-packet", rng)
+    data, _ = blind_forge_with_rng(data, field, k_data, s, rng)
     return decode_batch(field, np.concatenate([coeffs, data], axis=-1), G)
 
 
@@ -400,13 +397,16 @@ def signature_error_counts(accept_trials: int, reject_trials: int,
 
     Valid combinations must all accept (completeness); corrupted vectors
     accept only with probability 1/P, so at desk scale every one of them
-    must reject.  Each side is verified in one sig_verify_batch call; the
-    corruption draws are made per vector, in order.
+    must reject.  One stream draws the group, key and vectors, a corrupted
+    vector has one payload symbol changed, and each side is verified in
+    one sig_verify_batch call.
     """
+    if accept_trials < 0 or reject_trials < 0:
+        raise ValueError("accept_trials and reject_trials must be >= 0")
     G, k_data = _SIGNATURE_G, _SIGNATURE_K_DATA
-    group = make_group(bits_p, bits_q, random.Random(seed))
-    f = prime_field(group.order)
     rng = _child_rng(seed)
+    group = make_group(bits_p, bits_q, rng)
+    f = prime_field(group.order)
     gen = make_generation(f.random_elements(rng, (G, k_data)), f)
     key = sig_keygen(gen, group, rng)
     x = gen.source_payloads
@@ -416,10 +416,7 @@ def signature_error_counts(accept_trials: int, reject_trials: int,
     false_rejects = int(np.count_nonzero(~sig_verify_batch(w, key)))
 
     w = np.concatenate(random_combinations(f, x, reject_trials, rng), axis=1)
-    for row in w:  # per-vector draws, in row order: they fix the outcomes
-        j = int(rng.integers(G, G + k_data))  # corrupt a payload symbol
-        delta = int(rng.integers(1, f.q))
-        row[j] = f.add(int(row[j]), delta)
+    w[:, G:] = rewrite_rows(f, w[:, G:], k_data, "random-symbol", rng)
     false_accepts = int(np.count_nonzero(sig_verify_batch(w, key)))
 
     return SignatureReport(

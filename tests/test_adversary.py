@@ -126,6 +126,26 @@ def test_blind_forge_count_and_bounds():
     for s in (-1, 9):
         with pytest.raises(ValueError, match="cannot forge"):
             blind_forge_with_rng(src, GF256, 3, s, seeded(18))
+    with pytest.raises(ValueError, match="expected"):
+        blind_forge_with_rng(src[0], GF256, 3, 1, seeded(18))
+
+
+@pytest.mark.parametrize("s", [0, 1, 3, 8])
+def test_blind_forge_over_a_stack_of_streams(s):
+    f = binary_field(4)
+    stack = f.random_elements(seeded(21), (5, 8, 6))
+    out, hit = blind_forge_with_rng(stack, f, 4, s, seeded(22))
+    assert out.shape == stack.shape and hit.shape == (5, 8)
+    assert (hit.sum(axis=1) == s).all()  # exactly s victims per stream
+    assert np.array_equal(out[~hit], stack[~hit])
+    assert np.all(np.any(out[hit][:, :4] != stack[hit][:, :4], axis=1))
+
+
+def test_blind_forge_one_stream_is_a_stack_of_one():
+    src, _ = sources(G=8, k_data=3, hash_k=3, seed=23)
+    out, hit = blind_forge_with_rng(src, GF256, 3, 3, seeded(24))
+    out1, hit1 = blind_forge_with_rng(src[None], GF256, 3, 3, seeded(24))
+    assert np.array_equal(out, out1[0]) and np.array_equal(hit, hit1[0])
 
 
 # -- the row kernel -----------------------------------------------------------
@@ -139,11 +159,12 @@ def _prime_near(q: int, step: int) -> int:
 
 # Every binary field, and primes on both the int64 and the object-dtype
 # path; the two near sqrt(2^63) ~ 3037000499 straddle the point where
-# int64 products overflow and are formed in uint64.
+# int64 products overflow and are formed in uint64, and 2^89 - 1 lies
+# beyond numpy's integers, so its draws come from algebra._randbelow.
 KERNEL_FIELDS = [binary_field(w) for w in range(2, 17)] + [
     prime_field(q) for q in (2, 257, 3_037_000_493, 3_037_000_507,
                              _prime_near(_INT64_SAFE_Q, -1),
-                             _prime_near(_INT64_SAFE_Q + 1, 1))
+                             _prime_near(_INT64_SAFE_Q + 1, 1), 2**89 - 1)
 ]
 
 

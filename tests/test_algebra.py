@@ -5,8 +5,10 @@ field, vectorized; scalar reference values were computed by hand or by
 the brute-force helpers below.
 """
 
+import ast
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,7 +283,7 @@ def test_gf_dispatch():
 
 
 def test_make_group_small():
-    g = make_group(8, 16, rng=99)
+    g = make_group(8, 16, rng=np.random.default_rng(99))
     assert is_prime(g.order) and is_prime(g.modulus)
     assert (g.modulus - 1) % g.order == 0
     assert pow(g.generator, g.order, g.modulus) == 1
@@ -290,62 +292,68 @@ def test_make_group_small():
 
 
 def test_make_group_deterministic():
-    assert make_group(10, 20, rng=5) == make_group(10, 20, rng=5)
+    rng = np.random.default_rng(5)
+    first = make_group(10, 20, rng)
+    again = np.random.default_rng(5)
+    assert make_group(10, 20, again) == first
+    # Equal generator states after the call: the next group agrees too.
+    assert make_group(10, 20, rng) == make_group(10, 20, again)
 
 
-def _make_group_reference(bits_p, bits_q, rng):
-    """make_group's search loop before it skipped known-composite candidates."""
-    while True:
-        p = rng.getrandbits(bits_p) | (1 << (bits_p - 1)) | 1
-        if not is_prime(p):
-            continue
-        k_lo = -(-(1 << (bits_q - 1)) // p)  # ceil
-        k_hi = ((1 << bits_q) - 1) // p
-        k_lo += k_lo % 2  # Q odd needs k even
-        if k_lo > k_hi:
-            continue
-        q = 0
-        for _ in range(4 * bits_q):
-            k = rng.randrange(k_lo, k_hi + 1)
-            k -= k % 2
-            if k < k_lo:
+@pytest.mark.parametrize("bits_p, bits_q", [(8, 9), (16, 24), (20, 40), (64, 65)])
+def test_make_group_exact_sizes(bits_p, bits_q):
+    for seed in range(20):
+        g = make_group(bits_p, bits_q, np.random.default_rng(seed))
+        assert isinstance(g, GroupSpec)  # __post_init__ checked it
+        assert g.order.bit_length() == bits_p
+        assert g.modulus.bit_length() == bits_q
+        if bits_q == bits_p + 1:
+            # k = 2 is the only even k with Q in range: Q is a safe prime,
+            # and every P whose 2P + 1 is composite was passed over.
+            assert g.modulus == 2 * g.order + 1
+
+
+def test_make_group_skips_a_prime_whose_only_k_is_composite(monkeypatch):
+    # At 8/9 bits k = 2 is the only even k.  P = 137 gives 275 = 5^2 * 11,
+    # so its search ends after one k draw; P = 131 gives the prime 263.
+    # Draws: P's low bits, k's index, again for the next P, then h - 2.
+    draws = iter([137 - 128, 0, 131 - 128, 0, 5])
+    monkeypatch.setattr(algebra, "_randbelow", lambda rng, n: next(draws))
+    g = make_group(8, 9, np.random.default_rng(0))
+    assert g == GroupSpec(modulus=263, order=131, generator=pow(7, 2, 263))
+    assert next(draws, None) is None
+
+
+def test_randbelow_is_uniform_below_any_bound():
+    rng = np.random.default_rng(8)
+    counts = np.bincount([algebra._randbelow(rng, 3) for _ in range(3000)])
+    assert len(counts) == 3 and all(900 < c < 1100 for c in counts)
+    assert algebra._randbelow(rng, 1) == 0
+
+
+def test_random_elements_above_2_64():
+    f = prime_field(2**89 - 1)  # a Mersenne prime, beyond numpy's integers
+    x = f.random_elements(np.random.default_rng(0), (200, 3))
+    assert x.shape == (200, 3) and x.dtype == object
+    assert all(type(v) is int and 0 <= v < f.q for v in x.ravel())
+    assert max(x.ravel()) >= 2**88  # the top bits are drawn
+    assert f.random_elements(np.random.default_rng(0), 0).shape == (0,)
+
+
+def test_no_library_module_imports_the_stdlib_random():
+    # Every draw comes from the caller's numpy Generator; a second RNG
+    # type must not come back unnoticed.
+    modules = sorted(Path(algebra.__file__).parent.rglob("*.py"))
+    assert len(modules) >= 9
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
                 continue
-            cand = k * p + 1
-            if is_prime(cand):
-                q = cand
-                break
-        if not q:
-            continue
-        cofactor = (q - 1) // p
-        while True:
-            h = rng.randrange(2, q - 1)
-            g = pow(h, cofactor, q)
-            if g != 1:
-                return GroupSpec(modulus=q, order=p, generator=g)
-
-
-@pytest.mark.parametrize("bits_p, bits_q, seeds", [
-    (32, 33, 60), (16, 24, 300), (20, 40, 300), (8, 12, 300), (64, 65, 6),
-])
-def test_make_group_matches_reference_search(bits_p, bits_q, seeds):
-    # Same groups and the same generator state after each of two calls on
-    # one rng: every draw of the reference loop is still consumed.
-    for seed in range(seeds):
-        rng, ref = random.Random(seed), random.Random(seed)
-        for _ in range(2):
-            assert make_group(bits_p, bits_q, rng) == _make_group_reference(
-                bits_p, bits_q, ref)
-            assert rng.getstate() == ref.getstate()
-
-
-@pytest.mark.parametrize("width", [1, 2, 3, 2**31 - 1, 2**31])
-def test_skip_randrange_consumes_the_same_draws(width):
-    for count in range(201):
-        rng, ref = random.Random(count), random.Random(count)
-        algebra._skip_randrange(rng, width, count)
-        for _ in range(count):
-            ref.randrange(5, 5 + width)
-        assert rng.getstate() == ref.getstate()
+            assert not [n for n in names if n.split(".")[0] == "random"], path.name
 
 
 def test_safe_prime_shortcut_group():
@@ -366,7 +374,7 @@ def test_group_spec_validation():
 
 
 def test_make_group_cryptographic_scale_flagged_slow():
-    rng = random.Random(2024)
+    rng = np.random.default_rng(2024)
     with pytest.warns(UserWarning, match="slow path"):
         g = make_group(160, 1024, rng=rng)
     assert g.order.bit_length() == 160
@@ -376,10 +384,13 @@ def test_make_group_cryptographic_scale_flagged_slow():
 
 
 def test_make_group_argument_validation():
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        make_group(4, 16, rng=0)
+        make_group(4, 16, rng=rng)
     with pytest.raises(ValueError):
-        make_group(16, 16, rng=0)
+        make_group(16, 16, rng=rng)
+    with pytest.raises(TypeError, match="numpy Generator"):
+        make_group(16, 20, rng=0)
 
 
 # psi_j (OEIS A014233), the least odd composite that is a strong pseudoprime

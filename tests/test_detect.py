@@ -2,14 +2,13 @@
 
 import functools
 import math
-import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncdetect.adversary import blind_forge_with_rng
+from ncdetect.adversary import blind_forge_with_rng, rewrite_rows
 from ncdetect.algebra import (
     _INT64_SAFE_Q,
     binary_field,
@@ -301,7 +300,7 @@ def test_hash_completeness_at_scale():
 
 @pytest.fixture(scope="module")
 def sig_setup():
-    group = make_group(32, 33, rng=random.Random(7))
+    group = make_group(32, 33, rng=np.random.default_rng(7))
     field = prime_field(group.order)
     rng = np.random.default_rng(14)
     gen = make_generation(field.random_elements(rng, (3, 4)), field)
@@ -358,7 +357,7 @@ def test_sig_length_mismatch_rejected(sig_setup):
 def test_sig_keygen_minimal_dimensions():
     # G=2, k_data=2: the orthogonal complement has dimension 2 and
     # keygen succeeds.
-    group = make_group(16, 20, rng=21)
+    group = make_group(16, 20, rng=np.random.default_rng(21))
     field = prime_field(group.order)
     rng = np.random.default_rng(22)
     gen = make_generation(field.random_elements(rng, (2, 2)), field)
@@ -370,7 +369,7 @@ def test_sig_keygen_minimal_dimensions():
 def test_sig_keygen_preconditions():
     rng = np.random.default_rng(15)
     gen = make_generation(GF256.random_elements(rng, (3, 4)), GF256)
-    group = make_group(16, 20, rng=3)
+    group = make_group(16, 20, rng=np.random.default_rng(3))
     with pytest.raises(ValueError):
         sig_keygen(gen, group, rng)  # binary coding field
 
@@ -400,7 +399,7 @@ SIG_GROUPS = {
 @functools.lru_cache(maxsize=None)
 def sig_case(name, G=4, k_data=4):
     bits_p, bits_q, seed = SIG_GROUPS[name]
-    group = make_group(bits_p, bits_q, random.Random(seed))
+    group = make_group(bits_p, bits_q, np.random.default_rng(seed))
     field = prime_field(group.order)
     rng = np.random.default_rng(seed)
     gen = make_generation(field.random_elements(rng, (G, k_data)), field)
@@ -465,6 +464,24 @@ def test_sig_batch_tables(name):
                        rng.integers(0, 256, 50)):
         assert int(t[i, m, j]) == pow(key.h_vec[i], int(j) << (8 * int(m)), q)
     assert key == type(key)(group=key.group, h_vec=key.h_vec)
+
+
+def test_sig_keys_and_verifies_above_2_64():
+    # A 65-bit P: coefficient, key and corruption draws pass numpy's
+    # integers range and come from algebra._randbelow.
+    rng = np.random.default_rng(65)
+    group = make_group(65, 80, rng)
+    field = prime_field(group.order)
+    assert field.q > 2**64 and field.dtype == object
+    gen = make_generation(field.random_elements(rng, (4, 4)), field)
+    key = sig_keygen(gen, group, rng)
+    good = mix(field, gen.source_wire_rows(), 50, rng)
+    bad = good.copy()
+    bad[:, 4:] = rewrite_rows(field, good[:, 4:], 4, "random-symbol", rng)
+    assert ((bad != good).sum(axis=1) == 1).all()
+    rows = np.concatenate([good, bad])
+    verdicts = sig_verify_batch(rows, key).tolist()
+    assert verdicts == [sig_verify(w, key) for w in rows] == [True] * 50 + [False] * 50
 
 
 def test_sig_batch_exponents_reduced_mod_order():

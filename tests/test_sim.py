@@ -398,29 +398,34 @@ def test_hash_detector_at_p_extremes(case, p):
         assert rep.bits_transmitted == (40 - flagged) * round(n * G)
 
 
-# Order bits, group order and coding-field dtype per seed, with
-# bits_q = bits_p + 1.  Seed 9 draws P above 3_037_000_499, whose int64
-# products overflow int64 and are formed in uint64; seed 3's 36-bit P lies
-# above 2^32, so its symbols run on the object-dtype path.
+# Group bits, group order and coding-field dtype per seed.  Seed 9 draws P
+# above 3_037_000_499, whose int64 products overflow int64 and are formed
+# in uint64; seed 3's 36-bit P lies above 2^32, so its symbols run on the
+# object-dtype path; seed 2's 65-bit P lies above 2^64, where numpy's
+# integers cannot draw its coefficients, keys or corruptions.
 SIGNATURE_PATHS = {
-    1: (32, 2273265413, np.int64),
-    3: (36, 60686552753, object),
-    9: (32, 3738826463, np.int64),
+    1: (32, 33, 2252690339, np.int64),
+    2: (65, 80, 23952933804538818917, object),
+    3: (36, 37, 54153538871, object),
+    9: (32, 33, 4043322011, np.int64),
 }
 
 
 @pytest.mark.parametrize("seed", sorted(SIGNATURE_PATHS))
 def test_signature_error_counts_small(seed, monkeypatch):
-    bits_p, order, dtype = SIGNATURE_PATHS[seed]
+    bits_p, bits_q, order, dtype = SIGNATURE_PATHS[seed]
     verified = []
 
-    def counting_verify(W, key):
+    def checking_verify(W, key):
+        verdicts = sig_verify_batch(W, key)
+        # Every verdict is the scalar reference's, row by row.
+        assert verdicts.tolist() == [sig_verify(w, key) for w in W]
         verified.append(np.shape(W))
-        return sig_verify_batch(W, key)
+        return verdicts
 
-    monkeypatch.setattr(sim, "sig_verify_batch", counting_verify)
+    monkeypatch.setattr(sim, "sig_verify_batch", checking_verify)
     rep = signature_error_counts(accept_trials=500, reject_trials=200, seed=seed,
-                                 bits_p=bits_p, bits_q=bits_p + 1)
+                                 bits_p=bits_p, bits_q=bits_q)
     assert rep.group_order == order
     assert prime_field(order).dtype == dtype
     # Every vector is verified, one batch per side.
@@ -428,6 +433,14 @@ def test_signature_error_counts_small(seed, monkeypatch):
     assert rep.false_rejects == 0
     assert rep.false_accepts == 0
     assert rep.group_order.bit_length() == bits_p
+
+
+@pytest.mark.parametrize("trials", [(-1, 10), (10, -1)])
+def test_signature_error_counts_rejects_negative_trials(trials, monkeypatch):
+    # The check comes before any draw: no group is searched.
+    monkeypatch.setattr(sim, "make_group", None)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        signature_error_counts(*trials, seed=1)
 
 
 def _signature_draws_digest(seed, monkeypatch):
@@ -447,8 +460,8 @@ def _signature_draws_digest(seed, monkeypatch):
 # The report's counts are 0 under any draw order, so these pins are what
 # shows a moved coefficient, corruption or key draw.
 SIGNATURE_DRAWS_GOLDEN = {
-    1: "bef2690f4bad9f178a4530fb62541a008d25a51aa8c581cdc149429d037efcac",
-    2: "451daf9c6db4da248a5cdd0b57df2fc08d091447b897abf818a0e7c8644cf09b",
+    1: "d9638b665d28311f41fb6a2bcf08fbdce08aa3ff4830b1b1dafe70aaad82e2d0",
+    2: "8c6c32fd203c814a6ae5b48eb8187764e440f3300290b4a6606e39468ee02eaf",
 }
 
 
@@ -460,7 +473,7 @@ def test_signature_draws_golden(seed, monkeypatch):
 def test_packet_filter_soundness_with_signature():
     # Packet-mode forwarding rule realized with the real verifier: every
     # forwarded packet must be a member of the source span.
-    group = make_group(32, 33, rng=10)
+    group = make_group(32, 33, rng=np.random.default_rng(10))
     f = prime_field(group.order)
     rng = np.random.default_rng(11)
     gen = make_generation(f.random_elements(rng, (4, 4)), f)
