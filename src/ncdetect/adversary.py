@@ -5,11 +5,11 @@ is independently rewritten with probability p.  The rewrite never touches
 the encoding vector -- the attacker hijacks a packet's data while its
 claimed coefficients stay plausible -- so the functions here take a
 stream's (payload | hash) rows, the wire rows without their G
-coefficients.  Hash symbols are left stale, except that the hash-aware
-mode recomputes them so the forged row looks self-consistent in
-isolation, and the blind mode replaces them with junk.  rewrite_rows is
-the one corruption kernel: corrupt_stream_with_rng calls it one row at a
-time, in row order, and blind_forge_with_rng once per stack of streams.
+coefficients.  rewrite_rows is the one corruption kernel, with two
+modes: random-symbol moves one payload symbol and leaves the hash
+symbols stale, and blind-s-packet replaces the whole row with junk.
+corrupt_stream_with_rng calls it one row at a time, in row order, and
+blind_forge_with_rng once per stack of streams.
 """
 
 from __future__ import annotations
@@ -17,14 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import _randbelow
-from .detect import HashParams, gen_hash_append
 
-MODES = (
-    "random-symbol",
-    "random-payload",
-    "hash-aware-forgery",
-    "blind-s-packet",
-)
+MODES = ("random-symbol", "blind-s-packet")
 
 
 def _change_one_symbol(field, rows: np.ndarray, k_data: int,
@@ -35,34 +29,29 @@ def _change_one_symbol(field, rows: np.ndarray, k_data: int,
     rows[at] = field._arr(np.where(r >= rows[at], r + 1, r))
 
 
-def rewrite_rows(field, rows, k_data: int, mode: str, rng: np.random.Generator,
-                 hash_params: HashParams | None = None) -> np.ndarray:
+def rewrite_rows(field, rows, k_data: int, mode: str,
+                 rng: np.random.Generator) -> np.ndarray:
     """Corrupt N (payload | hash) rows under one of the MODES.
 
     rows is (N, width), payload symbols first, in the caller's order; the
     draws are spent in that order.  Returns new rows whose payloads all
-    differ from the input: random-symbol changes one symbol, the other
-    modes draw junk (one symbol changed if it equals the honest payload).
+    differ from the input: random-symbol changes one symbol, blind-s-packet
+    draws a whole junk row (one symbol changed if its payload equals the
+    honest one).
     """
     if mode not in MODES:
         raise ValueError(f"unknown attack mode {mode!r}")
-    if mode == "hash-aware-forgery":
-        if hash_params is None:
-            raise ValueError("hash-aware-forgery needs hash_params")
-        hash_params.check_field(field)
     rows = field._elements(rows)
     if rows.ndim != 2 or not 1 <= k_data <= rows.shape[1]:
-        raise ValueError(f"expected (N, width >= {k_data}) rows, got {rows.shape}")
-    out = rows.copy()
+        raise ValueError(f"expected (N, width >= {k_data}) rows over {field!r}, "
+                         f"got {rows.shape}")
     if mode == "random-symbol":
+        out = rows.copy()
         _change_one_symbol(field, out, k_data, rng)
         return out
-    width = out.shape[1] if mode == "blind-s-packet" else k_data
-    out[:, :width] = field.random_elements(rng, (len(out), width))
+    out = field.random_elements(rng, rows.shape)
     for i in np.flatnonzero(np.all(out[:, :k_data] == rows[:, :k_data], axis=1)):
         _change_one_symbol(field, out[i : i + 1], k_data, rng)
-    if mode == "hash-aware-forgery" and out.shape[1] > k_data:
-        out[:, k_data:] = gen_hash_append(out[:, :k_data], hash_params)
     return out
 
 
@@ -80,7 +69,8 @@ def corrupt_stream_with_rng(rows, field, k_data: int, p: float,
         raise ValueError("p must lie in [0, 1]")
     out = field._elements(rows).copy()
     if out.ndim != 2 or not 1 <= k_data <= out.shape[1]:
-        raise ValueError(f"expected (R, width >= {k_data}) rows, got {out.shape}")
+        raise ValueError(f"expected (R, width >= {k_data}) rows over {field!r}, "
+                         f"got {out.shape}")
     hit = np.zeros(len(out), dtype=bool)
     if p == 0.0:
         return out, hit
@@ -107,7 +97,8 @@ def blind_forge_with_rng(rows, field, k_data: int, s: int,
     """
     rows = field._elements(rows)
     if rows.ndim < 2 or not 1 <= k_data <= rows.shape[-1]:
-        raise ValueError(f"expected (..., R, width >= {k_data}) rows, got {rows.shape}")
+        raise ValueError(f"expected (..., R, width >= {k_data}) rows over "
+                         f"{field!r}, got {rows.shape}")
     *lead, R, width = rows.shape
     if not 0 <= s <= R:
         raise ValueError(f"cannot forge {s} of {R} packets")

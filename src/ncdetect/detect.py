@@ -93,7 +93,7 @@ def gen_hash_append(payload, params: HashParams) -> np.ndarray:
     f = params.field
     p = f._elements(payload)
     if p.ndim == 0 or p.shape[-1] < 1:
-        raise ValueError("payload must have at least one symbol")
+        raise ValueError(f"{f!r} payload must have at least one symbol")
     k_data = p.shape[-1]
     powered = f.pow_arr(p, (np.arange(k_data) % params.k) + 2)
     starts = np.arange(0, k_data, params.k)
@@ -120,7 +120,8 @@ def hash_consistent(rows, params: HashParams) -> np.ndarray:
     """
     d = params.field._elements(rows)
     if d.ndim < 2 or d.shape[-1] < 2:
-        raise ValueError("decoded matrix must be 2-D with payload and hash")
+        raise ValueError(f"expected (..., r, payload + hash) {params.field!r} rows, "
+                         f"got {d.shape}")
     k_data, _ = split_decoded_width(d.shape[-1], params.k)
     recomputed = gen_hash_append(d[..., :k_data], params)
     return np.all(recomputed == d[..., k_data:], axis=(-2, -1))
@@ -135,7 +136,7 @@ def gen_hash_verify(decoded: np.ndarray, params: HashParams) -> Verdict:
     """
     d = params.field._elements(decoded)
     if d.ndim != 2:
-        raise ValueError("decoded matrix must be 2-D with payload and hash")
+        raise ValueError(f"expected a 2-D {params.field!r} matrix, got {d.shape}")
     return Verdict.VALID if hash_consistent(d, params) else Verdict.CORRUPTED
 
 
@@ -317,7 +318,7 @@ def oracle_verify(w, generation: Generation):
     g = len(s)
     w = f._elements(w)
     if w.ndim not in (1, 2) or w.shape[-1] != g + s.shape[1]:
-        raise ValueError("wire width does not match the generation")
+        raise ValueError(f"{f!r} wire width must be {g + s.shape[1]}, got {w.shape}")
     m = np.atleast_2d(w)
     ok = np.all(f.matmul(m[:, :g], s) == m[:, g:], axis=1)
     return bool(ok[0]) if w.ndim == 1 else ok

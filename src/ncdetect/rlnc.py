@@ -125,7 +125,7 @@ def random_combinations(field: FieldSpec, rows, count: int,
     """
     rows = field._elements(rows)
     if rows.ndim < 2:
-        raise ValueError(f"expected (..., R, width) rows, got {rows.shape}")
+        raise ValueError(f"expected (..., R, width) {field!r} rows, got {rows.shape}")
     coeffs = field.random_elements(rng, rows.shape[:-2] + (count, rows.shape[-2]))
     return coeffs, field._matmul(coeffs, rows)
 
@@ -142,7 +142,7 @@ def reduced_row_echelon(field: FieldSpec, matrix,
     """
     m = field._elements(matrix).copy()
     if m.ndim != 2:
-        raise ValueError("matrix must be 2-D")
+        raise ValueError(f"matrix over {field!r} must be 2-D, got {m.shape}")
     rows, cols = m.shape
     if pivot_width is None:
         pivot_width = cols
@@ -182,7 +182,7 @@ def decode(field: FieldSpec, rows, G: int) -> np.ndarray:
     """
     m = field._elements(rows)
     if m.ndim != 2 or m.shape[1] < G:
-        raise ValueError(f"expected (R, G + width) rows, got {m.shape}")
+        raise ValueError(f"expected (R, G + width) {field!r} rows, got {m.shape}")
     r, pivots = reduced_row_echelon(field, m, pivot_width=G)
     if len(pivots) < G:
         raise NotDecodable(rank=len(pivots), needed=G)
@@ -207,7 +207,7 @@ def decode_batch(field: FieldSpec, m, G: int) -> tuple[np.ndarray, np.ndarray]:
     """
     m = field._elements(m).copy()
     if m.ndim != 3 or m.shape[2] < G:
-        raise ValueError(f"expected (T, R, G + width) rows, got {m.shape}")
+        raise ValueError(f"expected (T, R, G + width) {field!r} rows, got {m.shape}")
     T, R, _ = m.shape
     if R < G:
         return np.zeros(T, dtype=bool), field._arr(np.zeros((T, G, m.shape[2] - G)))
@@ -252,7 +252,7 @@ def recover_subspan(field: FieldSpec, rows, G: int):
     """
     m = field._elements(rows)
     if m.ndim != 2 or m.shape[1] < G:
-        raise ValueError(f"expected (R, G + width) rows, got {m.shape}")
+        raise ValueError(f"expected (R, G + width) {field!r} rows, got {m.shape}")
     support = np.flatnonzero(np.any(m[:, :G] != 0, axis=0))
     r, pivots = reduced_row_echelon(field, m, pivot_width=G)
     # Rows whose encoding part eliminated to zero must carry zero data,

@@ -12,24 +12,24 @@ converges to the analytic ratio without clamping bias.
 
 The other experiments exercise the actual machinery: the blind forgery
 miss-rate run (estimate_hash_miss_rate), the signature accept/reject run
-(signature_error_counts), the real-hash detector of a TrialConfig with a
-detector_field, and the six-node relay scenario in which intermediate
-nodes check sub-generations and drop polluted ones before they reach the sink.
+(signature_error_counts), and the six-node relay scenario in which
+intermediate nodes check sub-generations and drop polluted ones before
+they reach the sink.
 
 Every draw comes from one numpy Generator per run, _child_rng(seed, ...),
 and every mixing step is one rlnc.random_combinations call.  The miss-rate
-run and the hash-detector node run share one batch pipeline: T
-generations at once as (T, G, width) field arrays, mixed in one call,
-corrupted by adversary.rewrite_rows, decoded by rlnc.decode_batch and
-checked by detect.hash_consistent.  The signature run corrupts in one
-rewrite_rows call and verifies each side in one detect.sig_verify_batch
-call.  The relay runs trial by trial on (R, G + width) wire
-rows with an (R,) ground-truth taint mask per edge: subspan_consistency
-checks, random_combinations re-encodes (a combination is tainted when it
-gives a wrongly solved row a nonzero coefficient),
-adversary.corrupt_stream_with_rng corrupts row by row, and the sink runs
-decode_batch and oracle_verify.  rlnc.decode, with detect.sig_verify, is
-the scalar reference the batch kernels are tested against.
+run is a batch pipeline: T generations at once as (T, G, width) field
+arrays, mixed in one call, forged by adversary.blind_forge_with_rng,
+decoded by rlnc.decode_batch and checked by detect.hash_consistent.  The
+signature run corrupts in one adversary.rewrite_rows call and verifies
+each side in one detect.sig_verify_batch call.  The relay runs trial by
+trial on (R, G + width) wire rows with an (R,) ground-truth taint mask
+per edge: subspan_consistency checks, random_combinations re-encodes (a
+combination is tainted when it gives a wrongly solved row a nonzero
+coefficient), adversary.corrupt_stream_with_rng corrupts row by row, and
+the sink runs decode_batch and oracle_verify.  rlnc.decode, with
+detect.sig_verify, is the scalar reference the batch kernels are tested
+against.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .adversary import MODES, blind_forge_with_rng, corrupt_stream_with_rng, rewrite_rows
+from .adversary import blind_forge_with_rng, corrupt_stream_with_rng, rewrite_rows
 from .algebra import FieldSpec, binary_field, make_group, prime_field
 from .analytic import OverheadPoint, SchemeParams, overhead_point
 from .detect import (
@@ -53,11 +53,9 @@ from .detect import (
     sig_verify_batch,
     subspan_consistency,
 )
-from .rlnc import decode_batch, fit_layout, make_generation, random_combinations
+from .rlnc import decode_batch, make_generation, random_combinations
 
 _STDERR_BLOCKS = 50
-# Payload symbols per hash symbol in simulate_node's hash detector.
-_DETECTOR_HASH_K = 50
 
 
 def _child_rng(*keys: int) -> np.random.Generator:
@@ -74,30 +72,19 @@ class TrialConfig:
 
     Packets are corrupted with probability params.p.  trials counts
     packets for the error-correction and packet schemes and generations
-    for the generation scheme.  With detector_field set, the node really
-    decodes and hash-checks each generation over that field, and the
-    attacker rewrites packets under attack_mode (adversary.MODES; a
-    hash-aware forger uses the detector's public hash).  Detector misses
-    are then reported as false_accepts; overhead is still scored from
-    ground truth.  Without a detector field, attack_mode has no effect.
+    for the generation scheme.
     """
 
     scheme: str
     params: SchemeParams
     trials: int
     seed: int
-    attack_mode: str = "random-symbol"
-    detector_field: FieldSpec | None = None
 
     def __post_init__(self):
         if self.scheme not in analytic.SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.attack_mode not in MODES:
-            raise ValueError(f"unknown attack mode {self.attack_mode!r}")
-        if self.detector_field is not None and self.scheme != "generation":
-            raise ValueError("the hash detector applies to the generation scheme")
 
 
 @dataclass(frozen=True)
@@ -110,11 +97,8 @@ class EmpiricalReport:
     goodput_fraction: float
     generations_dropped: int
     packets_dropped: int
-    false_accepts: int
-    false_rejects: int
     bits_transmitted: int
     trials: int
-    undecodable: int = 0
 
 
 def _block_stderr(values: np.ndarray) -> float:
@@ -124,9 +108,8 @@ def _block_stderr(values: np.ndarray) -> float:
 
 
 def _generation_report(params: SchemeParams, x_counts: np.ndarray,
-                       scored_drops: np.ndarray, *, bits_transmitted: int,
-                       false_accepts: int = 0, false_rejects: int = 0,
-                       undecodable: int = 0) -> EmpiricalReport:
+                       scored_drops: np.ndarray, *,
+                       bits_transmitted: int) -> EmpiricalReport:
     trials = len(x_counts)
     n, g = params.n, params.G
     hfrac = params.h_g / (n * g)
@@ -147,11 +130,8 @@ def _generation_report(params: SchemeParams, x_counts: np.ndarray,
         goodput_fraction=analytic.goodput_fraction_generation(n, g, params.h_g),
         generations_dropped=int(scored_drops.sum()),
         packets_dropped=int(scored_drops.sum()) * g,
-        false_accepts=false_accepts,
-        false_rejects=false_rejects,
         bits_transmitted=bits_transmitted,
         trials=trials,
-        undecodable=undecodable,
     )
 
 
@@ -159,9 +139,9 @@ def simulate_node(config: TrialConfig) -> EmpiricalReport:
     """Simulate the relay node for one (scheme, p) operating point.
 
     The corruption process is per-packet Bernoulli(p); for the bit
-    accounting only the corruption indicators matter, so the default run
-    draws them directly (exact same distribution as materializing
-    packets) and aggregates wasted bits per the scheme's rule.
+    accounting only the corruption indicators matter, so the run draws
+    them directly (exact same distribution as materializing packets) and
+    aggregates wasted bits per the scheme's rule.
     """
     params = config.params
     n = params.n
@@ -180,58 +160,14 @@ def simulate_node(config: TrialConfig) -> EmpiricalReport:
                               if packet else 1.0 - p_hat),
             generations_dropped=0,
             packets_dropped=dropped,
-            false_accepts=0,
-            false_rejects=0,
             bits_transmitted=round((config.trials - dropped) * n),
             trials=config.trials,
         )
-
-    if config.detector_field is not None:
-        return _simulate_generation_with_hash(config, rng)
 
     x_counts = rng.binomial(params.G, params.p, size=config.trials)
     drops = (x_counts > 0).astype(np.int64)
     bits = round((config.trials - int(drops.sum())) * n * params.G)
     return _generation_report(params, x_counts, drops, bits_transmitted=bits)
-
-
-def _simulate_generation_with_hash(config: TrialConfig,
-                                   rng: np.random.Generator) -> EmpiricalReport:
-    """Generation scheme with the node really decoding and hash-checking.
-
-    Chunks of generations (_NODE_CHUNK_ELEMENTS each) are materialized
-    and mixed, each received packet is corrupted in flight with
-    probability p, then the node decodes and verifies.  Forwarding
-    follows the detector's verdict (undecodable generations are counted
-    and pass through unverified); overhead is still scored from ground
-    truth per the model's definition.
-    """
-    params, f = config.params, config.detector_field
-    g = params.G
-    symbol_bits = f.w or (f.q - 1).bit_length()  # w is 0 for prime fields
-    k_data, _ = fit_layout(int(params.n), g, symbol_bits, hash_k=_DETECTOR_HASH_K)
-    hp = HashParams(k=_DETECTOR_HASH_K, field=f)
-    x_counts, verdicts = [], []
-    for src in _source_chunks(f, g, k_data, hp, config.trials, rng,
-                              _NODE_CHUNK_ELEMENTS):
-        coeffs, data = random_combinations(f, src, g, rng)
-        hit = rng.random(data.shape[:2]) < params.p
-        # The forger knows the public hash, so a hash-aware one uses hp.
-        data[hit] = rewrite_rows(f, data[hit], k_data, config.attack_mode, rng, hp)
-        full_rank, rows = decode_batch(f, np.concatenate([coeffs, data], axis=-1), g)
-        x_counts.append(hit.sum(axis=1))
-        # 1 Valid, 0 Corrupted, -1 undecodable.
-        verdicts.append(np.where(full_rank, hash_consistent(rows, hp), -1))
-    x_counts = np.concatenate(x_counts)
-    verdict = np.concatenate(verdicts)
-    bad = x_counts > 0
-    return _generation_report(
-        params, x_counts, bad.astype(np.int64),
-        bits_transmitted=int(np.count_nonzero(verdict != 0)) * round(params.n * g),
-        false_accepts=int(np.count_nonzero((verdict == 1) & bad)),
-        false_rejects=int(np.count_nonzero((verdict == 0) & ~bad)),
-        undecodable=int(np.count_nonzero(verdict < 0)),
-    )
 
 
 @dataclass(frozen=True)
@@ -289,28 +225,27 @@ class HashMissReport:
         return 1.0 - self.miss_rate
 
 
-# Chunk budgets: elements of one (T, G, G + width) array in a chunk of a
-# batch run.  Chunks hold as many trials as fit, and at least one, so peak
-# memory does not grow with the trial count.  Chunk boundaries fix the
-# order of the draws, so each budget is pinned by its run's golden values.
+# The miss-rate run's chunk budget: elements of one (T, G, G + width)
+# array in a chunk.  Chunks hold as many trials as fit, and at least one,
+# so peak memory does not grow with the trial count.  Chunk boundaries fix
+# the order of the draws, so the budget is pinned by MISS_RATE_GOLDEN.
 #
-# The miss-rate run's 2^16 holds a whole 32-trial call in one pass at both
-# hashbound criterion shapes (75 trials fit at G=8, k=100; 138 at k=50),
-# so a call pays numpy's fixed per-pass cost once.  A G=32, k=1000 trial
-# (33 056 elements) still gets a pass of its own: at three trials per pass
-# its int64 index temporaries outgrow the cache and the run slows by
-# 15-20% (2-vCPU VM).  The hash-detector node run keeps 2^14, which its
-# golden values were recorded with.
+# 2^16 holds a whole 32-trial call in one pass at both hashbound
+# criterion shapes (75 trials fit at G=8, k=100; 138 at k=50), so a call
+# pays numpy's fixed per-pass cost once.  A G=32, k=1000 trial (33 056
+# elements) still gets a pass of its own: at three trials per pass its
+# int64 index temporaries outgrow the cache and the run slows by 15-20%
+# (2-vCPU VM).
 _MISS_RATE_CHUNK_ELEMENTS = 1 << 16
-_NODE_CHUNK_ELEMENTS = 1 << 14
 
 
 def _source_chunks(field: FieldSpec, G: int, k_data: int, hp: HashParams,
-                   trials: int, rng: np.random.Generator, budget: int):
+                   trials: int, rng: np.random.Generator):
     """Yield fresh (T, G, width) source (payload | hash) rows per chunk,
-    with as many trials per chunk as fit in budget elements (at least 1)."""
+    with as many trials per chunk as fit in _MISS_RATE_CHUNK_ELEMENTS
+    elements (at least 1)."""
     width = k_data + hp.hash_symbol_count(k_data)
-    chunk = max(1, budget // (G * (G + width)))
+    chunk = max(1, _MISS_RATE_CHUNK_ELEMENTS // (G * (G + width)))
     for start in range(0, trials, chunk):
         payloads = field.random_elements(rng, (min(chunk, trials - start), G, k_data))
         yield np.concatenate([payloads, gen_hash_append(payloads, hp)], axis=-1)
@@ -342,8 +277,7 @@ def estimate_hash_miss_rate(field: FieldSpec, G: int, k_data: int,
     hp = HashParams(k=hash_k, field=field)
     rng = _child_rng(seed)
     misses = redraws = 0
-    for src in _source_chunks(field, G, k_data, hp, trials, rng,
-                              _MISS_RATE_CHUNK_ELEMENTS):
+    for src in _source_chunks(field, G, k_data, hp, trials, rng):
         decoded = np.empty_like(src)
         todo = np.arange(len(src))
         while todo.size:
@@ -485,8 +419,7 @@ class RelayReport:
 def _normalize_edges(p_per_edge) -> dict:
     out = {e: 0.0 for e in RELAY_EDGES}
     for key, val in (p_per_edge or {}).items():
-        name = "-".join(key) if isinstance(key, tuple) else str(key)
-        name = name.upper()
+        name = str(key).upper()
         if name not in out:
             raise ValueError(f"unknown edge {key!r}; edges are {RELAY_EDGES}")
         if not 0.0 <= val <= 1.0:

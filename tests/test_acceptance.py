@@ -12,10 +12,58 @@ import pytest
 from ncdetect import acceptance
 
 
+# Each criterion's line at DEFAULT_SEED, so that a draw that moves in a
+# criterion fails here even when the criterion still passes.
+LINES = {
+    "crossover": (
+        "PASS  crossover: measured p=0.03, curve gap 0.00e+00; expected p = "
+        "0.03 exactly (tol 1e-12)"
+    ),
+    "peak": (
+        "PASS  peak: measured p*=0.197258, grid argmax 0.1973; expected p* "
+        "in [0.15, 0.25], |p* - argmax| <= 1e-4"
+    ),
+    "asymptote": (
+        "PASS  asymptote: measured max |ratio@G=500 - max(0,1-2p)| = "
+        "4.00e-05; expected < 1e-3 at p in {0.1, 0.2, 0.3, 0.45}"
+    ),
+    "drop": (
+        "PASS  drop: measured 0.394857 over 1e6 generations; expected "
+        "0.394994 +- 0.001467 (3 sigma)"
+    ),
+    "grid": (
+        "PASS  grid: measured worst |empirical-analytic| = 0.00505, 0 "
+        "points out of tolerance; expected every point within max(3*stderr, "
+        "0.005)"
+    ),
+    "hashbound": (
+        "PASS  hashbound: measured miss 0.0000 (k=50, log q=7), 0.0000 "
+        "(k=100, log q=8); expected miss <= 0.011 resp. 0.010 over 1e4 "
+        "forged generations"
+    ),
+    "signature": (
+        "PASS  signature: measured 0 rejects of 100000 valid, 0 accepts of "
+        "10000 corrupted, P ~ 2^32; expected 0 false rejects, 0 false "
+        "accepts, P >= 2^31"
+    ),
+    "roundtrip": (
+        "PASS  roundtrip: measured 0 mismatches in 1000 instances (124 "
+        "rank-deficient, 124 agreed); expected decode == reference "
+        "eliminator == source on every instance"
+    ),
+    "relay": (
+        "PASS  relay: measured B flagged 1.000 of 627 polluted "
+        "sub-generations; sink clean in 627/627 filtered trials; expected B "
+        "flag rate >= 0.98 and sink clean whenever filtering fired"
+    ),
+}
+
+
 def _run(name):
     result = acceptance.CRITERIA[name](acceptance.DEFAULT_SEED)
     print(result.line())
     assert result.passed, result.line()
+    assert result.line() == LINES[name]
     return result
 
 

@@ -1,5 +1,6 @@
 """Corruption models: reproducibility, rates, and rewrite semantics."""
 
+import copy
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from ncdetect.adversary import (
     rewrite_rows,
 )
 from ncdetect.algebra import _INT64_SAFE_Q, binary_field, is_prime, prime_field
-from ncdetect.detect import HashParams, gen_hash_append, hash_consistent
+from ncdetect.detect import HashParams, gen_hash_append
 from ncdetect.rlnc import make_generation
 
 GF256 = binary_field(8)
@@ -79,18 +80,6 @@ def test_random_symbol_touches_one_payload_symbol_only():
     out, _ = corrupt_stream_with_rng(src, GF256, 3, 1.0, seeded(9))
     assert np.array_equal(out[:, 3:], src[:, 3:])  # hash left stale
     assert np.all(np.sum(out[:, :3] != src[:, :3], axis=1) == 1)
-
-
-def test_hash_aware_forgery_is_self_consistent():
-    src, hp = sources(hash_k=3, seed=10)
-    out = rewrite_rows(GF256, src, 3, "hash-aware-forgery", seeded(11), hp)
-    assert np.array_equal(out[:, 3:], gen_hash_append(out[:, :3], hp))
-
-
-def test_hash_aware_requires_params():
-    src, _ = sources(hash_k=3, seed=10)
-    with pytest.raises(ValueError, match="needs hash_params"):
-        rewrite_rows(GF256, src, 3, "hash-aware-forgery", seeded(11))
 
 
 def test_model_validation():
@@ -179,7 +168,8 @@ def test_rewrite_rows_modes(f, seed, n, k_data, hash_k):
     rows = np.concatenate([payload, gen_hash_append(payload, hp)], axis=1)
     before = rows.copy()
     for mode in MODES:
-        out = rewrite_rows(f, rows, k_data, mode, rng, hp)
+        twin = copy.deepcopy(rng)
+        out = rewrite_rows(f, rows, k_data, mode, rng)
         assert np.array_equal(rows, before)  # the input is not modified
         assert out.shape == rows.shape and out.dtype == f.dtype
         assert all(0 <= int(v) < f.q for v in out.ravel())
@@ -190,35 +180,31 @@ def test_rewrite_rows_modes(f, seed, n, k_data, hash_k):
         if mode == "random-symbol":
             assert np.all(changed == 1)
             assert np.array_equal(out[:, k_data:], rows[:, k_data:])  # stale
-        if mode == "hash-aware-forgery":
-            assert np.all(hash_consistent(out[:, None], hp))
+        else:
+            # Blind junk is one draw of whole rows; only a junk payload
+            # equal to the honest one is changed afterwards.
+            junk = f.random_elements(twin, rows.shape)
+            fresh = np.any(junk[:, :k_data] != rows[:, :k_data], axis=1)
+            assert np.array_equal(out[fresh], junk[fresh])
+            assert np.array_equal(out[~fresh, k_data:], junk[~fresh, k_data:])
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_rewrite_rows_empty_stack_is_a_noop(mode):
     rng = seeded(19)
     state = rng.bit_generator.state
-    hp = HashParams(k=3, field=GF256)
-    out = rewrite_rows(GF256, np.zeros((0, 4), dtype=np.uint8), 3, mode, rng, hp)
+    out = rewrite_rows(GF256, np.zeros((0, 4), dtype=np.uint8), 3, mode, rng)
     assert out.shape == (0, 4)
     assert rng.bit_generator.state == state
 
 
 def test_rewrite_rows_rejects_bad_input():
     rows = np.zeros((2, 4), dtype=np.uint8)
-    with pytest.raises(ValueError, match="unknown attack mode"):
-        rewrite_rows(GF256, rows, 3, "downgrade", seeded(20))
-    with pytest.raises(ValueError, match="needs hash_params"):
-        rewrite_rows(GF256, rows, 3, "hash-aware-forgery", seeded(20))
+    for mode in ("downgrade", "random-payload", "hash-aware-forgery"):
+        with pytest.raises(ValueError, match="unknown attack mode"):
+            rewrite_rows(GF256, rows, 3, mode, seeded(20))
     for k_data in (0, 5):
         with pytest.raises(ValueError, match="expected"):
             rewrite_rows(GF256, rows, k_data, "random-symbol", seeded(20))
     with pytest.raises(ValueError, match="expected"):
         rewrite_rows(GF256, rows[0], 3, "random-symbol", seeded(20))
-
-
-def test_rewrite_rows_rejects_a_hash_over_another_field():
-    rows = np.zeros((2, 4), dtype=np.uint8)  # GF(2^8) rows
-    other = HashParams(k=3, field=binary_field(4))
-    with pytest.raises(ValueError, match=r"hash over GF\(2\^4\).*over GF\(2\^8\)"):
-        rewrite_rows(GF256, rows, 3, "hash-aware-forgery", seeded(20), other)

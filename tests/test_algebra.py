@@ -29,6 +29,7 @@ from ncdetect.algebra import (
 from ncdetect.adversary import blind_forge_with_rng, corrupt_stream_with_rng, rewrite_rows
 from ncdetect.detect import (
     HashParams,
+    Verdict,
     gen_hash_append,
     gen_hash_verify,
     hash_consistent,
@@ -36,6 +37,7 @@ from ncdetect.detect import (
     subspan_consistency,
 )
 from ncdetect.rlnc import (
+    NotDecodable,
     decode,
     decode_batch,
     make_generation,
@@ -621,3 +623,75 @@ def test_field_dtype_arrays_pass_unscanned_at_full_width():
     with pytest.raises(ValueError):
         f._elements(np.array([128], dtype=np.uint8))
     assert binary_field(4).mul_arr([], []).shape == (0,)
+
+
+# Each entry point of ENTRY_POINTS as (call with the caller's rng, the
+# ranks of x it takes as (least, most or None for any), the shape of an
+# empty stack of its own rank, and a check of what that stack gives).
+STACKS = {
+    "gen_hash_append": (
+        lambda f, x, rng: gen_hash_append(x, HashParams(k=2, field=f)),
+        (1, None), (0, 3), lambda out: out.shape == (0, 2)),
+    "hash_consistent": (
+        lambda f, x, rng: hash_consistent(x, HashParams(k=2, field=f)),
+        (2, None), (0, 1, 3), lambda out: out.shape == (0,)),
+    "gen_hash_verify": (
+        lambda f, x, rng: gen_hash_verify(x, HashParams(k=2, field=f)),
+        (2, 2), (0, 3), lambda out: out is Verdict.VALID),
+    "rewrite_rows": (
+        lambda f, x, rng: rewrite_rows(f, x, 1, "blind-s-packet", rng),
+        (2, 2), (0, 3), lambda out: out.shape == (0, 3)),
+    "corrupt_stream_with_rng": (
+        lambda f, x, rng: corrupt_stream_with_rng(x, f, 1, 0.5, rng),
+        (2, 2), (0, 3),
+        lambda out: out[0].shape == (0, 3) and out[1].shape == (0,)),
+    "blind_forge_with_rng": (
+        lambda f, x, rng: blind_forge_with_rng(x, f, 1, 1, rng),
+        (2, None), (0, 1, 3),
+        lambda out: out[0].shape == (0, 1, 3) and out[1].shape == (0, 1)),
+    "decode": (
+        lambda f, x, rng: decode(f, x, 1),
+        (2, 2), (0, 3), None),  # no rows decode nothing: NotDecodable
+    "decode_batch": (
+        lambda f, x, rng: decode_batch(f, x, 1),
+        (3, 3), (0, 1, 3),
+        lambda out: out[0].shape == (0,) and out[1].shape == (0, 1, 2)),
+    "reduced_row_echelon": (
+        lambda f, x, rng: reduced_row_echelon(f, x),
+        (2, 2), (0, 3), lambda out: out[0].shape == (0, 3) and out[1] == []),
+    "random_combinations": (
+        lambda f, x, rng: random_combinations(f, x, 2, rng),
+        (2, None), (0, 1, 3),
+        lambda out: out[0].shape == (0, 2, 1) and out[1].shape == (0, 2, 3)),
+    "recover_subspan": (
+        lambda f, x, rng: recover_subspan(f, x, 1),
+        (2, 2), (0, 3), lambda out: out[0] == "solved" and out[2].shape == (0, 2)),
+    "subspan_consistency": (
+        lambda f, x, rng: subspan_consistency(x, 1, HashParams(k=2, field=f)),
+        (2, 2), (0, 3), lambda out: out[0] is Verdict.VALID),
+    "oracle_verify": (
+        lambda f, x, rng: oracle_verify(x, make_generation([[1, 1]], f)),
+        (1, 2), (0, 3), lambda out: out.shape == (0,)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(STACKS))
+@pytest.mark.parametrize("f", RANGE_FIELDS, ids=lambda f: str(f.w or f.q))
+def test_entry_points_take_empty_stacks_and_name_the_field_on_wrong_ranks(f, entry):
+    assert set(STACKS) == set(ENTRY_POINTS)
+    run, (least, most), empty, check = STACKS[entry]
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    if check is None:
+        with pytest.raises(NotDecodable):
+            run(f, np.ones(empty, dtype=int), rng)
+    else:
+        assert check(run(f, np.ones(empty, dtype=int), rng))
+    assert rng.bit_generator.state == state  # an empty stack draws nothing
+    for rank in range(5):
+        x = np.ones((1,) * (rank - 1) + (3,) if rank else (), dtype=int)
+        if least <= rank <= (most or rank):
+            run(f, x, rng)
+        else:
+            with pytest.raises(ValueError, match=re.escape(repr(f))):
+                run(f, x, rng)

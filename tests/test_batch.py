@@ -2,8 +2,8 @@
 
 Each property runs on GF(2^w) for every w in 2..16 and on prime fields on
 both sides of the int64 limit, so the object-dtype path is covered too.
-The miss-rate and hash-detector runs are also pinned to recorded outcomes,
-so a faster kernel cannot move one draw or verdict unnoticed.
+The miss-rate run is also pinned to recorded outcomes, so a faster kernel
+cannot move one draw or verdict unnoticed.
 """
 
 import numpy as np
@@ -19,10 +19,9 @@ from ncdetect.algebra import (
     is_prime,
     prime_field,
 )
-from ncdetect.analytic import SchemeParams
 from ncdetect.detect import HashParams, Verdict, gen_hash_append, gen_hash_verify, hash_consistent
 from ncdetect.rlnc import NotDecodable, decode, decode_batch, reduced_row_echelon
-from ncdetect.sim import TrialConfig, estimate_hash_miss_rate, simulate_node
+from ncdetect.sim import estimate_hash_miss_rate
 
 
 def _prime_near(q: int, step: int) -> int:
@@ -418,38 +417,3 @@ def test_miss_rate_run_is_pinned(case):
     got = [estimate_hash_miss_rate(f, seed=seed, **args) for seed in (1, 2, 11)]
     assert [(r.misses, r.redraws) for r in got] == want
 
-
-# (false accepts, false rejects, undecodable, generations dropped, bits
-# transmitted) of the hash-detector node run, 300 generations at seed 5,
-# as recorded before the table-driven kernels.
-NODE_GOLDEN = {
-    ("GF(2^8)", "random-symbol"): (0, 0, 0, 246, 540000),
-    ("GF(2^8)", "random-payload"): (0, 0, 0, 268, 320000),
-    ("GF(2^8)", "hash-aware-forgery"): (0, 0, 0, 268, 320000),
-    ("GF(2^8)", "blind-s-packet"): (0, 0, 1, 271, 300000),
-    ("GF(2^2)", "random-symbol"): (8, 0, 89, 239, 34816),
-    ("GF(2^2)", "random-payload"): (5, 0, 96, 228, 37376),
-    ("GF(2^2)", "hash-aware-forgery"): (4, 0, 96, 228, 37120),
-    ("GF(2^2)", "blind-s-packet"): (6, 0, 92, 237, 35328),
-    ("GF(257)", "random-symbol"): (0, 0, 0, 231, 413586),
-    ("GF(257)", "random-payload"): (0, 0, 0, 217, 497502),
-    ("GF(257)", "hash-aware-forgery"): (0, 0, 0, 217, 497502),
-    ("GF(257)", "blind-s-packet"): (0, 0, 1, 223, 461538),
-}
-NODE_SHAPES = {  # field, n, G, p
-    "GF(2^8)": (binary_field(8), 1000, 10, 0.2),
-    "GF(2^2)": (binary_field(2), 64, 4, 0.3),
-    "GF(257)": (prime_field(257), 999, 6, 0.2),
-}
-
-
-@pytest.mark.parametrize("case", sorted(NODE_GOLDEN))
-def test_hash_detector_node_run_is_pinned(case):
-    name, mode = case
-    f, n, G, p = NODE_SHAPES[name]
-    rep = simulate_node(TrialConfig(
-        scheme="generation", params=SchemeParams.defaults(p=p, n=n, G=G),
-        trials=300, seed=5, attack_mode=mode, detector_field=f,
-    ))
-    assert (rep.false_accepts, rep.false_rejects, rep.undecodable,
-            rep.generations_dropped, rep.bits_transmitted) == NODE_GOLDEN[case]

@@ -1,15 +1,18 @@
 """Monte Carlo node simulation, grid comparison and the relay scenario."""
 
+import dataclasses
 import hashlib
+import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ncdetect import analytic, sim
 from ncdetect.acceptance import DEFAULT_SEED
-from ncdetect.adversary import MODES, corrupt_stream_with_rng, rewrite_rows
+from ncdetect.adversary import corrupt_stream_with_rng, rewrite_rows
 from ncdetect.algebra import (
     _INT64_SAFE_Q,
     binary_field,
@@ -21,6 +24,7 @@ from ncdetect.analytic import SchemeParams
 from ncdetect.detect import (
     HashParams,
     Verdict,
+    gen_hash_append,
     gen_hash_verify,
     hash_consistent,
     oracle_verify,
@@ -104,24 +108,8 @@ def test_trial_config_validation():
         TrialConfig("parity", params, 100, 0)
     with pytest.raises(ValueError):
         TrialConfig("packet", params, 0, 0)
-    with pytest.raises(ValueError, match="unknown attack mode 'downgrade'"):
-        TrialConfig("generation", params, 100, 0, attack_mode="downgrade")
-    with pytest.raises(ValueError):
-        TrialConfig("packet", params, 100, 0, detector_field=binary_field(8))
-
-
-def test_hash_detector_path_counts_and_agrees():
-    p = 0.08
-    cfg = TrialConfig(
-        scheme="generation", params=SchemeParams.defaults(p=p, G=10),
-        trials=400, seed=6, detector_field=binary_field(8),
-    )
-    rep = simulate_node(cfg)
-    assert rep.false_rejects == 0  # honest generations never get flagged
-    assert rep.false_accepts <= 2  # misses are collision-rare
-    expect = analytic.overhead_generation(p, 1000, 10, 200)
-    assert abs(rep.overhead_ratio - expect) <= max(3 * rep.stderr, 0.02)
-    assert rep.bits_transmitted <= 400 * 1000 * 10
+    fields = [f.name for f in dataclasses.fields(TrialConfig)]
+    assert fields == ["scheme", "params", "trials", "seed"]
 
 
 def test_compare_grid_empty():
@@ -288,114 +276,182 @@ def _binomial_region(trials: int, p: float, alpha: float):
     return lo, hi
 
 
-@pytest.mark.parametrize("w", [2, 3])
-def test_hash_detector_undecodable_count_is_binomial(w):
-    # The node mixes G uniform combinations per generation and corruption
-    # never touches the coefficients, so each generation is undecodable
-    # with probability 1 - prod_{i=1..G} (1 - q^-i), independently.
-    f, G, trials = binary_field(w), 2, 20_000
-    P = math.prod(1 - f.q ** -i for i in range(1, G + 1))
-    cfg = TrialConfig(
-        scheme="generation", params=SchemeParams.defaults(p=0.1, n=120, G=G),
-        trials=trials, seed=23, detector_field=f,
-    )
-    rep = simulate_node(cfg)
-    lo, hi = _binomial_region(trials, 1 - P, alpha=1e-9)
-    assert lo < trials * (1 - P) < hi
-    assert lo <= rep.undecodable <= hi
-
-
-def test_hash_detector_with_prime_field():
-    p = 0.05
-    cfg = TrialConfig(
-        scheme="generation", params=SchemeParams.defaults(p=p, n=999, G=10),
-        trials=100, seed=4, detector_field=prime_field(257),
-    )
-    rep = simulate_node(cfg)
-    assert rep.trials == 100
-    assert rep.false_rejects == 0
-    assert rep.false_accepts == 0
-
-
 PRIME_ABOVE = next(q for q in range(_INT64_SAFE_Q + 1, _INT64_SAFE_Q + 1000)
                    if is_prime(q))  # object-dtype path
-# (detector field, n, G, p): GF(2^2) is often singular and often misses.
-NODE_CASES = {
-    "GF(2^8)": (binary_field(8), 1000, 10, 0.2),
-    "GF(2^2)": (binary_field(2), 64, 4, 0.3),
-    "G=1": (binary_field(8), 1000, 1, 0.3),
-    "GF(257)": (prime_field(257), 999, 6, 0.2),
-    "object": (prime_field(PRIME_ABOVE), 1320, 4, 0.3),  # 40 33-bit symbols
+# (field, G, k_data, hash_k, s): GF(2^2) is often singular and often misses.
+VERDICT_CASES = {
+    "GF(2^8)": (binary_field(8), 10, 112, 50, 2),
+    "GF(2^2)": (binary_field(2), 4, 27, 50, 1),
+    "G=1": (binary_field(8), 1, 121, 50, 1),
+    "GF(257)": (prime_field(257), 6, 102, 50, 2),
+    "object": (prime_field(PRIME_ABOVE), 4, 35, 50, 1),  # 33-bit symbols
 }
 
 
-def _node_config(case, p, trials, seed, mode="random-symbol"):
-    f, n, G, _ = NODE_CASES[case]
-    return TrialConfig(
-        scheme="generation", params=SchemeParams.defaults(p=p, n=n, G=G),
-        trials=trials, seed=seed, attack_mode=mode, detector_field=f,
-    )
-
-
-@pytest.mark.parametrize("case", sorted(NODE_CASES))
-@pytest.mark.parametrize("mode", MODES)
-def test_hash_detector_verdicts_match_packet_reference(case, mode, monkeypatch):
-    # Every batched verdict equals decode + gen_hash_verify on that
-    # trial's received rows.
-    f, n, G, p = NODE_CASES[case]
-    hp = HashParams(k=sim._DETECTOR_HASH_K, field=f)
-    chunks = []
+@pytest.mark.parametrize("case", sorted(VERDICT_CASES))
+def test_miss_rate_verdicts_match_packet_reference(case, monkeypatch):
+    # Every batched decode equals decode on that trial's received rows, a
+    # trial is redrawn exactly when decode raises NotDecodable, and every
+    # batched hash verdict equals gen_hash_verify on the decoded rows.
+    f, G, k_data, hash_k, s = VERDICT_CASES[case]
+    hp = HashParams(k=hash_k, field=f)
+    todo, ref, verdicts, redraws = None, {}, [], 0
 
     def decode_spy(field, m, g):
+        nonlocal todo, redraws
         full_rank, rows = decode_batch(field, m, g)
-        chunks.append([m.copy(), full_rank])
+        if todo is None:  # a chunk's first pass holds all its trials
+            todo = list(range(len(m)))
+        assert len(m) == len(todo)
+        for i, t in enumerate(todo):
+            try:
+                ref[t] = decode(f, m[i], G)
+            except NotDecodable:
+                assert not full_rank[i]
+                continue
+            assert full_rank[i] and np.array_equal(rows[i], ref[t])
+        todo = [t for i, t in enumerate(todo) if not full_rank[i]]
+        redraws += len(todo)
         return full_rank, rows
 
     def consistent_spy(rows, params):
+        nonlocal todo
         ok = hash_consistent(rows, params)
-        chunks[-1].append(ok)
+        assert todo == [] and len(rows) == len(ref)
+        for t, decoded in enumerate(rows):
+            assert np.array_equal(decoded, ref[t])
+            verdicts.append(gen_hash_verify(decoded, hp))
+            assert ok[t] == (verdicts[-1] is Verdict.VALID)
+        todo = None
+        ref.clear()
         return ok
 
     monkeypatch.setattr(sim, "decode_batch", decode_spy)
     monkeypatch.setattr(sim, "hash_consistent", consistent_spy)
-    rep = simulate_node(_node_config(case, p, trials=60, seed=21, mode=mode))
-    verdicts = []
-    for m, full_rank, ok in chunks:
-        for t, rows in enumerate(m):
-            try:
-                ref = gen_hash_verify(decode(f, rows, G), hp)
-            except NotDecodable:
-                ref = None
-            got = None
-            if full_rank[t]:
-                got = Verdict.VALID if ok[t] else Verdict.CORRUPTED
-            assert got == ref
-            verdicts.append(ref)
+    rep = estimate_hash_miss_rate(f, G=G, k_data=k_data, hash_k=hash_k, s=s,
+                                  trials=60, seed=21)
     assert len(verdicts) == rep.trials == 60
-    assert rep.undecodable == verdicts.count(None)
-    assert rep.false_accepts <= verdicts.count(Verdict.VALID)
-    assert rep.false_rejects == 0
-    assert rep.bits_transmitted == (
-        (60 - verdicts.count(Verdict.CORRUPTED)) * round(n * G)
-    )
-    if case == "GF(2^2)" and mode == "random-symbol":
-        assert set(verdicts) == {None, Verdict.VALID, Verdict.CORRUPTED}
+    assert rep.misses == verdicts.count(Verdict.VALID)
+    assert rep.redraws == redraws
+    if case == "GF(2^2)":
+        assert set(verdicts) == {Verdict.VALID, Verdict.CORRUPTED} and redraws
 
 
-@pytest.mark.parametrize("case", sorted(NODE_CASES))
-@pytest.mark.parametrize("p", [0.0, 1.0])
-def test_hash_detector_at_p_extremes(case, p):
-    _, n, G, _ = NODE_CASES[case]
-    rep = simulate_node(_node_config(case, p, trials=40, seed=22))
-    assert rep.trials == 40
-    assert rep.false_rejects == 0  # honest generations are never flagged
-    if p == 0.0:
-        assert rep.generations_dropped == rep.false_accepts == 0
-        assert rep.bits_transmitted == 40 * round(n * G)
-    else:
-        assert rep.generations_dropped == 40
-        flagged = 40 - rep.false_accepts - rep.undecodable
-        assert rep.bits_transmitted == (40 - flagged) * round(n * G)
+def _gf2_mul_table(w: int, poly: int) -> np.ndarray:
+    """GF(2^w) products by shift-and-xor modulo poly, apart from algebra."""
+    q = 1 << w
+    table = np.zeros((q, q), dtype=np.uint8)
+    for a, b in itertools.product(range(q), repeat=2):
+        r = 0
+        for i in range(w):
+            if b >> i & 1:
+                r ^= a << i
+        for i in range(2 * w - 2, w - 1, -1):
+            if r >> i & 1:
+                r ^= poly << (i - w)
+        table[a, b] = r
+    return table
+
+
+def _exact_blind_miss(w: int, poly: int, G: int, k_data: int) -> Fraction:
+    """Miss probability of one blind junk row with hash_k = k_data, exactly.
+
+    Enumerates every source payload matrix X, full-rank mixing C, victim v
+    and junk row, forges row v of D = C (X | H(X)) and decodes with C^-1.
+    A miss is a decoded matrix whose every row is hash-consistent.  The
+    junk follows rewrite_rows' blind rule: a uniform row, except that a
+    payload equal to the honest one gets one of its k_data symbols moved
+    to one of the q - 1 other values, so each such row splits into
+    k_data (q - 1) equally likely moved rows.  Any reduction polynomial
+    gives the same probability, since all GF(2^w) are isomorphic and
+    every draw is uniform.
+    """
+    q = 1 << w
+    mul = _gf2_mul_table(w, poly)
+
+    def matmul(a, b):
+        return np.bitwise_xor.reduce(mul[a[..., :, :, None], b[..., None, :, :]],
+                                     axis=-2)
+
+    def every(*shape):
+        return np.array(list(itertools.product(range(q), repeat=math.prod(shape))),
+                        dtype=np.uint8).reshape(-1, *shape)
+
+    # The hash symbol sum_j x_j^(j+2) of every payload (hash_k = k_data
+    # gives one), looked up by the payload's symbols read as base-q digits.
+    hashes = np.zeros(q ** k_data, dtype=np.uint8)
+    for j, x in enumerate(every(k_data).T):
+        p = x
+        for _ in range(j + 1):
+            p = mul[p, x]
+        hashes ^= p
+
+    def hash_symbol(x):  # q^k_data <= 256, so the digits add up in uint8
+        digits = x[..., 0]
+        for j in range(1, k_data):
+            digits = digits * np.uint8(q) + x[..., j]
+        return hashes[digits]
+
+    def missed(decoded):  # every decoded row hash-consistent
+        return np.all(hash_symbol(decoded) == decoded[..., k_data], axis=-1)
+
+    square = every(G, G)
+    is_eye = (matmul(square[:, None], square[None]) == np.eye(G)).all(axis=(-2, -1))
+    full_rank = is_eye.any(axis=1)
+    C, C_inv = square[full_rank], square[is_eye[full_rank].argmax(axis=1)]
+    X = every(G, k_data)
+    S = np.concatenate([X, hash_symbol(X)[..., None]], axis=2)
+    D = matmul(C, S[:, None])  # (payloads, mixings, G, k_data + 1)
+    junk = every(k_data + 1)
+    offsets = np.zeros((k_data * (q - 1), k_data), dtype=np.uint8)
+    for i, (j, c) in enumerate(itertools.product(range(k_data), range(1, q))):
+        offsets[i, j] = c
+    moves = len(offsets)
+    # Weights in units of 1 / (q^(k_data + 1) moves): a junk row weighs
+    # `moves` unless its payload is the honest one, a moved row 1.
+    misses = 0
+    for v in range(G):
+        # C^-1 times the forged D, split by rows of D: the honest rows'
+        # part, and column v of C^-1 times the junk row.
+        others = [i for i in range(G) if i != v]
+        kept = matmul(C_inv[:, :, others], D[:, :, others])[:, :, None]
+        column = C_inv[:, None, :, v, None]  # (mixings, 1, G, 1)
+        from_junk = mul[column, junk[:, None]]  # the same for every payload
+        for x in range(0, len(X), 16):
+            honest = D[x : x + 16, :, v, :k_data]
+            weight = moves * np.any(junk[:, :k_data] != honest[:, :, None], axis=-1)
+            misses += int((weight * missed(kept[x : x + 16] ^ from_junk)).sum())
+            lead = honest.shape[:2]
+            moved = np.empty(lead + (moves, q, k_data + 1), dtype=np.uint8)
+            moved[..., :k_data] = (honest[:, :, None] ^ offsets)[:, :, :, None]
+            moved[..., k_data] = np.arange(q)  # the junk's hash symbol
+            moved = moved.reshape(lead + (-1, 1, k_data + 1))
+            misses += int(missed(kept[x : x + 16] ^ mul[column, moved]).sum())
+    return Fraction(misses, len(X) * len(C) * G * len(junk) * moves)
+
+
+# (w, reduction polynomial, G, k_data) of the exact oracle, at hash_k =
+# k_data and s = 1, and the miss probability it gives.  GF(4) enumerates
+# 256 payloads x 180 mixings x 2 victims x 88 junk rows, about 8.1e6 cases.
+ORACLE_SHAPES = {
+    "GF(4), G=2": ((2, 0b111, 2, 2), Fraction(3, 20)),  # bound 3/4
+    "GF(8), G=1": ((3, 0b1011, 1, 2), Fraction(1, 8)),  # bound 3/8
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_SHAPES))
+def test_miss_rate_matches_the_exact_blind_miss_probability(case):
+    # The exact miss probability obeys ((k+1)/q)^s, and the estimator,
+    # which shares no code with the oracle, measures it.
+    (w, poly, G, k_data), pinned = ORACLE_SHAPES[case]
+    exact = _exact_blind_miss(w, poly, G, k_data)
+    assert exact == pinned
+    trials = 20_000
+    rep = estimate_hash_miss_rate(binary_field(w), G=G, k_data=k_data,
+                                  hash_k=k_data, s=1, trials=trials, seed=9)
+    assert 0 < exact <= rep.bound == (k_data + 1) / (1 << w)
+    lo, hi = _binomial_region(trials, float(exact), alpha=1e-9)
+    assert lo <= rep.misses <= hi
 
 
 # Group bits, group order and coding-field dtype per seed.  Seed 9 draws P
@@ -541,7 +597,8 @@ def test_relay_reencode_taints_combinations_of_wrongly_solved_rows():
     gen = make_generation(f.random_elements(rng, (8, 4)), f, hp)
     src = gen.source_wire_rows()
     rows = src[:2].copy()
-    rows[:1, 8:] = rewrite_rows(f, rows[:1, 8:], 4, "hash-aware-forgery", rng, hp)
+    rows[:1, 8:12] = rewrite_rows(f, rows[:1, 8:12], 4, "random-symbol", rng)
+    rows[:1, 12:] = gen_hash_append(rows[:1, 8:12], hp)
     verdict, (stream,) = sim._forward_blocks(
         rows, np.array([True, False]), [range(8)], hp, src, rng)
     assert verdict is Verdict.VALID
@@ -573,7 +630,10 @@ def test_relay_edge_name_validation():
         simulate_relay(G=8, p_per_edge={"A-F": 0.1}, seed=0)
     with pytest.raises(ValueError):
         simulate_relay(G=8, p_per_edge={"A-B": 1.4}, seed=0)
-    rep = simulate_relay(G=8, p_per_edge={("a", "b"): 0.5}, seed=17, trials=5)
+    with pytest.raises(ValueError, match="unknown edge"):
+        simulate_relay(G=8, p_per_edge={("A", "B"): 0.5}, seed=0)
+    # Names are case-insensitive: fig2 --edge-p passes user text.
+    rep = simulate_relay(G=8, p_per_edge={"a-b": 0.5}, seed=17, trials=5)
     assert rep.p_per_edge["A-B"] == 0.5
     assert set(rep.p_per_edge) == set(RELAY_EDGES)
 
