@@ -61,7 +61,6 @@ from .rlnc import (
 )
 from .sim import (
     EmpiricalReport,
-    TrialConfig,
     compare_grid,
     estimate_hash_miss_rate,
     signature_error_counts,

@@ -26,7 +26,6 @@ from .rlnc import (
     random_combinations,
 )
 from .sim import (
-    TrialConfig,
     compare_grid,
     estimate_hash_miss_rate,
     signature_error_counts,
@@ -102,14 +101,8 @@ def drop(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Simulated generation-drop frequency against 1 - (1-p)^G."""
     trials = 1_000_000
     p, g = 0.01, 50
-    cfg = TrialConfig(
-        scheme="generation",
-        params=SchemeParams.defaults(p=p, G=g),
-        trials=trials,
-        seed=seed,
-    )
-    rep = simulate_node(cfg)
-    freq = rep.generations_dropped / trials
+    rep = simulate_node("generation", SchemeParams.defaults(p=p, G=g), trials, seed)
+    freq = rep.dropped / trials
     expect = analytic.drop_probability(p, g)
     sigma = math.sqrt(expect * (1.0 - expect) / trials)
     ok = abs(freq - expect) <= 3.0 * sigma

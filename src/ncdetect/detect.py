@@ -103,12 +103,15 @@ def gen_hash_append(payload, params: HashParams) -> np.ndarray:
 
 
 def split_decoded_width(width: int, k: int) -> tuple[int, int]:
-    """Split a decoded row width into (k_data, hash symbols) for coverage k."""
-    for n_h in range(1, width):
-        k_data = width - n_h
-        if -(-k_data // k) == n_h:
-            return k_data, n_h
-    raise ValueError(f"width {width} is not payload+hash for k={k}")
+    """Split a decoded row width into (k_data, hash symbols) for coverage k.
+
+    A row of k_data payload symbols carries n_h = ceil(k_data / k) hash
+    symbols, so its width k_data + n_h fixes n_h = ceil(width / (k + 1)).
+    """
+    n_h = -(-width // (k + 1))
+    if n_h < 1 or -(-(width - n_h) // k) != n_h:
+        raise ValueError(f"width {width} is not payload+hash for k={k}")
+    return width - n_h, n_h
 
 
 def hash_consistent(rows, params: HashParams) -> np.ndarray:
@@ -122,7 +125,10 @@ def hash_consistent(rows, params: HashParams) -> np.ndarray:
     if d.ndim < 2 or d.shape[-1] < 2:
         raise ValueError(f"expected (..., r, payload + hash) {params.field!r} rows, "
                          f"got {d.shape}")
-    k_data, _ = split_decoded_width(d.shape[-1], params.k)
+    try:
+        k_data, _ = split_decoded_width(d.shape[-1], params.k)
+    except ValueError as exc:
+        raise ValueError(f"{exc} over {params.field!r}") from None
     recomputed = gen_hash_append(d[..., :k_data], params)
     return np.all(recomputed == d[..., k_data:], axis=(-2, -1))
 

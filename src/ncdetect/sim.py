@@ -67,107 +67,64 @@ def _child_seed(*keys: int) -> int:
 
 
 @dataclass(frozen=True)
-class TrialConfig:
-    """One simulate_node run; identical configs replay bit-identically.
-
-    Packets are corrupted with probability params.p.  trials counts
-    packets for the error-correction and packet schemes and generations
-    for the generation scheme.
-    """
-
-    scheme: str
-    params: SchemeParams
-    trials: int
-    seed: int
-
-    def __post_init__(self):
-        if self.scheme not in analytic.SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-
-
-@dataclass(frozen=True)
 class EmpiricalReport:
-    """Measured counterpart of one OverheadPoint."""
+    """Measured counterpart of one OverheadPoint.
+
+    trials counts packets under the error-correction and packet schemes
+    and generations under the generation scheme; dropped counts the
+    trials the node dropped (0 under error correction), so dropped /
+    trials is the drop frequency under every scheme.
+    """
 
     scheme: str
     overhead_ratio: float
     stderr: float
-    goodput_fraction: float
-    generations_dropped: int
-    packets_dropped: int
-    bits_transmitted: int
+    dropped: int
     trials: int
 
 
-def _block_stderr(values: np.ndarray) -> float:
-    if len(values) < 2:
-        return 0.0
-    return float(np.std(values, ddof=1) / math.sqrt(len(values)))
-
-
-def _generation_report(params: SchemeParams, x_counts: np.ndarray,
-                       scored_drops: np.ndarray, *,
-                       bits_transmitted: int) -> EmpiricalReport:
-    trials = len(x_counts)
-    n, g = params.n, params.G
-    hfrac = params.h_g / (n * g)
-    p_hat = float(x_counts.sum()) / (trials * g)
-    pg_hat = float(scored_drops.sum()) / trials
-    unclamped = min(1.0, hfrac + pg_hat * (1.0 - p_hat) - p_hat)
-    blocks = min(_STDERR_BLOCKS, trials)
-    u_blocks = []
-    for xs, ds in zip(np.array_split(x_counts, blocks),
-                      np.array_split(scored_drops, blocks)):
-        pb = float(xs.sum()) / (len(xs) * g)
-        gb = float(ds.sum()) / len(xs)
-        u_blocks.append(hfrac + gb * (1.0 - pb) - pb)
-    return EmpiricalReport(
-        scheme="generation",
-        overhead_ratio=max(0.0, unclamped),
-        stderr=_block_stderr(np.asarray(u_blocks)),
-        goodput_fraction=analytic.goodput_fraction_generation(n, g, params.h_g),
-        generations_dropped=int(scored_drops.sum()),
-        packets_dropped=int(scored_drops.sum()) * g,
-        bits_transmitted=bits_transmitted,
-        trials=trials,
-    )
-
-
-def simulate_node(config: TrialConfig) -> EmpiricalReport:
+def simulate_node(scheme: str, params: SchemeParams, trials: int,
+                  seed: int) -> EmpiricalReport:
     """Simulate the relay node for one (scheme, p) operating point.
 
-    The corruption process is per-packet Bernoulli(p); for the bit
-    accounting only the corruption indicators matter, so the run draws
-    them directly (exact same distribution as materializing packets) and
-    aggregates wasted bits per the scheme's rule.
+    Packets are corrupted independently with probability params.p; for
+    the bit accounting only the corruption indicators matter, so the run
+    draws their counts directly (the same distribution as materializing
+    packets) and scores them per the scheme's rule.  Equal arguments
+    replay bit-identically.  trials < 1 raises ValueError, and so does an
+    unknown scheme (through analytic.overhead_for).
     """
-    params = config.params
-    n = params.n
-    rng = _child_rng(config.seed)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = _child_rng(seed)
 
-    if config.scheme != "generation":
-        bad = int(rng.binomial(config.trials, params.p))
-        p_hat = bad / config.trials
-        packet = config.scheme == "packet"  # drops what it catches
-        dropped = bad if packet else 0
+    if scheme != "generation":
+        bad = int(rng.binomial(trials, params.p))
+        p_hat = bad / trials
         return EmpiricalReport(
-            scheme=config.scheme,
-            overhead_ratio=analytic.overhead_for(config.scheme, params.at(p_hat)),
-            stderr=math.sqrt(p_hat * (1.0 - p_hat) / config.trials),
-            goodput_fraction=(analytic.goodput_fraction_packet(n, params.h_p)
-                              if packet else 1.0 - p_hat),
-            generations_dropped=0,
-            packets_dropped=dropped,
-            bits_transmitted=round((config.trials - dropped) * n),
-            trials=config.trials,
+            scheme=scheme,
+            overhead_ratio=analytic.overhead_for(scheme, params.at(p_hat)),
+            stderr=math.sqrt(p_hat * (1.0 - p_hat) / trials),
+            dropped=bad if scheme == "packet" else 0,
+            trials=trials,
         )
 
-    x_counts = rng.binomial(params.G, params.p, size=config.trials)
-    drops = (x_counts > 0).astype(np.int64)
-    bits = round((config.trials - int(drops.sum())) * n * params.G)
-    return _generation_report(params, x_counts, drops, bits_transmitted=bits)
+    x_counts = rng.binomial(params.G, params.p, size=trials)
+    hfrac = params.h_g / (params.n * params.G)
+
+    def unclamped(xs: np.ndarray) -> float:
+        # Overhead per time unit from the corruption and drop frequencies.
+        p_hat = float(xs.sum()) / (len(xs) * params.G)
+        return hfrac + np.count_nonzero(xs) / len(xs) * (1.0 - p_hat) - p_hat
+
+    u = [unclamped(xs) for xs in np.array_split(x_counts, min(_STDERR_BLOCKS, trials))]
+    return EmpiricalReport(
+        scheme=scheme,
+        overhead_ratio=max(0.0, min(1.0, unclamped(x_counts))),
+        stderr=float(np.std(u, ddof=1) / math.sqrt(len(u))) if len(u) > 1 else 0.0,
+        dropped=int(np.count_nonzero(x_counts)),
+        trials=trials,
+    )
 
 
 @dataclass(frozen=True)
@@ -186,19 +143,18 @@ def compare_grid(p_grid, schemes, params: SchemeParams,
     Each point gets an independent seed stream derived from (seed, scheme
     index, p index), so results do not depend on evaluation order.
     """
-    out = []
-    for si, scheme in enumerate(schemes):
+    for scheme in schemes:
         if scheme not in analytic.SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
+    out = []
+    for si, scheme in enumerate(schemes):
         t = trials.get(scheme, 0) if isinstance(trials, dict) else trials
         for pi, p in enumerate(p_grid):
             pp = params.at(float(p))
             point = overhead_point(scheme, pp)
             report = None
             if t:
-                cfg = TrialConfig(scheme=scheme, params=pp, trials=t,
-                                  seed=_child_seed(seed, si, pi))
-                report = simulate_node(cfg)
+                report = simulate_node(scheme, pp, t, _child_seed(seed, si, pi))
             out.append(GridPoint(point=point, report=report))
     return out
 

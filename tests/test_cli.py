@@ -1,5 +1,7 @@
 """Command-line interface: CSV contract, exit codes, reproducibility."""
 
+import hashlib
+
 import pytest
 
 from ncdetect import acceptance, analytic, cli, sim
@@ -37,12 +39,22 @@ def test_analytic_only_rows_have_empty_empirical_columns(tmp_path):
     assert row[9] == "0"
 
 
-def test_csv_byte_identical_across_runs(tmp_path):
-    out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-    args = ["sweep", "--p", "0:0.2:0.05", "--trials", "2000", "--seed", "99"]
-    run(args + ["--out", str(out1)])
-    run(args + ["--out", str(out2)])
-    assert out1.read_bytes() == out2.read_bytes()
+# sha256 of each command's CSV; a change of the node run's draws or of its
+# scoring moves them.
+CSV_DIGESTS = {
+    "sweep --p 0:0.2:0.05 --trials 2000 --seed 99":
+        "cbddbf7b981fcdac1b6d96ddbd7d539655193f6fd7077dd51684a8ffaaa26f45",
+    "figure3 --p 0:1:0.25 --G-list 1,5,50 --trials 2000 --seed 99":
+        "efde465265c9604b9965f43b70b88a86c19049dd1d6dc2ded31b38ffd859a538",
+}
+
+
+@pytest.mark.parametrize("command", CSV_DIGESTS, ids=lambda c: c.split()[0])
+def test_csv_byte_identical_across_runs(tmp_path, command):
+    for name in ("r1.csv", "r2.csv"):
+        out = tmp_path / name
+        run(command.split() + ["--out", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_DIGESTS[command]
 
 
 def test_simulated_rows_within_statistical_tolerance(tmp_path):

@@ -21,6 +21,7 @@ from ncdetect.detect import (
     Verdict,
     gen_hash_append,
     gen_hash_verify,
+    hash_consistent,
     oracle_verify,
     sig_keygen,
     sig_verify,
@@ -106,6 +107,8 @@ def test_split_decoded_width():
     assert split_decoded_width(8, 1) == (4, 4)
     with pytest.raises(ValueError):
         split_decoded_width(1, 50)
+    with pytest.raises(ValueError, match=r"width 5 .* over GF\(2\^8\)"):
+        hash_consistent(np.ones((1, 1, 5), dtype=int), HashParams(k=1, field=GF256))
 
 
 def test_verify_untouched_generation():

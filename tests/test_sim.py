@@ -42,7 +42,6 @@ from ncdetect.rlnc import (
 from ncdetect.sim import (
     RELAY_EDGES,
     RELAY_NODES,
-    TrialConfig,
     compare_grid,
     estimate_hash_miss_rate,
     signature_error_counts,
@@ -51,65 +50,62 @@ from ncdetect.sim import (
 )
 
 
-def config(scheme, p, trials, seed=0, **params_kw):
-    params = SchemeParams.defaults(p=p, **params_kw)
-    return TrialConfig(scheme=scheme, params=params, trials=trials, seed=seed)
+def node(scheme, p, trials, seed=0, **params_kw):
+    return simulate_node(scheme, SchemeParams.defaults(p=p, **params_kw), trials, seed)
 
 
-def test_identical_config_identical_report():
-    cfg = config("generation", 0.07, 5000, seed=42)
-    assert simulate_node(cfg) == simulate_node(cfg)
+def test_identical_arguments_identical_report():
+    assert node("generation", 0.07, 5000, seed=42) == node("generation", 0.07, 5000, seed=42)
 
 
 def test_ec_no_attack_no_overhead():
-    rep = simulate_node(config("error-correction", 0.0, 10_000))
+    rep = node("error-correction", 0.0, 10_000)
     assert rep.overhead_ratio == 0.0
     assert rep.stderr == 0.0
-    assert rep.bits_transmitted == 10_000 * 1000
 
 
 def test_ec_matches_binomial_mean():
-    rep = simulate_node(config("error-correction", 0.1, 100_000, seed=1))
+    rep = node("error-correction", 0.1, 100_000, seed=1)
     sigma = math.sqrt(0.1 * 0.9 / 100_000)
     assert abs(rep.overhead_ratio - 0.1) <= 3 * sigma
-    assert rep.goodput_fraction == pytest.approx(1 - rep.overhead_ratio)
+    assert rep.dropped == 0
 
 
 def test_packet_scheme_tracks_formula():
     for p in (0.0, 0.02, 0.06, 0.3):
-        rep = simulate_node(config("packet", p, 100_000, seed=2))
+        rep = node("packet", p, 100_000, seed=2)
         expect = analytic.overhead_packet(p, 1000, 60)
         assert abs(rep.overhead_ratio - expect) <= max(3 * rep.stderr, 0.005)
-    rep = simulate_node(config("packet", 0.5, 50_000, seed=3))
+    rep = node("packet", 0.5, 50_000, seed=3)
     assert rep.overhead_ratio == 0.0  # deep in the clamped region
-    assert rep.goodput_fraction == pytest.approx(0.94)
 
 
 def test_generation_scheme_tracks_formula():
     for p, g in ((0.05, 10), (0.2, 5), (0.7, 20)):
-        rep = simulate_node(config("generation", p, 20_000, seed=4, G=g))
+        rep = node("generation", p, 20_000, seed=4, G=g)
         expect = analytic.overhead_generation(p, 1000, g, 0.02 * 1000 * g)
         assert abs(rep.overhead_ratio - expect) <= max(3 * rep.stderr, 0.005)
-        assert rep.packets_dropped == rep.generations_dropped * g
 
 
-def test_generation_drop_counting():
+@pytest.mark.parametrize("scheme", ["generation", "packet"])
+def test_generation_drop_counting(scheme):
+    # A trial is a generation under the generation scheme and a packet
+    # under the packet scheme; either scheme drops what it catches.
     trials = 50_000
-    rep = simulate_node(config("generation", 0.01, trials, seed=5, G=50))
-    expect = analytic.drop_probability(0.01, 50)
+    rep = node(scheme, 0.01, trials, seed=5, G=50)
+    expect = analytic.drop_probability(0.01, 50 if scheme == "generation" else 1)
     sigma = math.sqrt(expect * (1 - expect) / trials)
-    assert abs(rep.generations_dropped / trials - expect) <= 3 * sigma
-    assert rep.bits_transmitted == (trials - rep.generations_dropped) * 1000 * 50
+    assert abs(rep.dropped / trials - expect) <= 3 * sigma
 
 
-def test_trial_config_validation():
+def test_simulate_node_validation():
     params = SchemeParams.defaults(p=0.1)
-    with pytest.raises(ValueError):
-        TrialConfig("parity", params, 100, 0)
-    with pytest.raises(ValueError):
-        TrialConfig("packet", params, 0, 0)
-    fields = [f.name for f in dataclasses.fields(TrialConfig)]
-    assert fields == ["scheme", "params", "trials", "seed"]
+    with pytest.raises(ValueError, match="unknown scheme"):
+        simulate_node("parity", params, 100, 0)
+    with pytest.raises(ValueError, match="trials"):
+        simulate_node("packet", params, 0, 0)
+    fields = [f.name for f in dataclasses.fields(sim.EmpiricalReport)]
+    assert fields == ["scheme", "overhead_ratio", "stderr", "dropped", "trials"]
 
 
 def test_compare_grid_empty():
@@ -149,10 +145,15 @@ def test_compare_grid_empirical_within_tolerance():
         assert dev <= max(3 * gp.report.stderr, 0.005)
 
 
-def test_compare_grid_unknown_scheme():
+def test_compare_grid_unknown_scheme(monkeypatch):
     params = SchemeParams.defaults(p=0.0)
     with pytest.raises(ValueError):
         compare_grid([0.1], ["parity"], params, trials=0, seed=0)
+    # Every scheme is checked before the first point is simulated.
+    monkeypatch.setattr(sim, "simulate_node",
+                        lambda *args: pytest.fail("simulated before the scheme check"))
+    with pytest.raises(ValueError, match="unknown scheme 'parity'"):
+        compare_grid([0.1], ["packet", "parity"], params, trials=100, seed=0)
 
 
 def test_miss_rate_experiment_reports():
