@@ -19,13 +19,18 @@ and form products in uint64, exact because (q-1)^2 < 2^64; larger primes
 fall back to Python ints in object arrays.  The multiplicative-group side
 (:class:`GroupSpec`, :func:`make_group`) provides the prime-order subgroup
 of Z_Q^* needed by the subspace signature scheme; its arithmetic is
-Python's ``pow``.
+Python's ``pow``.  :func:`make_group` draws its P candidates in blocks of
+raw words and sieves them, and Q = k*P + 1 where only one even k fits, by
+one gcd with the product of the odd primes below 2^9 before Miller-Rabin;
+it then rewinds the generator to just past the chosen P, so its draws are
+those of testing one candidate at a time.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -75,6 +80,14 @@ _MILLER_RABIN_PSI = (
 )
 
 
+def _as_int(value, what: str) -> int:
+    """value as a Python int; numpy integers pass, floats and strings do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+
+
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test on a ladder of witness sets.
 
@@ -85,6 +98,7 @@ def is_prime(n: int) -> bool:
     probable-prime test (error probability < 4^-14) that still rejects
     psi_13 itself.
     """
+    n = _as_int(n, "n")
     if n < 2:
         return False
     for p in _MILLER_RABIN_BASES:
@@ -105,14 +119,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _as_int(value, what: str) -> int:
-    """value as a Python int; numpy integers pass, floats and strings do not."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _carryless_mul_mod(a: int, b: int, poly: int, w: int) -> int:
@@ -534,12 +540,71 @@ class GroupSpec:
             raise ValueError("generator must have multiplicative order P")
 
 
-def check_group_bits(bits_p: int, bits_q: int) -> None:
-    """Raise ValueError unless make_group accepts these sizes."""
+def check_group_bits(bits_p: int, bits_q: int) -> tuple[int, int]:
+    """bits_p and bits_q as ints; ValueError unless make_group accepts them."""
+    bits_p, bits_q = _as_int(bits_p, "bits_p"), _as_int(bits_q, "bits_q")
     if bits_p < 8:
         raise ValueError("bits_p must be >= 8")
     if bits_q <= bits_p:
         raise ValueError("bits_q must exceed bits_p")
+    return bits_p, bits_q
+
+
+# make_group draws its P candidates _P_BLOCK at a time, in one random_raw
+# call, and sieves them before any Miller-Rabin test: an n >= _SIEVE_LIMIT
+# that shares a factor with the product of the odd primes below it is
+# composite, which one gcd shows.
+_P_BLOCK = 64
+_SIEVE_LIMIT = 1 << 9
+_SIEVE_PRIMORIAL = math.prod(p for p in range(3, _SIEVE_LIMIT, 2) if is_prime(p))
+
+
+def _sieved_out(n: int) -> bool:
+    """True when n >= _SIEVE_LIMIT has an odd prime factor below it."""
+    return n >= _SIEVE_LIMIT and math.gcd(n, _SIEVE_PRIMORIAL) != 1
+
+
+def _draw_p(bitgen, bits_p: int, bits_q: int) -> tuple[int, int, int]:
+    """The next prime P of the search, with k_lo and the number of even k.
+
+    Each candidate is what _randbelow(rng, 2^(bits_p - 1)) gives, one try
+    of ceil((bits_p - 1) / 64) raw words joined high-first, with the top
+    and low bits set.  A block of candidates is drawn at once and sieved;
+    when only k_lo fits, Q = k_lo * P + 1 is sieved and tested here too
+    (Wiener, IACR ePrint 2003/186), since the k search draws nothing for
+    it.  Before returning, the bit generator is put back to its state
+    before the block and advanced past the words up to P alone, so its
+    draws are the ones the candidate-by-candidate search made.
+    """
+    top = 1 << (bits_p - 1)
+    words = -(-(bits_p - 1) // 64)
+    while True:
+        state = bitgen.state
+        raw = bitgen.random_raw(_P_BLOCK * words)
+        if words == 1:
+            draws = raw.tolist()
+        else:  # each candidate's words joined high word first
+            buf, step = raw.astype(">u8").tobytes(), 8 * words
+            draws = [
+                int.from_bytes(buf[j : j + step], "big")
+                for j in range(0, len(buf), step)
+            ]
+        for i, r in enumerate(draws):
+            p = top | (r & (top - 1)) | 1
+            if _sieved_out(p):
+                continue
+            k_lo = -(-(1 << (bits_q - 1)) // p)  # ceil
+            k_lo += k_lo % 2  # Q odd needs k even
+            evens = (((1 << bits_q) - 1) // p - k_lo) // 2 + 1
+            if evens == 1:
+                q = k_lo * p + 1
+                if _sieved_out(q) or not is_prime(p) or not is_prime(q):
+                    continue
+            elif not is_prime(p):
+                continue
+            bitgen.state = state
+            bitgen.random_raw((i + 1) * words)
+            return p, k_lo, evens
 
 
 def make_group(bits_p: int, bits_q: int, rng: np.random.Generator) -> GroupSpec:
@@ -547,11 +612,16 @@ def make_group(bits_p: int, bits_q: int, rng: np.random.Generator) -> GroupSpec:
 
     Draws P prime, then searches Q = k*P + 1 prime over the even k that
     put Q in the requested size, then derives a generator of the order-P
-    subgroup.  Every draw comes from rng, so equal generator states give
-    equal groups.  Requests at cryptographic sizes (e.g. 160/1024 bits)
-    are honored but slow; a warning marks that path.
+    subgroup.  P candidates are drawn in blocks of raw words and sieved
+    by small primes before Miller-Rabin; when k = k_lo is the only fit
+    (every 32/33-bit group, where Q = 2P + 1 is a safe prime), k_lo*P + 1
+    is sieved with them.  The generator is then rewound to just past the
+    chosen P, so the draws, and the group, are those of drawing and
+    testing one candidate at a time.  Every draw comes from rng, so equal
+    generator states give equal groups.  Requests at cryptographic sizes
+    (e.g. 160/1024 bits) are honored but slow; a warning marks that path.
     """
-    check_group_bits(bits_p, bits_q)
+    bits_p, bits_q = check_group_bits(bits_p, bits_q)
     if not isinstance(rng, np.random.Generator):
         raise TypeError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     if bits_q >= 512:
@@ -561,24 +631,22 @@ def make_group(bits_p: int, bits_q: int, rng: np.random.Generator) -> GroupSpec:
         )
 
     while True:
-        p = (1 << (bits_p - 1)) | _randbelow(rng, 1 << (bits_p - 1)) | 1
-        if not is_prime(p):
-            continue
-        k_lo = -(-(1 << (bits_q - 1)) // p)  # ceil
-        k_lo += k_lo % 2  # Q odd needs k even
-        evens = (((1 << bits_q) - 1) // p - k_lo) // 2 + 1
-        # Narrow k ranges redraw the same candidate (only k = 2 at 32/33
-        # bits), so known composites are not retested.
-        composite = set()
-        while len(composite) < evens:
-            k = k_lo + 2 * _randbelow(rng, evens)
-            if k in composite:
-                continue
-            if is_prime(k * p + 1):
-                break
-            composite.add(k)
+        p, k_lo, evens = _draw_p(rng.bit_generator, bits_p, bits_q)
+        if evens == 1:
+            k = k_lo  # _draw_p has found k_lo * p + 1 prime already
         else:
-            continue  # every even k is composite: draw the next P
+            # Narrow k ranges redraw the same candidate, so known
+            # composites are not retested.
+            composite = set()
+            while len(composite) < evens:
+                k = k_lo + 2 * _randbelow(rng, evens)
+                if k in composite:
+                    continue
+                if is_prime(k * p + 1):
+                    break
+                composite.add(k)
+            else:
+                continue  # every even k is composite: draw the next P
         q = k * p + 1
         cofactor = (q - 1) // p
         while True:

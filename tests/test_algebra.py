@@ -315,15 +315,84 @@ def test_make_group_exact_sizes(bits_p, bits_q):
             assert g.modulus == 2 * g.order + 1
 
 
-def test_make_group_skips_a_prime_whose_only_k_is_composite(monkeypatch):
-    # At 8/9 bits k = 2 is the only even k.  P = 137 gives 275 = 5^2 * 11,
-    # so its search ends after one k draw; P = 131 gives the prime 263.
-    # Draws: P's low bits, k's index, again for the next P, then h - 2.
-    draws = iter([137 - 128, 0, 131 - 128, 0, 5])
-    monkeypatch.setattr(algebra, "_randbelow", lambda rng, n: next(draws))
-    g = make_group(8, 9, np.random.default_rng(0))
+def test_make_group_skips_a_prime_whose_only_k_is_composite():
+    # At 8/9 bits k = 2 is the only even k, so its search draws nothing.
+    # Seed 123096's first raw words give P = 137, whose 275 = 5^2 * 11 is
+    # composite, then P = 131 with the prime 263, then h - 2 = 5: one word
+    # each, read as _randbelow does (low 7 bits, then low 9 bits < 260).
+    words = np.random.PCG64(123096).random_raw(3).tolist()
+    assert [128 | w & 127 | 1 for w in words[:2]] == [137, 131]
+    assert 2 * 137 + 1 == 5**2 * 11 and words[2] & 511 == 5
+    rng = np.random.Generator(np.random.PCG64(123096))
+    g = make_group(8, 9, rng)
     assert g == GroupSpec(modulus=263, order=131, generator=pow(7, 2, 263))
-    assert next(draws, None) is None
+    # Those three words, and no more, were drawn.
+    after = np.random.PCG64(123096)
+    after.random_raw(3)
+    assert rng.bit_generator.state == after.state
+
+
+def _reference_make_group(bits_p, bits_q, rng):
+    """make_group's earlier search: one candidate drawn and tested at a time."""
+    _randbelow = algebra._randbelow
+    while True:
+        p = (1 << (bits_p - 1)) | _randbelow(rng, 1 << (bits_p - 1)) | 1
+        if not is_prime(p):
+            continue
+        k_lo = -(-(1 << (bits_q - 1)) // p)  # ceil
+        k_lo += k_lo % 2  # Q odd needs k even
+        evens = (((1 << bits_q) - 1) // p - k_lo) // 2 + 1
+        # Narrow k ranges redraw the same candidate (only k = 2 at 32/33
+        # bits), so known composites are not retested.
+        composite = set()
+        while len(composite) < evens:
+            k = k_lo + 2 * _randbelow(rng, evens)
+            if k in composite:
+                continue
+            if is_prime(k * p + 1):
+                break
+            composite.add(k)
+        else:
+            continue  # every even k is composite: draw the next P
+        q = k * p + 1
+        cofactor = (q - 1) // p
+        while True:
+            g = pow(2 + _randbelow(rng, q - 3), cofactor, q)
+            if g != 1:
+                return GroupSpec(modulus=q, order=p, generator=g)
+
+
+# (bits_p, bits_q, seeds).  8/9 and 9/10 put P and Q below the sieve
+# bound; 8/16, 16/24 and 20/40 draw k; 65/80 is the last size whose P
+# candidates take one raw word, 70/80 takes two.  66/67 takes two with
+# no k draw, whose rejected tries could hide one word too few or too many.
+REFERENCE_SHAPES = [
+    (8, 9, 100), (9, 10, 100), (8, 16, 100), (16, 24, 100), (20, 40, 100),
+    (32, 33, 50), (64, 65, 10), (65, 80, 20), (66, 67, 5), (70, 80, 20),
+]
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+@pytest.mark.parametrize("bits_p, bits_q, seeds", REFERENCE_SHAPES)
+def test_make_group_draws_as_the_one_at_a_time_search(bits_p, bits_q, seeds,
+                                                      bit_generator):
+    for seed in range(seeds):
+        rng = np.random.Generator(bit_generator(seed))
+        ref = np.random.Generator(bit_generator(seed))
+        expected = _reference_make_group(bits_p, bits_q, ref)
+        assert make_group(bits_p, bits_q, rng) == expected
+        assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
+
+
+def test_sieve_keeps_every_prime():
+    # Below the bound nothing is sieved, so a small prime P or Q still
+    # reaches is_prime; above it, exactly the n with a small odd factor.
+    bound = algebra._SIEVE_LIMIT
+    small = [p for p in range(3, bound, 2) if is_prime(p)]
+    for n in range(1, 8 * bound):
+        sieved = algebra._sieved_out(n)
+        assert sieved == (n >= bound and any(n % p == 0 for p in small)), n
+        assert not (sieved and is_prime(n))
 
 
 def test_randbelow_is_uniform_below_any_bound():
@@ -393,6 +462,25 @@ def test_make_group_argument_validation():
         make_group(16, 16, rng=rng)
     with pytest.raises(TypeError, match="numpy Generator"):
         make_group(16, 20, rng=0)
+
+
+def test_group_sizes_are_read_as_ints():
+    first = make_group(np.int64(8), np.int64(9), np.random.default_rng(4))
+    assert first == make_group(8, 9, np.random.default_rng(4))
+    assert algebra.check_group_bits(np.int32(16), np.uint8(20)) == (16, 20)
+    with pytest.raises(TypeError, match="bits_p must be an integer"):
+        make_group(8.0, 9, np.random.default_rng(0))
+    with pytest.raises(TypeError, match="bits_q must be an integer"):
+        make_group(8, "9", np.random.default_rng(0))
+    with pytest.raises(TypeError, match="bits_q must be an integer"):
+        algebra.check_group_bits(8, 9.5)
+
+
+def test_is_prime_takes_integers_only():
+    assert is_prime(np.int64(7)) and not is_prime(np.uint32(9))
+    for bad in (2.0, 7.5, "7"):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            is_prime(bad)
 
 
 # psi_j (OEIS A014233), the least odd composite that is a strong pseudoprime
