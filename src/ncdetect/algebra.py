@@ -134,13 +134,23 @@ def _carryless_mul_mod(a: int, b: int, poly: int, w: int) -> int:
     return r
 
 
+def _word_bits(bitgen) -> int:
+    """Bits in one random_raw word of a numpy bit generator.
+
+    MT19937 gives 32-bit words; PCG64, PCG64DXSM, Philox and SFC64 give
+    64-bit ones.
+    """
+    return 32 if isinstance(bitgen, np.random.MT19937) else 64
+
+
 def _randbelow(rng: np.random.Generator, n: int, size=None):
     """Uniform ints in [0, n) for any n >= 1: one int, or an array of size.
 
     An array with n <= 2^64 is one uint64 rng.integers call.  Otherwise each
-    try joins ceil(bits / 64) raw words of rng's bit generator (a twentieth
-    of the cost of an rng.bytes call), keeps bit_length(n - 1) bits and
-    rejects values >= n, so a try succeeds with probability above 1/2.
+    try joins ceil(bits / w) raw words of rng's bit generator, w its word
+    width (_word_bits; a twentieth of the cost of an rng.bytes call),
+    keeps bit_length(n - 1) bits and rejects values >= n, so a try
+    succeeds with probability above 1/2.
     """
     if size is not None:
         if n <= 1 << 64:
@@ -150,10 +160,11 @@ def _randbelow(rng: np.random.Generator, n: int, size=None):
         return out
     bits = (n - 1).bit_length()
     raw = rng.bit_generator.random_raw
+    word = _word_bits(rng.bit_generator)
     while True:
         r = 0
-        for _ in range(-(-bits // 64)):
-            r = r << 64 | raw()
+        for _ in range(-(-bits // word)):
+            r = r << word | raw()
         r &= (1 << bits) - 1
         if r < n:
             return r
@@ -568,23 +579,26 @@ def _draw_p(bitgen, bits_p: int, bits_q: int) -> tuple[int, int, int]:
     """The next prime P of the search, with k_lo and the number of even k.
 
     Each candidate is what _randbelow(rng, 2^(bits_p - 1)) gives, one try
-    of ceil((bits_p - 1) / 64) raw words joined high-first, with the top
-    and low bits set.  A block of candidates is drawn at once and sieved;
-    when only k_lo fits, Q = k_lo * P + 1 is sieved and tested here too
-    (Wiener, IACR ePrint 2003/186), since the k search draws nothing for
-    it.  Before returning, the bit generator is put back to its state
-    before the block and advanced past the words up to P alone, so its
-    draws are the ones the candidate-by-candidate search made.
+    of ceil((bits_p - 1) / w) raw words of the bit generator's width w
+    joined high-first, with the top and low bits set.  A block of
+    candidates is drawn at once and sieved; when only k_lo fits,
+    Q = k_lo * P + 1 is sieved and tested here too (Wiener, IACR ePrint
+    2003/186), since the k search draws nothing for it.  Before
+    returning, the bit generator is put back to its state before the
+    block and advanced past the words up to P alone, so its draws are the
+    ones the candidate-by-candidate search made.
     """
     top = 1 << (bits_p - 1)
-    words = -(-(bits_p - 1) // 64)
+    word_bytes = _word_bits(bitgen) // 8
+    words = -(-(bits_p - 1) // (8 * word_bytes))
     while True:
         state = bitgen.state
         raw = bitgen.random_raw(_P_BLOCK * words)
         if words == 1:
             draws = raw.tolist()
         else:  # each candidate's words joined high word first
-            buf, step = raw.astype(">u8").tobytes(), 8 * words
+            buf = raw.astype(f">u{word_bytes}").tobytes()
+            step = word_bytes * words
             draws = [
                 int.from_bytes(buf[j : j + step], "big")
                 for j in range(0, len(buf), step)

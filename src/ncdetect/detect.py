@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FieldSpec, GroupSpec
-from .rlnc import Generation, recover_subspan
+from .rlnc import Generation, recover_subspan, rref_batch
 
 
 class Verdict(str, enum.Enum):
@@ -167,6 +167,46 @@ def subspan_consistency(rows, G: int, params: HashParams):
     if solved.shape[0] == 0 or hash_consistent(solved, params):
         return Verdict.VALID, support, solved
     return Verdict.CORRUPTED, support, solved
+
+
+def subspan_consistency_batch(rows, G: int, params: HashParams):
+    """:func:`subspan_consistency` of T stacked sub-generations at once.
+
+    rows is (T, R, G + width).  A zero row changes no verdict: it never
+    pivots, touches no source index and hashes to 0, so stacks of fewer
+    rows may be padded with zero rows.  Returns (verdicts, support,
+    solved): verdicts is a (T,) object array of Verdicts, each equal to
+    subspan_consistency's; support is the (T, G) bool mask of the source
+    indices the encoding vectors touch; solved is (T, G, width), where
+    row j of a trial whose span pins its touched rows down holds source
+    row j as solved for each j in its support, and every other row is 0.
+    One rref_batch call reduces all T stacks, and one hash_consistent
+    call checks the pinned ones.
+    """
+    f = params.field
+    m = f._elements(rows)
+    if m.ndim != 3 or m.shape[2] < G:
+        raise ValueError(f"expected (T, R, G + width) {f!r} rows, got {m.shape}")
+    T, R, _ = m.shape
+    support = np.any(m[:, :, :G] != 0, axis=1)
+    r, rank, pivot_cols = rref_batch(f, m, G)
+    # Rows past the rank are zero in the encoding part; nonzero data there
+    # means rank([C|D]) > rank(C), and no linear preimage exists.
+    tail = np.arange(R) >= rank[:, None]
+    inconsistent = np.any((r[:, :, G:] != 0) & tail[:, :, None], axis=(1, 2))
+    pinned = ~inconsistent & (rank >= support.sum(axis=1))
+    hash_ok = np.ones(T, dtype=bool)
+    check = pinned & (rank > 0)
+    if check.any():
+        hash_ok[check] = hash_consistent(r[check, :, G:], params)
+    verdicts = np.empty(T, dtype=object)
+    verdicts[:] = Verdict.INCONCLUSIVE
+    verdicts[pinned] = Verdict.VALID
+    verdicts[inconsistent | (pinned & ~hash_ok)] = Verdict.CORRUPTED
+    solved = np.zeros((T, G, m.shape[2] - G), dtype=r.dtype)
+    t, i = np.nonzero((pivot_cols >= 0) & pinned[:, None])
+    solved[t, pivot_cols[t, i]] = r[t, i, G:]
+    return verdicts, support, solved
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ a stream of R packets is an (R, G + width) array.
 the reference, :func:`recover_subspan` solves a partial one, and
 :func:`decode_batch` runs Gauss-Jordan on a (T, R, G + width) stack of T
 generations at once with the same pivot choice, so its rows equal
-:func:`decode`'s bit for bit.
+:func:`decode`'s bit for bit.  :func:`rref_batch` is
+:func:`reduced_row_echelon` of a (T, R, W) stack, with a row pointer per
+trial; the relay's batched checks reduce with it.
 """
 
 from __future__ import annotations
@@ -168,6 +170,54 @@ def reduced_row_echelon(field: FieldSpec, matrix,
         pivots.append(col)
         r += 1
     return m, pivots
+
+
+def rref_batch(field: FieldSpec, m, pivot_width: int | None = None):
+    """:func:`reduced_row_echelon` of T stacked matrices at once.
+
+    m is (T, R, W).  Returns (r, rank, pivot_cols): r[t] is the matrix
+    reduced_row_echelon returns for m[t], and its pivot columns are the
+    first rank[t] entries of the (T, R) array pivot_cols, which holds -1
+    past them.  Each trial keeps its own row pointer, so a column with no
+    nonzero entry at or below it is skipped by that trial alone.  The row
+    operations are the scalar ones, run on the trials that found a pivot:
+    swap the first nonzero row up, scale it to a leading 1 and clear the
+    column in every other row.  Rows at or below a pointer are zero left
+    of the current column, so every update starts there.
+    """
+    m = field._elements(m).copy()
+    if m.ndim != 3:
+        raise ValueError(f"expected a (T, R, W) stack over {field!r}, got {m.shape}")
+    T, R, W = m.shape
+    if pivot_width is None:
+        pivot_width = W
+    if not 0 <= pivot_width <= W:
+        raise ValueError(f"pivot_width must lie in [0, {W}], got {pivot_width}")
+    rank = np.zeros(T, dtype=np.int64)
+    pivot_cols = np.full((T, R), -1, dtype=np.int64)
+    rows = np.arange(R)
+    for c in range(pivot_width):
+        nz = (m[:, :, c] != 0) & (rows >= rank[:, None])
+        has = nz.any(axis=1)
+        if not has.any():
+            continue
+        t = np.flatnonzero(has)
+        r = rank[t]
+        pr = nz[t].argmax(axis=1)
+        swap = pr != r
+        if swap.any():
+            ts, a, b = t[swap], r[swap], pr[swap]
+            m[ts, a], m[ts, b] = m[ts, b], m[ts, a]
+        pivot = m[t, r, c:]
+        pivot = field._mul(field._inv(pivot[:, :1]), pivot)
+        m[t, r, c:] = pivot
+        factors = m[t, :, c]
+        factors[np.arange(len(t)), r] = 0
+        m[t, :, c:] = field._sub(m[t, :, c:],
+                                 field._mul(factors[:, :, None], pivot[:, None, :]))
+        pivot_cols[t, r] = c
+        rank[t] += 1
+    return m, rank, pivot_cols
 
 
 def decode(field: FieldSpec, rows, G: int) -> np.ndarray:

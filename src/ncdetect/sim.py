@@ -22,14 +22,19 @@ run is a batch pipeline: T generations at once as (T, G, width) field
 arrays, mixed in one call, forged by adversary.blind_forge_with_rng,
 decoded by rlnc.decode_batch and checked by detect.hash_consistent.  The
 signature run corrupts in one adversary.rewrite_rows call and verifies
-each side in one detect.sig_verify_batch call.  The relay runs trial by
-trial on (R, G + width) wire rows with an (R,) ground-truth taint mask
-per edge: subspan_consistency checks, random_combinations re-encodes (a
-combination is tainted when it gives a wrongly solved row a nonzero
-coefficient), adversary.corrupt_stream_with_rng corrupts row by row, and
-the sink runs decode_batch and oracle_verify.  rlnc.decode, with
-detect.sig_verify, is the scalar reference the batch kernels are tested
-against.
+each side in one detect.sig_verify_batch call.  The relay runs all T
+trials hop by hop: each edge carries a (T, R, G + width) stack of wire
+rows with a (T, R) mask of the rows sent and a (T, R) ground-truth taint
+mask.  Each hop's checks are one detect.subspan_consistency_batch call,
+each node's re-encodes one _matmul (a combination is tainted when it
+gives a wrongly solved row a nonzero coefficient), and the sink runs
+decode_batch and the span oracle's product on rows padded to G.  Only
+the draws stay per trial: each trial keeps its own generator, and
+adversary.corrupt_stream_with_rng corrupts its sent rows row by row, so
+every trial draws what a trial-by-trial run draws.  rlnc.decode,
+reduced_row_echelon and detect.subspan_consistency, with
+detect.sig_verify, are the scalar references the batch kernels are
+tested against.
 """
 
 from __future__ import annotations
@@ -48,10 +53,9 @@ from .detect import (
     Verdict,
     gen_hash_append,
     hash_consistent,
-    oracle_verify,
     sig_keygen,
     sig_verify_batch,
-    subspan_consistency,
+    subspan_consistency_batch,
 )
 from .rlnc import decode_batch, make_generation, random_combinations
 
@@ -384,46 +388,60 @@ def _normalize_edges(p_per_edge) -> dict:
     return out
 
 
-def _forward_blocks(rows, taint, blocks, hash_params, src,
-                    rng: np.random.Generator):
-    """Check a sub-generation, then re-encode one stream per block.
-
-    A stream is (rows, taint): (R, G + width) wire rows and their (R,)
-    ground truth; src holds the G source wire rows (e_i | S_i).  Returns
-    (verdict, streams).  A Corrupted verdict drops everything; an
-    Inconclusive one forwards the received rows split across the blocks
-    (the node cannot prove pollution, so it keeps relaying).  A Valid one
-    sends, per block, len(block) random combinations of the block's
-    solved source rows; a combination is tainted when it gives a wrongly
-    solved row a nonzero coefficient.
-    """
-    G = len(src)
-    empty = (rows[:0], taint[:0])
-    if not len(rows):
-        return Verdict.VALID, [empty] * len(blocks)
-    verdict, support, solved = subspan_consistency(rows, G, hash_params)
-    if verdict is Verdict.CORRUPTED:
-        return verdict, [empty] * len(blocks)
-    if verdict is Verdict.INCONCLUSIVE:
-        chunks = np.array_split(np.arange(len(rows)), len(blocks))
-        return verdict, [(rows[ch], taint[ch]) for ch in chunks]
-    f = hash_params.field
-    sources = src[support]
-    wrong = np.any(sources[:, G:] != solved, axis=1)
-    sources[:, G:] = solved
-    streams = []
-    for block in blocks:
-        members = [j for j, i in enumerate(support.tolist()) if i in block]
-        if not members:
-            streams.append(empty)
-            continue
-        coeffs, mixed = random_combinations(f, sources[members], len(block), rng)
-        streams.append((mixed, np.any(coeffs[:, wrong[members]] != 0, axis=1)))
-    return verdict, streams
-
-
 # Payload symbols per packet in simulate_relay.
 _RELAY_K_DATA = 16
+
+
+def _forward(f: FieldSpec, stream, check, src: np.ndarray, blocks,
+             rngs) -> list:
+    """One node's forwarding after its check, for T trials at once.
+
+    A stream is (rows, present, taint): (T, R, G + width) wire rows, the
+    (T, R) mask of the rows actually sent, and their (T, R) ground truth
+    (a tainted row lies outside the source span).  Rows not present are
+    zero and untainted.  Every stream carries one half of the
+    source rows: src holds that half's (T, G/2, G + width) source wire
+    rows (e_i | S_i), check is subspan_consistency_batch's (verdicts,
+    support, solved) over the half, and blocks are consecutive ranges of
+    equal length within it.  Returns one stream of len(block) slots per
+    block.
+
+    A Corrupted verdict sends nothing.  An Inconclusive one forwards the
+    received rows split evenly across the blocks (the node cannot prove
+    pollution, so it keeps relaying); the streams into B and C are full
+    and those into D and E go to one block, so the split is by slots.  A
+    Valid one sends, per block that holds a solved row, len(block) random
+    combinations of the block's solved source rows; a combination is
+    tainted when it gives a wrongly solved row a nonzero coefficient.  The
+    coefficients are drawn trial by trial, block by block, from each
+    trial's own generator, and one _matmul then mixes every trial.
+    """
+    rows, present, taint = stream
+    verdicts, support, solved = check
+    T, width = solved.shape[0], solved.shape[2]
+    nb, n = len(blocks), len(blocks[0])
+    span = slice(blocks[0].start, blocks[-1].stop)
+    coeffs = np.zeros((T, nb, n, n), dtype=f.dtype)
+    sent = np.zeros((T, nb), dtype=bool)
+    held = support[:, span].reshape(T, nb, n).tolist()
+    for t in np.flatnonzero(verdicts == Verdict.VALID).tolist():
+        for b, block in enumerate(held[t]):
+            members = [j for j, h in enumerate(block) if h]
+            if members:
+                coeffs[t, b][:, members] = f.random_elements(rngs[t], (n, len(members)))
+                sent[t, b] = True
+    honest = src[:, span]
+    sources = honest.copy()
+    sources[..., -width:] = np.where(support[:, span, None], solved[:, span],
+                                     honest[..., -width:])
+    wrong = np.any(sources != honest, axis=-1).reshape(T, nb, 1, n)
+    out_rows = f._matmul(coeffs, sources.reshape(T, nb, n, -1))
+    out_taint = np.any((coeffs != 0) & wrong, axis=-1)
+    out_present = np.repeat(sent[..., None], n, axis=-1)
+    relay = verdicts == Verdict.INCONCLUSIVE
+    for out, received in ((out_rows, rows), (out_taint, taint), (out_present, present)):
+        out[relay] = received.reshape(out.shape)[relay]
+    return [(out_rows[:, b], out_present[:, b], out_taint[:, b]) for b in range(nb)]
 
 
 def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
@@ -440,6 +458,19 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
     of them.  Corruption is injected in flight on each edge with the given
     per-edge probability, changing one payload symbol of a hit packet, and
     every node drops a sub-generation its check flags as corrupted.
+
+    All trials run together, one hop at a time, on the streams of
+    _forward.  Each hop's checks are one subspan_consistency_batch call:
+    B and C as 2T stacks, the four quarters into D and E as 4T stacks, F
+    as T stacks.  A stream on B's path touches only the first half's
+    source rows and one on C's path only the second's, so B to E check it
+    over that half's coefficients; the columns left out are zero and
+    change no verdict.  Every trial draws from its own _child_rng(seed,
+    t), in a loop over the trials after the check that decides the draws,
+    in the order of a trial-by-trial run: the payload, the A-B then the
+    A-C coefficients, the A-B then the A-C corruption, B's then C's
+    re-encodes, the B-D, B-E, C-D and C-E corruption, then D's re-encodes
+    and the D-F corruption, and E's re-encodes and the E-F corruption.
     """
     if G <= 0 or G % 4:
         raise ValueError("G must be a positive multiple of 4")
@@ -449,60 +480,92 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
     f = field or binary_field(8)
     hp = HashParams(k=hash_k, field=f)
     g2, g4 = G // 2, G // 4
-    quarters = [range(i * g4, (i + 1) * g4) for i in range(4)]
+    rngs = [_child_rng(seed, t) for t in range(trials)]
+    payloads = np.stack([f.random_elements(rng, (G, _RELAY_K_DATA)) for rng in rngs])
+    source = np.concatenate([payloads, gen_hash_append(payloads, hp)], axis=-1)
+    eye = np.broadcast_to(f._arr(np.eye(G, dtype=np.int64)), (trials, G, G))
+    src = np.concatenate([eye, source], axis=-1)
+    half = {"B": slice(0, g2), "C": slice(g2, G)}
+    streams, checked = {}, {}
+    edge_hits = {e: np.zeros(trials, dtype=np.int64) for e in RELAY_EDGES}
+
+    def corrupt(*edges):
+        # Only the data columns of present rows are rewritten; a row hit
+        # twice counts once.  At p = 0 corrupt_stream_with_rng draws
+        # nothing, so such edges are skipped.
+        for edge in edges:
+            if not probs[edge]:
+                continue
+            rows, present, taint = streams[edge]
+            for t, rng in enumerate(rngs):
+                at = np.flatnonzero(present[t])
+                if len(at):
+                    rows[t, at, G:], hit = corrupt_stream_with_rng(
+                        rows[t, at, G:], f, _RELAY_K_DATA, probs[edge], rng)
+                    edge_hits[edge][t] = np.count_nonzero(hit & ~taint[t, at])
+                    taint[t, at] |= hit
+
+    def half_of(edge):
+        return half["B" if "B" in edge else "C"]
+
+    def check(edges):
+        # One check of the edges' streams, each over its path's half.
+        out = subspan_consistency_batch(np.concatenate([
+            np.concatenate([streams[e][0][..., half_of(e)], streams[e][0][..., G:]],
+                           axis=-1)
+            for e in edges]), g2, hp)
+        return {e: tuple(a[i * trials : (i + 1) * trials] for a in out)
+                for i, e in enumerate(edges)}
+
+    # Each trial draws A-B's coefficients, then A-C's.
+    coeffs = np.stack([[f.random_elements(rng, (g2, g2)) for _ in half] for rng in rngs])
+    mixed = f._matmul(coeffs, src.reshape(trials, 2, g2, -1))
+    for i, node in enumerate(half):
+        streams[f"A-{node}"] = (mixed[:, i], np.ones((trials, g2), dtype=bool),
+                                np.zeros((trials, g2), dtype=bool))
+    corrupt("A-B", "A-C")
+    results = check(("A-B", "A-C"))
+    for node in half:
+        edge = f"A-{node}"
+        checked[node] = [(results[edge][0], np.ones(trials, dtype=bool))]
+        streams[f"{node}-D"], streams[f"{node}-E"] = _forward(
+            f, streams[edge], results[edge], src[:, half[node]],
+            [range(g4), range(g4, g2)], rngs)
+    corrupt("B-D", "B-E", "C-D", "C-E")
+    # D and E check each incoming quarter on its own; D re-encodes the
+    # first quarter of each half, E the second.
+    results = check(("B-D", "C-D", "B-E", "C-E"))
+    for node, block in (("D", range(g4)), ("E", range(g4, g2))):
+        checked[node], out = [], []
+        for edge in (f"B-{node}", f"C-{node}"):
+            checked[node].append((results[edge][0], streams[edge][1].any(axis=1)))
+            out += _forward(f, streams[edge], results[edge], src[:, half_of(edge)],
+                            [block], rngs)
+        streams[f"{node}-F"] = tuple(np.concatenate(a, axis=1) for a in zip(*out))
+        corrupt(f"{node}-F")
+
+    to_f = np.concatenate([streams["D-F"][0], streams["E-F"][0]], axis=1)
+    checked["F"] = [(subspan_consistency_batch(to_f, G, hp)[0],
+                     np.ones(trials, dtype=bool))]
+    full_rank, decoded = decode_batch(f, to_f, G)
+    matches = np.all(decoded == source, axis=(1, 2)).tolist()
+    # The span oracle: a row (c | d) is clean exactly when d = c S.
+    clean = np.all(f._matmul(to_f[..., :G], source) == to_f[..., G:], axis=(1, 2))
+    sent = {n: streams[f"{n}-F"][1].sum(axis=1).tolist() for n in ("D", "E")}
     records = []
-    for t in range(trials):
-        rng = _child_rng(seed, t)
-        gen = make_generation(f.random_elements(rng, (G, _RELAY_K_DATA)), f, hp)
-        src = gen.source_wire_rows()
-        streams, verdicts, edge_hits = {}, {}, {}
-
-        def corrupt(*edges):
-            # Only the data columns are rewritten; a row hit twice counts once.
-            for edge in edges:
-                rows, taint = streams[edge]
-                rows[:, G:], hit = corrupt_stream_with_rng(
-                    rows[:, G:], f, _RELAY_K_DATA, probs[edge], rng)
-                edge_hits[edge] = int(np.count_nonzero(hit & ~taint))
-                taint |= hit
-
-        for edge, half in (("A-B", src[:g2]), ("A-C", src[g2:])):
-            streams[edge] = (random_combinations(f, half, g2, rng)[1],
-                             np.zeros(g2, dtype=bool))
-        corrupt("A-B", "A-C")
-        for node, blocks in (("B", quarters[:2]), ("C", quarters[2:])):
-            v, (streams[f"{node}-D"], streams[f"{node}-E"]) = _forward_blocks(
-                *streams[f"A-{node}"], blocks, hp, src, rng)
-            verdicts[node] = (v,)
-        corrupt("B-D", "B-E", "C-D", "C-E")
-        # D and E check each incoming quarter on its own.
-        for node, quarter_in in (("D", (0, 2)), ("E", (1, 3))):
-            node_verdicts, out = [], []
-            for edge, q in zip((f"B-{node}", f"C-{node}"), quarter_in):
-                v, (batch,) = _forward_blocks(*streams[edge], [quarters[q]], hp, src, rng)
-                if len(streams[edge][0]):
-                    node_verdicts.append(v)
-                out.append(batch)
-            verdicts[node] = tuple(node_verdicts)
-            streams[f"{node}-F"] = tuple(np.concatenate(a) for a in zip(*out))
-            corrupt(f"{node}-F")
-
-        to_f = np.concatenate([streams["D-F"][0], streams["E-F"][0]])
-        vf = subspan_consistency(to_f, G, hp)[0] if len(to_f) else Verdict.VALID
-        verdicts["F"] = (vf,)
-        full_rank, decoded = decode_batch(f, to_f[None], G)
-        f_decodable = bool(full_rank[0])
+    for t, (f_decodable, f_clean) in enumerate(zip(full_rank.tolist(), clean.tolist())):
+        verdicts = {node: tuple(v[t] for v, received in checked[node] if received[t])
+                    for node in RELAY_NODES[1:]}
         flagged = [n for n in RELAY_NODES[1:] if Verdict.CORRUPTED in verdicts[n]]
         records.append(RelayTrial(
             verdicts=verdicts,
             first_flag=flagged[0] if flagged else None,
-            edge_corrupted=edge_hits,
-            forwarded={"D": len(streams["D-F"][0]), "E": len(streams["E-F"][0])},
-            f_received=len(to_f),
+            edge_corrupted={e: int(edge_hits[e][t]) for e in RELAY_EDGES},
+            forwarded={n: sent[n][t] for n in sent},
+            f_received=sent["D"][t] + sent["E"][t],
             f_decodable=f_decodable,
-            f_matches_source=(bool(np.array_equal(decoded[0], gen.source_rows()))
-                              if f_decodable else None),
-            f_clean=bool(oracle_verify(to_f, gen).all()),
+            f_matches_source=matches[t] if f_decodable else None,
+            f_clean=f_clean,
             upstream_dropped=any(n != "F" for n in flagged),
         ))
     return RelayReport(G=G, p_per_edge=probs, trials=tuple(records))

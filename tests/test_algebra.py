@@ -35,6 +35,7 @@ from ncdetect.detect import (
     hash_consistent,
     oracle_verify,
     subspan_consistency,
+    subspan_consistency_batch,
 )
 from ncdetect.rlnc import (
     NotDecodable,
@@ -44,6 +45,7 @@ from ncdetect.rlnc import (
     random_combinations,
     recover_subspan,
     reduced_row_echelon,
+    rref_batch,
 )
 
 FIELDS = [
@@ -372,7 +374,10 @@ REFERENCE_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+# MT19937's raw words are 32 bits wide, so its candidates take twice as
+# many words as the 64-bit generators' (two at 64/65, three at 66/67).
+@pytest.mark.parametrize("bit_generator",
+                         [np.random.PCG64, np.random.Philox, np.random.MT19937])
 @pytest.mark.parametrize("bits_p, bits_q, seeds", REFERENCE_SHAPES)
 def test_make_group_draws_as_the_one_at_a_time_search(bits_p, bits_q, seeds,
                                                       bit_generator):
@@ -393,6 +398,22 @@ def test_sieve_keeps_every_prime():
         sieved = algebra._sieved_out(n)
         assert sieved == (n >= bound and any(n % p == 0 for p in small)), n
         assert not (sieved and is_prime(n))
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox,
+                                           np.random.SFC64, np.random.MT19937])
+def test_randbelow_reaches_the_top_bits_on_every_bit_generator(bit_generator):
+    # Raw words joined at the wrong width would leave bits 32-39 of a
+    # 40-bit draw at zero on MT19937's 32-bit words.
+    rng = np.random.Generator(bit_generator(1))
+    draws = [algebra._randbelow(rng, 2**40) for _ in range(2000)]
+    assert all(0 <= d < 2**40 for d in draws)
+    assert 900 < sum(d >> 39 for d in draws) < 1100
+    assert all(900 < sum(d >> b & 1 for d in draws) < 1100 for b in range(32, 39))
+    orders = [make_group(40, 41, np.random.Generator(bit_generator(seed))).order
+              for seed in range(8)]
+    assert all(p.bit_length() == 40 for p in orders)
+    assert len({p >> 32 & 0x7F for p in orders}) > 1
 
 
 def test_randbelow_is_uniform_below_any_bound():
@@ -681,11 +702,14 @@ ENTRY_POINTS = {
     "decode": lambda f, x: decode(f, x, 1),
     "decode_batch": lambda f, x: decode_batch(f, [x], 1),
     "reduced_row_echelon": lambda f, x: reduced_row_echelon(f, x),
+    "rref_batch": lambda f, x: rref_batch(f, [x]),
     "random_combinations": lambda f, x: random_combinations(
         f, x, 2, np.random.default_rng(0)),
     "recover_subspan": lambda f, x: recover_subspan(f, x, 1),
     "subspan_consistency": lambda f, x: subspan_consistency(
         x, 1, HashParams(k=2, field=f)),
+    "subspan_consistency_batch": lambda f, x: subspan_consistency_batch(
+        [x], 1, HashParams(k=2, field=f)),
     "oracle_verify": lambda f, x: oracle_verify(x, make_generation([[1, 1]], f)),
 }
 
@@ -747,6 +771,11 @@ STACKS = {
     "reduced_row_echelon": (
         lambda f, x, rng: reduced_row_echelon(f, x),
         (2, 2), (0, 3), lambda out: out[0].shape == (0, 3) and out[1] == []),
+    "rref_batch": (
+        lambda f, x, rng: rref_batch(f, x),
+        (3, 3), (0, 1, 3),
+        lambda out: out[0].shape == (0, 1, 3) and out[1].shape == (0,)
+        and out[2].shape == (0, 1)),
     "random_combinations": (
         lambda f, x, rng: random_combinations(f, x, 2, rng),
         (2, None), (0, 1, 3),
@@ -757,6 +786,10 @@ STACKS = {
     "subspan_consistency": (
         lambda f, x, rng: subspan_consistency(x, 1, HashParams(k=2, field=f)),
         (2, 2), (0, 3), lambda out: out[0] is Verdict.VALID),
+    "subspan_consistency_batch": (
+        lambda f, x, rng: subspan_consistency_batch(x, 1, HashParams(k=2, field=f)),
+        (3, 3), (0, 1, 3),
+        lambda out: out[0].shape == (0,) and out[2].shape == (0, 1, 2)),
     "oracle_verify": (
         lambda f, x, rng: oracle_verify(x, make_generation([[1, 1]], f)),
         (1, 2), (0, 3), lambda out: out.shape == (0,)),

@@ -19,8 +19,22 @@ from ncdetect.algebra import (
     is_prime,
     prime_field,
 )
-from ncdetect.detect import HashParams, Verdict, gen_hash_append, gen_hash_verify, hash_consistent
-from ncdetect.rlnc import NotDecodable, decode, decode_batch, reduced_row_echelon
+from ncdetect.detect import (
+    HashParams,
+    Verdict,
+    gen_hash_append,
+    gen_hash_verify,
+    hash_consistent,
+    subspan_consistency,
+    subspan_consistency_batch,
+)
+from ncdetect.rlnc import (
+    NotDecodable,
+    decode,
+    decode_batch,
+    reduced_row_echelon,
+    rref_batch,
+)
 from ncdetect.sim import estimate_hash_miss_rate
 
 
@@ -141,6 +155,121 @@ def _assert_decode_batch_equals_decode(f, m, G, full_rank, rows):
         else:
             assert full_rank[t]
             assert _ints(rows[t]) == _ints(ref)
+
+
+def _zero_rows(rng, m, share):
+    """m with about share of its rows, and never all of them, set to zero."""
+    m = m.copy()
+    m[rng.random(m.shape[:2]) < share] = 0
+    return m
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    T=st.integers(1, 4),
+    G=st.integers(1, 5),
+    R=st.integers(0, 6),
+    width=st.integers(0, 3),
+    deficit=st.integers(0, 3),
+    short=st.integers(0, 3),
+    zeros=st.sampled_from([0.0, 0.3]),
+)
+def test_rref_batch_matches_reduced_row_echelon(f, seed, T, G, R, width, deficit,
+                                                short, zeros):
+    # Ranks below G, pivot widths below the row width, R < G, zero rows
+    # and columns: every trial's row pointer may skip columns of its own.
+    rng = _rng(seed)
+    rank = max(0, min(R, G) - deficit)
+    m = _zero_rows(rng, _rank_limited(f, rng, T, R, G, width, rank), zeros)
+    pivot_width = max(0, G - short)
+    r, ranks, pivot_cols = rref_batch(f, m, pivot_width)
+    assert r.shape == m.shape and ranks.shape == (T,) and pivot_cols.shape == (T, R)
+    for t in range(T):
+        ref, pivots = reduced_row_echelon(f, m[t], pivot_width)
+        assert _ints(r[t]) == _ints(ref)
+        assert pivot_cols[t].tolist() == pivots + [-1] * (R - len(pivots))
+        assert ranks[t] == len(pivots)
+    # Without a pivot width, every column may pivot.
+    r, ranks, _ = rref_batch(f, m)
+    for t in range(T):
+        ref, pivots = reduced_row_echelon(f, m[t])
+        assert _ints(r[t]) == _ints(ref) and ranks[t] == len(pivots)
+
+
+def _sub_generations(f, rng, T, R, G, k_data, hp):
+    """T stacks of R wire rows mixing random subsets of hashed source rows.
+
+    Each trial mixes the source rows of a random support with coefficients
+    of limited rank; some trials have one row's data symbol moved (a
+    pollution the hash or the span may show) or a row zeroed.
+    """
+    payload = f.random_elements(rng, (T, G, k_data))
+    src = np.concatenate([payload, gen_hash_append(payload, hp)], axis=-1)
+    coeffs = f.random_elements(rng, (T, R, G))
+    coeffs = np.where(rng.random((T, 1, G)) < 0.4, 0, coeffs)  # outside the support
+    rank = rng.integers(0, G + 1, size=T)
+    for t in range(T):
+        if rank[t] < min(R, G):  # repeat rows: a dependent combination
+            coeffs[t, rank[t]:] = coeffs[t, rng.integers(0, max(1, rank[t]), R - rank[t])]
+    rows = np.concatenate([coeffs, f._matmul(coeffs, src)], axis=-1)
+    for t in np.flatnonzero(rng.random(T) < 0.5):
+        i, j = int(rng.integers(0, R)), G + int(rng.integers(0, k_data))
+        rows[t, i, j] = f.add(int(rows[t, i, j]), 1)
+    return _zero_rows(rng, rows, 0.15)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    T=st.integers(1, 5),
+    G=st.integers(1, 5),
+    R=st.integers(1, 6),
+    k_data=st.integers(1, 4),
+)
+def test_subspan_consistency_batch_matches_each_stack(f, seed, T, G, R, k_data):
+    hp = HashParams(k=2, field=f)
+    rows = _sub_generations(f, _rng(seed), T, R, G, k_data, hp)
+    verdicts, support, solved = subspan_consistency_batch(rows, G, hp)
+    assert verdicts.shape == (T,) and support.shape == (T, G)
+    assert solved.shape == (T, G, rows.shape[2] - G)
+    for t in range(T):
+        verdict, sup, sol = subspan_consistency(rows[t], G, hp)
+        assert verdicts[t] is verdict
+        assert np.flatnonzero(support[t]).tolist() == sup.tolist()
+        if sol is None:
+            assert not solved[t].any()
+        else:
+            assert _ints(solved[t, sup]) == _ints(sol)
+            assert not np.delete(solved[t], sup, axis=0).any()
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    T=st.integers(1, 4),
+    G=st.integers(1, 4),
+    R=st.integers(1, 5),
+    pad=st.integers(1, 4),
+)
+def test_zero_rows_change_no_verdict_and_no_decode(f, seed, T, G, R, pad):
+    # The relay pads its streams with zero rows, between sent rows too.
+    rng = _rng(seed)
+    hp = HashParams(k=2, field=f)
+    rows = _sub_generations(f, rng, T, R, G, 3, hp)
+    at = np.sort(rng.integers(0, R + 1, size=pad))
+    padded = np.insert(rows, at, 0, axis=1)
+    assert padded.shape == (T, R + pad, rows.shape[2])
+    got, want = (subspan_consistency_batch(m, G, hp) for m in (padded, rows))
+    assert got[0].tolist() == want[0].tolist()
+    assert np.array_equal(got[1], want[1]) and _ints(got[2]) == _ints(want[2])
+    (full_rank, decoded), (ref_rank, ref_rows) = (decode_batch(f, m, G)
+                                                  for m in (padded, rows))
+    assert np.array_equal(full_rank, ref_rank)
+    assert _ints(decoded[full_rank]) == _ints(ref_rows[ref_rank])
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncdetect import adversary, rlnc, sim
+from ncdetect import adversary, detect, rlnc, sim
 from ncdetect.algebra import binary_field
 from ncdetect.detect import Verdict
 
@@ -32,15 +32,20 @@ def test_tracer_installs_on_every_target_and_uninstalls():
     decode = rlnc.decode
     tracer = spans.Tracer()
     tracer.install()  # a missing TARGETS name raises here
+    # Two equal encoding vectors with different data: no source matrix
+    # explains them, so the check says Corrupted.
+    clash = np.array([[1, 0, 5, 5], [1, 0, 6, 6]])
     try:
         assert rlnc.decode is not decode
         sim.simulate_relay(G=8, p_per_edge={"A-B": 1.0}, seed=3, trials=2)
+        verdict = detect.subspan_consistency(clash, 2, detect.HashParams(k=1, field=GF16))
     finally:
         tracer.uninstall()
     assert rlnc.decode is decode
+    assert verdict[0] is Verdict.CORRUPTED
     calls = dict(zip(tracer.names, tracer.calls))
-    assert calls["sim.simulate_relay"] == 1 and calls["detect.subspan_consistency"] > 0
-    assert tracer.counts["detect.verdict.corrupted"] > 0
+    assert calls["sim.simulate_relay"] == 1 and calls["detect.subspan_consistency"] == 1
+    assert tracer.counts["detect.verdict.corrupted"] == 1
 
 
 def test_relay_verdicts_read_as_the_workload_strings():

@@ -31,6 +31,7 @@ from ncdetect.detect import (
     sig_keygen,
     sig_verify,
     sig_verify_batch,
+    subspan_consistency_batch,
 )
 from ncdetect.rlnc import (
     NotDecodable,
@@ -48,6 +49,7 @@ from ncdetect.sim import (
     simulate_node,
     simulate_relay,
 )
+from relay_reference import simulate_relay_reference
 
 
 def node(scheme, p, trials, seed=0, **params_kw):
@@ -600,14 +602,61 @@ def test_relay_reencode_taints_combinations_of_wrongly_solved_rows():
     rows = src[:2].copy()
     rows[:1, 8:12] = rewrite_rows(f, rows[:1, 8:12], 4, "random-symbol", rng)
     rows[:1, 12:] = gen_hash_append(rows[:1, 8:12], hp)
-    verdict, (stream,) = sim._forward_blocks(
-        rows, np.array([True, False]), [range(8)], hp, src, rng)
-    assert verdict is Verdict.VALID
-    mixed, taint = stream
-    assert len(mixed) == 8 and 0 < taint.sum() < 8
+    # One trial's stream of 8 slots: the first 2 sent, row 0 tainted, the
+    # rest zero.
+    slots = np.zeros((1, 8, rows.shape[1]), dtype=f.dtype)
+    slots[0, :2] = rows
+    stream = (slots, np.arange(8)[None] < 2, np.arange(8)[None] < 1)
+    check = subspan_consistency_batch(slots, 8, hp)
+    assert check[0][0] is Verdict.VALID
+    ((mixed, present, taint),) = sim._forward(f, stream, check, src[None],
+                                               [range(8)], [rng])
+    mixed, taint = mixed[0], taint[0]
+    assert present.all() and len(mixed) == 8 and 0 < taint.sum() < 8
     assert np.array_equal(taint, mixed[:, 0] != 0)
     assert not oracle_verify(mixed[taint], gen).any()
     assert oracle_verify(mixed[~taint], gen).all()
+
+
+# Cases for the trial-by-trial oracle: every G the relay takes, with
+# pollution on one edge, on every edge, certain on every edge and nowhere.
+_RELAY_ORACLE_EDGES = {
+    "A-B": [({"A-B": 0.2}, seed) for seed in (1, 303, DEFAULT_SEED)],
+    "all-0.3": [({e: 0.3 for e in RELAY_EDGES}, 7)],
+    "all-1.0": [({e: 1.0 for e in RELAY_EDGES}, 8)],
+    "none": [({}, 9)],
+}
+RELAY_ORACLE_CASES = {
+    f"G={G}-{name}-seed{seed}": dict(G=G, p_per_edge=edges, seed=seed,
+                                     trials=40 if G == 8 else 15)
+    for G in (4, 8, 12, 16)
+    for name, runs in _RELAY_ORACLE_EDGES.items()
+    for edges, seed in runs
+}
+RELAY_ORACLE_CASES.update({
+    "GF(2^3)-k4": dict(G=4, p_per_edge={e: 0.3 for e in RELAY_EDGES}, seed=10,
+                       trials=60, field=binary_field(3), hash_k=4),
+    "GF(2^16)": dict(G=8, p_per_edge={e: 0.3 for e in RELAY_EDGES}, seed=11,
+                     trials=15, field=binary_field(16)),
+    "GF(257)": dict(G=8, p_per_edge={e: 0.3 for e in RELAY_EDGES}, seed=12,
+                    trials=15, field=prime_field(257)),
+    "GF(prime > 2^32)": dict(G=8, p_per_edge={e: 0.3 for e in RELAY_EDGES}, seed=13,
+                             trials=8, field=prime_field(PRIME_ABOVE)),
+    "one-trial": dict(G=8, p_per_edge={"A-B": 0.2}, seed=DEFAULT_SEED, trials=1),
+})
+
+
+@pytest.mark.parametrize("case", RELAY_ORACLE_CASES)
+def test_relay_matches_the_trial_by_trial_oracle(case):
+    kwargs = RELAY_ORACLE_CASES[case]
+    got = simulate_relay(**kwargs)
+    want = simulate_relay_reference(**kwargs)
+    assert got.p_per_edge == want.p_per_edge and got.G == want.G
+    assert len(got.trials) == len(want.trials) == kwargs["trials"]
+    for t, (a, b) in enumerate(zip(got.trials, want.trials)):
+        assert dataclasses.asdict(a) == dataclasses.asdict(b), t
+        for node, verdicts in a.verdicts.items():
+            assert all(type(v) is Verdict for v in verdicts), (t, node)
 
 
 def test_relay_requires_divisible_g():
