@@ -82,7 +82,7 @@ _, half = random_combinations(field, src[:4], 4, rng)
 print("a node holding combinations of half the generation:",
       subspan_consistency(half, G, hp)[0])
 polluted = half.copy()
-polluted[0, G] = field.add(int(polluted[0, G]), 1)
+polluted[0, G] ^= 1  # adding 1 in GF(2^w) flips the low bit
 print("same node, one symbol polluted:",
       subspan_consistency(polluted, G, hp)[0])
 _, one = random_combinations(field, src, 1, rng)
@@ -105,7 +105,7 @@ _, mixes = random_combinations(pf, sgen.source_wire_rows(), 5, rng)
 print("random combinations all verify:", all(sig_verify(w, key) for w in mixes))
 
 evil = mixes[0].copy()
-evil[4] = pf.add(int(evil[4]), 1)  # the first payload symbol
+evil[4] = (evil[4] + 1) % pf.q  # the first payload symbol
 print("a one-symbol corruption verifies:", sig_verify(evil, key),
       f"(false-accept odds are 1/P ~ 2^-{group.order.bit_length()})")
 

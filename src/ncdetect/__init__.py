@@ -15,7 +15,6 @@ Library layout:
 from .algebra import (
     FieldSpec,
     GroupSpec,
-    GF,
     binary_field,
     make_group,
     prime_field,

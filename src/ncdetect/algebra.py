@@ -7,10 +7,10 @@ Two field kinds are supported:
   across runs and implementations,
 * prime fields GF(q) for prime q.
 
-Scalar operations (``add``, ``mul``, ``inv``, ``pow``) take and return
-reduced ints and, like the array ops, raise ValueError for elements
-outside [0, q); the ``*_arr`` methods of :class:`FieldSpec` operate
-elementwise on integer numpy arrays and are what the coding hot paths use.
+The public operations of :class:`FieldSpec` (``mul_arr``, ``pow_arr``,
+``matmul`` and the scalar ``inv``) raise ValueError for elements outside
+[0, q); ``mul_arr`` and ``pow_arr`` operate elementwise on integer numpy
+arrays, and the coding hot paths call the unchecked kernels beneath them.
 GF(2^w) for w <= 8 keeps q x q product and power tables and a q-entry
 inverse table, so a product, a power or an inverse is one gather; above
 w = 8 the log/exp tables are gathered with ``take``, and a matmul gathers
@@ -174,7 +174,7 @@ class FieldSpec:
     """Arithmetic context for one finite field.
 
     Instances are immutable after construction and cached; obtain them via
-    :func:`binary_field`, :func:`prime_field` or :func:`GF`.  Elements are
+    :func:`binary_field` or :func:`prime_field`.  Elements are
     reduced integer representatives in [0, q).  Arrays of them have dtype
     ``dtype``: uint8 for GF(2^w) with w <= 8, uint16 up to w = 16, int64
     for primes up to ``_INT64_SAFE_Q`` = 2^32 and Python ints (object)
@@ -187,8 +187,8 @@ class FieldSpec:
     0^0 = 1, and 0^r = 0 for r > 0); and inverses, with 0 at index 0.
     The underscore operations (``_add``, ``_sub``, ``_mul``, ``_inv``,
     ``_pow``, ``_matmul``) take operands already in array form and skip
-    conversion and checks; the public ``*_arr`` methods convert, check
-    and call them.
+    conversion and checks; the public ``mul_arr``, ``pow_arr`` and
+    ``matmul`` convert, check and call them.
     """
 
     def __init__(self, kind: str, q: int):
@@ -272,20 +272,6 @@ class FieldSpec:
             return a
         return int(self._elements(a))
 
-    def add(self, a: int, b: int) -> int:
-        a, b = self._scalar(a), self._scalar(b)
-        if self.kind == "binary-extension":
-            return a ^ b
-        return (a + b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        a, b = self._scalar(a), self._scalar(b)
-        if self.kind == "binary-extension":
-            if a == 0 or b == 0:
-                return 0
-            return int(self._exp[self._log[a] + self._log[b]])
-        return a * b % self.q
-
     def inv(self, a: int) -> int:
         a = self._scalar(a)
         if a == 0:
@@ -293,20 +279,6 @@ class FieldSpec:
         if self.kind == "binary-extension":
             return int(self._exp[(self.q - 1) - self._log[a]])
         return pow(a, self.q - 2, self.q)
-
-    def pow(self, a: int, e: int) -> int:
-        """a**e with the convention 0**0 = 1."""
-        a = self._scalar(a)
-        if e < 0:
-            raise ValueError("negative exponent")
-        if e == 0:
-            return 1
-        if a == 0:
-            return 0
-        if self.kind == "binary-extension":
-            # Reducing e first keeps log(a) * e below 2^32.
-            return int(self._exp[self._log[a] * (e % (self.q - 1)) % (self.q - 1)])
-        return pow(a, e, self.q)
 
     # -- array operations ---------------------------------------------------
 
@@ -343,19 +315,13 @@ class FieldSpec:
                 return self._arr(a)
         raise ValueError(f"{self!r} elements must be integers in [0, {self.q})")
 
-    def add_arr(self, a, b) -> np.ndarray:
-        return self._add(self._elements(a), self._elements(b))
-
-    def sub_arr(self, a, b) -> np.ndarray:
-        return self._sub(self._elements(a), self._elements(b))
-
     def mul_arr(self, a, b) -> np.ndarray:
         return self._mul(self._elements(a), self._elements(b))
 
     def pow_arr(self, a, e) -> np.ndarray:
         """Elementwise a**e; e may be a scalar or an array of exponents >= 0.
 
-        Follows the same 0**0 = 1 convention as :meth:`pow`.
+        0**0 = 1, as the hash polynomials need.
         """
         e = np.asarray(e, dtype=np.int64)
         if np.any(e < 0):
@@ -398,7 +364,8 @@ class FieldSpec:
             # log[0] = 2(q-1) makes the index -(q-1), which take() reads
             # from the end of exp, inside its run of zeros.
             return self._exp.take((self.q - 1) - self._log.take(a))
-        flat = [pow(int(v), self.q - 2, self.q) for v in np.ravel(a)]
+        # pow(0, q - 2, q) is 1 at q = 2, so 0 is taken to 0 apart.
+        flat = [pow(v, self.q - 2, self.q) if v else 0 for v in map(int, np.ravel(a))]
         return self._arr(flat).reshape(np.shape(a))
 
     def _pow(self, a: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -523,14 +490,6 @@ def binary_field(w: int) -> FieldSpec:
 @functools.lru_cache(maxsize=256, typed=True)
 def prime_field(q: int) -> FieldSpec:
     return FieldSpec("prime", q)
-
-
-def GF(q: int) -> FieldSpec:
-    """Field of order q: a power of two gives GF(2^w), a prime gives GF(q)."""
-    q = _as_int(q, "field order")
-    if q > 2 and q & (q - 1) == 0:
-        return binary_field(q.bit_length() - 1)
-    return prime_field(q)
 
 
 @dataclass(frozen=True)

@@ -175,13 +175,15 @@ def subspan_consistency_batch(rows, G: int, params: HashParams):
     rows is (T, R, G + width).  A zero row changes no verdict: it never
     pivots, touches no source index and hashes to 0, so stacks of fewer
     rows may be padded with zero rows.  Returns (verdicts, support,
-    solved): verdicts is a (T,) object array of Verdicts, each equal to
-    subspan_consistency's; support is the (T, G) bool mask of the source
-    indices the encoding vectors touch; solved is (T, G, width), where
-    row j of a trial whose span pins its touched rows down holds source
-    row j as solved for each j in its support, and every other row is 0.
-    One rref_batch call reduces all T stacks, and one hash_consistent
-    call checks the pinned ones.
+    solved, rank): verdicts is a (T,) object array of Verdicts, each equal
+    to subspan_consistency's; support is the (T, G) bool mask of the
+    source indices the encoding vectors touch; solved is (T, G, width),
+    where row j of a trial whose span pins its touched rows down holds
+    source row j as solved for each j in its support, and every other row
+    is 0; rank is the (T,) rank of the encoding vectors.  A stack of G
+    rows with rank G has no tail, so it is pinned and its solved rows are
+    decode's.  One rref_batch call reduces all T stacks, and one
+    hash_consistent call checks the pinned ones.
     """
     f = params.field
     m = f._elements(rows)
@@ -206,7 +208,7 @@ def subspan_consistency_batch(rows, G: int, params: HashParams):
     solved = np.zeros((T, G, m.shape[2] - G), dtype=r.dtype)
     t, i = np.nonzero((pivot_cols >= 0) & pinned[:, None])
     solved[t, pivot_cols[t, i]] = r[t, i, G:]
-    return verdicts, support, solved
+    return verdicts, support, solved, rank
 
 
 @dataclass(frozen=True)
@@ -268,7 +270,7 @@ def sig_keygen(generation: Generation, group: GroupSpec,
             break
     # Rows are (e_i | x_i): u = (-X t | t) is orthogonal to every row, and
     # t uniform makes u uniform over the complement.
-    head = f.sub_arr(np.zeros(g_count, dtype=np.int64), f.matmul(x, t[:, None])[:, 0])
+    head = f._sub(np.zeros(g_count, dtype=f.dtype), f.matmul(x, t[:, None])[:, 0])
     u = np.concatenate([head, t])
     q_mod = group.modulus
     h_vec = tuple(pow(group.generator, int(ui), q_mod) for ui in u)

@@ -21,7 +21,8 @@ the reference, :func:`recover_subspan` solves a partial one, and
 generations at once with the same pivot choice, so its rows equal
 :func:`decode`'s bit for bit.  :func:`rref_batch` is
 :func:`reduced_row_echelon` of a (T, R, W) stack, with a row pointer per
-trial; the relay's batched checks reduce with it.
+trial; the relay's batched checks, the sink's decode among them,
+reduce with it.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def reduced_row_echelon(field: FieldSpec, matrix,
         others = others[others != r]
         if len(others):
             factors = m[others, col]
-            m[others] = field.sub_arr(
+            m[others] = field._sub(
                 m[others], field.mul_arr(factors[:, None], m[r][None, :])
             )
         pivots.append(col)

@@ -27,9 +27,9 @@ trials hop by hop: each edge carries a (T, R, G + width) stack of wire
 rows with a (T, R) mask of the rows sent and a (T, R) ground-truth taint
 mask.  Each hop's checks are one detect.subspan_consistency_batch call,
 each node's re-encodes one _matmul (a combination is tainted when it
-gives a wrongly solved row a nonzero coefficient), and the sink runs
-decode_batch and the span oracle's product on rows padded to G.  Only
-the draws stay per trial: each trial keeps its own generator, and
+gives a wrongly solved row a nonzero coefficient), and the sink's check
+of its G slots also decodes them, scored by the span oracle's product.
+Only the draws stay per trial: each trial keeps its own generator, and
 adversary.corrupt_stream_with_rng corrupts its sent rows row by row, so
 every trial draws what a trial-by-trial run draws.  rlnc.decode,
 reduced_row_echelon and detect.subspan_consistency, with
@@ -402,9 +402,9 @@ def _forward(f: FieldSpec, stream, check, src: np.ndarray, blocks,
     zero and untainted.  Every stream carries one half of the
     source rows: src holds that half's (T, G/2, G + width) source wire
     rows (e_i | S_i), check is subspan_consistency_batch's (verdicts,
-    support, solved) over the half, and blocks are consecutive ranges of
-    equal length within it.  Returns one stream of len(block) slots per
-    block.
+    support, solved, rank) over the half, and blocks are consecutive
+    ranges of equal length within it.  Returns one stream of len(block)
+    slots per block.
 
     A Corrupted verdict sends nothing.  An Inconclusive one forwards the
     received rows split evenly across the blocks (the node cannot prove
@@ -417,7 +417,7 @@ def _forward(f: FieldSpec, stream, check, src: np.ndarray, blocks,
     trial's own generator, and one _matmul then mixes every trial.
     """
     rows, present, taint = stream
-    verdicts, support, solved = check
+    verdicts, support, solved, _ = check
     T, width = solved.shape[0], solved.shape[2]
     nb, n = len(blocks), len(blocks[0])
     span = slice(blocks[0].start, blocks[-1].stop)
@@ -462,10 +462,10 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
     All trials run together, one hop at a time, on the streams of
     _forward.  Each hop's checks are one subspan_consistency_batch call:
     B and C as 2T stacks, the four quarters into D and E as 4T stacks, F
-    as T stacks.  A stream on B's path touches only the first half's
-    source rows and one on C's path only the second's, so B to E check it
-    over that half's coefficients; the columns left out are zero and
-    change no verdict.  Every trial draws from its own _child_rng(seed,
+    as T stacks, whose solved rows are also F's decode.  A stream on B's
+    path touches only the first half's source rows and one on C's path
+    only the second's, so B to E check it over that half's coefficients;
+    the columns left out are zero and change no verdict.  Every trial draws from its own _child_rng(seed,
     t), in a loop over the trials after the check that decides the draws,
     in the order of a trial-by-trial run: the payload, the A-B then the
     A-C coefficients, the A-B then the A-C corruption, B's then C's
@@ -545,9 +545,11 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
         corrupt(f"{node}-F")
 
     to_f = np.concatenate([streams["D-F"][0], streams["E-F"][0]], axis=1)
-    checked["F"] = [(subspan_consistency_batch(to_f, G, hp)[0],
-                     np.ones(trials, dtype=bool))]
-    full_rank, decoded = decode_batch(f, to_f, G)
+    # D and E send G slots in all, so F's check decodes every full-rank
+    # trial: its solved rows are the whole generation.
+    verdicts, _, decoded, rank = subspan_consistency_batch(to_f, G, hp)
+    checked["F"] = [(verdicts, np.ones(trials, dtype=bool))]
+    full_rank = rank == G
     matches = np.all(decoded == source, axis=(1, 2)).tolist()
     # The span oracle: a row (c | d) is clean exactly when d = c S.
     clean = np.all(f._matmul(to_f[..., :G], source) == to_f[..., G:], axis=(1, 2))

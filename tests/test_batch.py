@@ -36,6 +36,7 @@ from ncdetect.rlnc import (
     rref_batch,
 )
 from ncdetect.sim import estimate_hash_miss_rate
+from field_reference import ScalarField
 
 
 def _prime_near(q: int, step: int) -> int:
@@ -216,7 +217,7 @@ def _sub_generations(f, rng, T, R, G, k_data, hp):
     rows = np.concatenate([coeffs, f._matmul(coeffs, src)], axis=-1)
     for t in np.flatnonzero(rng.random(T) < 0.5):
         i, j = int(rng.integers(0, R)), G + int(rng.integers(0, k_data))
-        rows[t, i, j] = f.add(int(rows[t, i, j]), 1)
+        rows[t, i, j] = ScalarField(f).add(int(rows[t, i, j]), 1)
     return _zero_rows(rng, rows, 0.15)
 
 
@@ -232,12 +233,13 @@ def _sub_generations(f, rng, T, R, G, k_data, hp):
 def test_subspan_consistency_batch_matches_each_stack(f, seed, T, G, R, k_data):
     hp = HashParams(k=2, field=f)
     rows = _sub_generations(f, _rng(seed), T, R, G, k_data, hp)
-    verdicts, support, solved = subspan_consistency_batch(rows, G, hp)
-    assert verdicts.shape == (T,) and support.shape == (T, G)
+    verdicts, support, solved, rank = subspan_consistency_batch(rows, G, hp)
+    assert verdicts.shape == rank.shape == (T,) and support.shape == (T, G)
     assert solved.shape == (T, G, rows.shape[2] - G)
     for t in range(T):
         verdict, sup, sol = subspan_consistency(rows[t], G, hp)
         assert verdicts[t] is verdict
+        assert rank[t] == len(reduced_row_echelon(f, rows[t], G)[1])
         assert np.flatnonzero(support[t]).tolist() == sup.tolist()
         if sol is None:
             assert not solved[t].any()
@@ -270,6 +272,26 @@ def test_zero_rows_change_no_verdict_and_no_decode(f, seed, T, G, R, pad):
                                                   for m in (padded, rows))
     assert np.array_equal(full_rank, ref_rank)
     assert _ints(decoded[full_rank]) == _ints(ref_rows[ref_rank])
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 4), G=st.integers(1, 5),
+       k_data=st.integers(1, 4))
+def test_g_row_check_of_full_rank_decodes_as_decode_batch(f, seed, T, G, k_data):
+    # The relay sink decodes with its check: G rows of rank G leave no
+    # tail, so they are pinned, polluted or not, and solved is decode's.
+    rng = _rng(seed)
+    hp = HashParams(k=2, field=f)
+    payload = f.random_elements(rng, (T, G, k_data))
+    src = np.concatenate([payload, gen_hash_append(payload, hp)], axis=-1)
+    coeffs = f.random_elements(rng, (T, G, G))
+    rows = _zero_rows(rng, np.concatenate([coeffs, f._matmul(coeffs, src)], axis=-1), 0.1)
+    rows[0, 0, G] = ScalarField(f).add(int(rows[0, 0, G]), 1)
+    _, _, solved, rank = subspan_consistency_batch(rows, G, hp)
+    full_rank, decoded = decode_batch(f, rows, G)
+    assert np.array_equal(rank == G, full_rank)
+    assert _ints(solved[full_rank]) == _ints(decoded[full_rank])
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
@@ -319,11 +341,11 @@ def test_matmul_matches_scalar_arithmetic(f, seed, r, m, c):
     rng = _rng(seed)
     a = f.random_elements(rng, (r, m))
     b = f.random_elements(rng, (m, c))
-    ref = [[0] * c for _ in range(r)]
+    ref, s = [[0] * c for _ in range(r)], ScalarField(f)
     for i in range(r):
         for j in range(c):
             for x in range(m):
-                ref[i][j] = f.add(ref[i][j], f.mul(int(a[i, x]), int(b[x, j])))
+                ref[i][j] = s.add(ref[i][j], s.mul(int(a[i, x]), int(b[x, j])))
     assert _ints(f.matmul(a, b)) == ref
 
 
@@ -355,9 +377,9 @@ def test_batched_hash_append_matches_rows(f, seed, T, R, k, k_data):
             row = payload[t, i]
             assert [int(v) for v in gen_hash_append(row, hp)] == [int(v) for v in h[t, i]]
             # Independent oracle: sum over each block of x_j^(j mod k + 2).
-            ref = [0] * n_h
+            ref, s = [0] * n_h, ScalarField(f)
             for j, x in enumerate(row):
-                ref[j // k] = f.add(ref[j // k], f.pow(int(x), j % k + 2))
+                ref[j // k] = s.add(ref[j // k], s.pow(int(x), j % k + 2))
             assert [int(v) for v in h[t, i]] == ref
 
 
@@ -373,7 +395,7 @@ def test_hash_consistent_matches_gen_hash_verify(f, seed, T, R, k_data):
     # Perturb some matrices' symbols; small fields may perturb into a match.
     for t in range(0, T, 2):
         i, j = int(rng.integers(0, R)), int(rng.integers(0, rows.shape[-1]))
-        rows[t, i, j] = f.add(int(rows[t, i, j]), 1)
+        rows[t, i, j] = ScalarField(f).add(int(rows[t, i, j]), 1)
     ok = hash_consistent(rows, hp)
     assert ok.shape == (T,)
     for t in range(T):

@@ -608,7 +608,7 @@ def test_relay_reencode_taints_combinations_of_wrongly_solved_rows():
     slots[0, :2] = rows
     stream = (slots, np.arange(8)[None] < 2, np.arange(8)[None] < 1)
     check = subspan_consistency_batch(slots, 8, hp)
-    assert check[0][0] is Verdict.VALID
+    assert check[0][0] is Verdict.VALID and check[3].tolist() == [2]
     ((mixed, present, taint),) = sim._forward(f, stream, check, src[None],
                                                [range(8)], [rng])
     mixed, taint = mixed[0], taint[0]
