@@ -23,13 +23,16 @@ def bitpoly_mul(a: int, b: int, poly: int, w: int) -> int:
 
 
 class ScalarField:
-    """add, mul and pow on Python ints in [0, q) of a FieldSpec's field."""
+    """add, sub, mul, pow and inv on Python ints in [0, q) of a FieldSpec's field."""
 
     def __init__(self, field):
         self.q, self.w, self.poly = field.q, field.w, field.poly
 
     def add(self, a: int, b: int) -> int:
         return a ^ b if self.w else (a + b) % self.q
+
+    def sub(self, a: int, b: int) -> int:
+        return a ^ b if self.w else (a - b) % self.q
 
     def mul(self, a: int, b: int) -> int:
         return bitpoly_mul(a, b, self.poly, self.w) if self.w else a * b % self.q
@@ -43,3 +46,7 @@ class ScalarField:
             a = self.mul(a, a)
             e >>= 1
         return out
+
+    def inv(self, a: int) -> int:
+        """a**(q - 2), the inverse of a nonzero a; 0 is taken to 0."""
+        return self.pow(a, self.q - 2) if a else 0

@@ -638,6 +638,37 @@ def test_scalar_ops_reject_elements_outside_the_field(f, op):
     assert type(run(f, np.int64(top))) is int
 
 
+# Each kernel against the independent scalar reference, on the field's
+# edge elements and random ones; pow also on exponents past q and 2^62.
+# GF(2) is the field where the inverse's 0 -> 0 needs its own case.
+KERNELS = {
+    "add": lambda f, a, b: f._add(f._arr(a), f._arr(b)),
+    "sub": lambda f, a, b: f._sub(f._arr(a), f._arr(b)),
+    "mul": lambda f, a, b: f.mul_arr(a, b),
+    "pow": lambda f, a, e: f.pow_arr(a, e),
+    "inv": lambda f, a, _: f._inv(f._arr(a)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(KERNELS))
+@pytest.mark.parametrize("f", [prime_field(2), *RANGE_FIELDS], ids=repr)
+def test_kernels_match_the_scalar_reference(f, op):
+    rng = np.random.default_rng(f.q)
+    elems = sorted({0, 1, 2 % f.q, f.q - 2, f.q - 1,
+                    *(int(v) for v in f.random_elements(rng, 12))})
+    if op == "pow":
+        seconds = [0, 1, 2, 3, f.q - 1, f.q, f.q + 1, 2**62 + 5]
+    elif op == "inv":
+        seconds = [0]
+    else:
+        seconds = elems
+    a = [x for x in elems for _ in seconds]
+    b = seconds * len(elems)
+    want = [getattr(ScalarField(f), op)(*((x,) if op == "inv" else (x, y)))
+            for x, y in zip(a, b)]
+    assert [int(v) for v in KERNELS[op](f, a, b)] == want
+
+
 # Row and hash entry points of the other modules, each given one (1, 3)
 # matrix of symbols: a wire row with G = 1 or a (payload | hash) row.
 ENTRY_POINTS = {
