@@ -19,12 +19,7 @@ import numpy as np
 from . import analytic
 from .algebra import binary_field, prime_field
 from .analytic import SchemeParams
-from .rlnc import (
-    NotDecodable,
-    decode,
-    make_generation,
-    random_combinations,
-)
+from .rlnc import decode_batch, make_generation, random_combinations
 from .sim import (
     compare_grid,
     estimate_hash_miss_rate,
@@ -184,7 +179,7 @@ def signature(seed: int = DEFAULT_SEED) -> CriterionResult:
 #
 # Deliberately self-contained: its scalar arithmetic never touches
 # FieldSpec (binary multiply is a carryless shift-and-xor loop, inverses
-# come from a linear scan), so it is an independent witness for decode.
+# come from a linear scan), so it is an independent witness for decode_batch.
 
 
 class _RefField:
@@ -270,10 +265,8 @@ def roundtrip(seed: int = DEFAULT_SEED) -> CriterionResult:
         count = g - 1 if short else g
         _, received = random_combinations(f, gen.source_wire_rows(), count, rng)
         expected = _reference_solve(ref, received.tolist(), g)
-        try:
-            got = decode(f, received, g)
-        except NotDecodable:
-            got = None
+        full_rank, rows = decode_batch(f, received[None], g)
+        got = rows[0] if full_rank[0] else None
         if expected is None or got is None:
             singular_seen += 1
             if (expected is None) == (got is None):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FieldSpec, GroupSpec
-from .rlnc import Generation, recover_subspan, rref_batch
+from .rlnc import Generation, recover_subspan, solve_batch
 
 
 class Verdict(str, enum.Enum):
@@ -182,32 +182,31 @@ def subspan_consistency_batch(rows, G: int, params: HashParams):
     source row j as solved for each j in its support, and every other row
     is 0; rank is the (T,) rank of the encoding vectors.  A stack of G
     rows with rank G has no tail, so it is pinned and its solved rows are
-    decode's.  One rref_batch call reduces all T stacks, and one
-    hash_consistent call checks the pinned ones.
+    decode's.  One solve_batch call reduces all T stacks: the rank is its
+    pivot count, data in a tail row makes a trial inconsistent, and a
+    pinned trial's slots are its solved rows, since its pivot columns are
+    its support and its tail slots hold zero data.  One hash_consistent
+    call checks the pinned trials.
     """
     f = params.field
     m = f._elements(rows)
-    if m.ndim != 3 or m.shape[2] < G:
-        raise ValueError(f"expected (T, R, G + width) {f!r} rows, got {m.shape}")
-    T, R, _ = m.shape
+    pivoted, r = solve_batch(f, m, G)
     support = np.any(m[:, :, :G] != 0, axis=1)
-    r, rank, pivot_cols = rref_batch(f, m, G)
-    # Rows past the rank are zero in the encoding part; nonzero data there
-    # means rank([C|D]) > rank(C), and no linear preimage exists.
-    tail = np.arange(R) >= rank[:, None]
-    inconsistent = np.any((r[:, :, G:] != 0) & tail[:, :, None], axis=(1, 2))
+    rank = pivoted.sum(axis=1)
+    # Tail rows are zero in the encoding part; nonzero data there means
+    # rank([C|D]) > rank(C), and no linear preimage exists.
+    tail = np.pad(~pivoted, ((0, 0), (0, r.shape[1] - G)), constant_values=True)
+    inconsistent = np.any((r != 0) & tail[:, :, None], axis=(1, 2))
     pinned = ~inconsistent & (rank >= support.sum(axis=1))
-    hash_ok = np.ones(T, dtype=bool)
+    solved = np.where(pinned[:, None, None], r[:, :G], 0)
+    hash_ok = np.ones(len(m), dtype=bool)
     check = pinned & (rank > 0)
     if check.any():
-        hash_ok[check] = hash_consistent(r[check, :, G:], params)
-    verdicts = np.empty(T, dtype=object)
+        hash_ok[check] = hash_consistent(solved[check], params)
+    verdicts = np.empty(len(m), dtype=object)
     verdicts[:] = Verdict.INCONCLUSIVE
     verdicts[pinned] = Verdict.VALID
     verdicts[inconsistent | (pinned & ~hash_ok)] = Verdict.CORRUPTED
-    solved = np.zeros((T, G, m.shape[2] - G), dtype=r.dtype)
-    t, i = np.nonzero((pivot_cols >= 0) & pinned[:, None])
-    solved[t, pivot_cols[t, i]] = r[t, i, G:]
     return verdicts, support, solved, rank
 
 

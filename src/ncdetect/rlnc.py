@@ -16,13 +16,13 @@ A packet is a wire row (coeffs | payload | hash) of field elements, and
 a stream of R packets is an (R, G + width) array.
 :func:`random_combinations` mixes any (..., R, width) stack,
 :func:`decode` solves one stream with :func:`reduced_row_echelon` and is
-the reference, :func:`recover_subspan` solves a partial one, and
-:func:`decode_batch` runs Gauss-Jordan on a (T, R, G + width) stack of T
-generations at once with the same pivot choice, so its rows equal
-:func:`decode`'s bit for bit.  :func:`rref_batch` is
-:func:`reduced_row_echelon` of a (T, R, W) stack, with a row pointer per
-trial; the relay's batched checks, the sink's decode among them,
-reduce with it.
+the reference, and :func:`recover_subspan` solves a partial one.
+:func:`solve_batch` is the one batched Gauss-Jordan loop: it reduces a
+(T, R, G + width) stack of T generations at once and leaves each pivot
+row in its column's row, so the rank, the solved rows and the
+consistency of the data read straight off its output.
+:func:`decode_batch` is its full-rank case, equal to :func:`decode` bit
+for bit; the relay's checks call :func:`solve_batch` directly.
 """
 
 from __future__ import annotations
@@ -149,6 +149,8 @@ def reduced_row_echelon(field: FieldSpec, matrix,
     rows, cols = m.shape
     if pivot_width is None:
         pivot_width = cols
+    if not 0 <= pivot_width <= cols:
+        raise ValueError(f"pivot_width must lie in [0, {cols}], got {pivot_width}")
     pivots: list[int] = []
     r = 0
     for col in range(pivot_width):
@@ -173,54 +175,6 @@ def reduced_row_echelon(field: FieldSpec, matrix,
     return m, pivots
 
 
-def rref_batch(field: FieldSpec, m, pivot_width: int | None = None):
-    """:func:`reduced_row_echelon` of T stacked matrices at once.
-
-    m is (T, R, W).  Returns (r, rank, pivot_cols): r[t] is the matrix
-    reduced_row_echelon returns for m[t], and its pivot columns are the
-    first rank[t] entries of the (T, R) array pivot_cols, which holds -1
-    past them.  Each trial keeps its own row pointer, so a column with no
-    nonzero entry at or below it is skipped by that trial alone.  The row
-    operations are the scalar ones, run on the trials that found a pivot:
-    swap the first nonzero row up, scale it to a leading 1 and clear the
-    column in every other row.  Rows at or below a pointer are zero left
-    of the current column, so every update starts there.
-    """
-    m = field._elements(m).copy()
-    if m.ndim != 3:
-        raise ValueError(f"expected a (T, R, W) stack over {field!r}, got {m.shape}")
-    T, R, W = m.shape
-    if pivot_width is None:
-        pivot_width = W
-    if not 0 <= pivot_width <= W:
-        raise ValueError(f"pivot_width must lie in [0, {W}], got {pivot_width}")
-    rank = np.zeros(T, dtype=np.int64)
-    pivot_cols = np.full((T, R), -1, dtype=np.int64)
-    rows = np.arange(R)
-    for c in range(pivot_width):
-        nz = (m[:, :, c] != 0) & (rows >= rank[:, None])
-        has = nz.any(axis=1)
-        if not has.any():
-            continue
-        t = np.flatnonzero(has)
-        r = rank[t]
-        pr = nz[t].argmax(axis=1)
-        swap = pr != r
-        if swap.any():
-            ts, a, b = t[swap], r[swap], pr[swap]
-            m[ts, a], m[ts, b] = m[ts, b], m[ts, a]
-        pivot = m[t, r, c:]
-        pivot = field._mul(field._inv(pivot[:, :1]), pivot)
-        m[t, r, c:] = pivot
-        factors = m[t, :, c]
-        factors[np.arange(len(t)), r] = 0
-        m[t, :, c:] = field._sub(m[t, :, c:],
-                                 field._mul(factors[:, :, None], pivot[:, None, :]))
-        pivot_cols[t, r] = c
-        rank[t] += 1
-    return m, rank, pivot_cols
-
-
 def decode(field: FieldSpec, rows, G: int) -> np.ndarray:
     """Recover the source (payload | hash) matrix by Gaussian elimination.
 
@@ -232,49 +186,64 @@ def decode(field: FieldSpec, rows, G: int) -> np.ndarray:
     eliminator :func:`decode_batch` is tested against.
     """
     m = field._elements(rows)
-    if m.ndim != 2 or m.shape[1] < G:
-        raise ValueError(f"expected (R, G + width) {field!r} rows, got {m.shape}")
+    if m.ndim != 2 or not 0 <= G <= m.shape[1]:
+        raise ValueError(f"expected (R, G + width) {field!r} rows with "
+                         f"0 <= G <= row width, got {m.shape} and G = {G}")
     r, pivots = reduced_row_echelon(field, m, pivot_width=G)
     if len(pivots) < G:
         raise NotDecodable(rank=len(pivots), needed=G)
     return r[:G, G:]
 
 
-def decode_batch(field: FieldSpec, m, G: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`decode` of T stacked received matrices at once.
+def solve_batch(field: FieldSpec, m, G: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan elimination of T stacked matrices over their first G columns.
 
-    m is (T, R, G + width): trial t's R received wire rows.  Returns
-    (full_rank, rows): full_rank[t] is True exactly when decode would
-    succeed on trial t's rows, and rows[t] is then the (G, width) matrix
-    decode returns; rows of rank-deficient trials hold arbitrary field
-    elements.  Each column takes, per trial, the first nonzero entry at or
-    below the current row as pivot, as decode does, and a trial without
-    one is rank-deficient.  Pivot rows are not normalised per column:
-    every other row loses m[r, c] / pivot times the pivot row, and the G
-    pivot rows are scaled once at the end, which leaves the unique reduced
-    form of a full-rank trial, decode's rows, bit for bit.  A zero pivot's
-    inverse reads as 0, so rank-deficient trials run the same updates as
-    no-ops instead of raising.
+    m is (T, R, G + width).  Returns (pivoted, rows): pivoted is the (T, G)
+    mask of the columns that hold a pivot, so the rank is pivoted.sum(1),
+    and rows is the (T, max(R, G), width) data part of the reduced stack.
+    Row c < G is column c's slot: if column c is pivoted, it holds the
+    data of the reduced row with its leading 1 in column c.  Every other
+    row, an unpivoted slot or a row past G, is a tail row, zero in the
+    first G columns, and the data is consistent with the coefficients
+    exactly when the tail data is zero.  The reduced rows are then unique
+    and equal :func:`reduced_row_echelon`'s bit for bit, and a full-rank
+    trial's always equal :func:`decode`'s.
+
+    The stack is padded with zero rows up to G rows.  Column c takes row c
+    as its pivot row.  Only where row c is zero in column c is the first
+    tail row with a nonzero entry there swapped in; with none, column c
+    stays a tail slot.  While every trial's slots above c hold pivots, as
+    in a stack of full-rank trials, that row lies below c, as decode takes
+    it, and only the rows below c are searched.  Pivot rows are not
+    normalised per column: every other row loses m[r, c] / pivot times the
+    pivot row, and the pivoted slots are scaled once at the end.  A zero
+    pivot's inverse reads as 0, so a tail slot's row updates are no-ops.
     """
-    m = field._elements(m).copy()
-    if m.ndim != 3 or m.shape[2] < G:
-        raise ValueError(f"expected (T, R, G + width) {field!r} rows, got {m.shape}")
-    T, R, _ = m.shape
-    if R < G:
-        return np.zeros(T, dtype=bool), field._arr(np.zeros((T, G, m.shape[2] - G)))
-    full_rank = np.ones(T, dtype=bool)
+    m = field._elements(m)
+    if m.ndim != 3 or not 0 <= G <= m.shape[2]:
+        raise ValueError(f"expected (T, R, G + width) {field!r} rows with "
+                         f"0 <= G <= row width, got {m.shape} and G = {G}")
+    T, R, W = m.shape
+    m = np.concatenate([m, np.zeros((T, max(G - R, 0), W), dtype=m.dtype)], axis=1)
+    pivoted = np.ones((T, G), dtype=bool)
     trials = np.arange(T)
     binary = field.kind == "binary-extension"  # subtraction is XOR, in place
     for c in range(G):
-        # Once columns < c hold pivots, row c is zero left of column c and
-        # every row update can start at column c.
+        # Once columns < c are reduced, every tail row, row c among them,
+        # is zero left of column c, and every row update can start there.
         pivot = m[:, c, c]  # a view: it sees the swaps below
         if not pivot.all():
-            pivot_row = c + (m[:, c:, c] != 0).argmax(axis=1)
-            move = trials[pivot_row != c]
-            src = pivot_row[move]
+            if pivoted[:, :c].all():  # no trial has a tail slot above c
+                src = c + (m[:, c:, c] != 0).argmax(axis=1)
+                move = trials[src != c]
+            else:  # unpivoted slots above c are tail rows too
+                nz = m[:, :, c] != 0
+                nz[:, :c] &= ~pivoted[:, :c]
+                src = nz.argmax(axis=1)
+                move = trials[(pivot == 0) & nz[trials, src]]
+            src = src[move]
             m[move, src], m[move, c] = m[move, c], m[move, src]
-            full_rank &= pivot != 0  # no nonzero entry at or below row c
+            pivoted[:, c] = pivot != 0
         factors = field._mul(m[:, :, c], field._inv(pivot)[:, None])
         factors[:, c] = 0
         update = field._mul(factors[:, :, None], m[:, None, c, c:])
@@ -283,8 +252,26 @@ def decode_batch(field: FieldSpec, m, G: int) -> tuple[np.ndarray, np.ndarray]:
         else:
             m[:, :, c:] = field._sub(m[:, :, c:], update)
     diag = np.arange(G)
-    return full_rank, field._mul(field._inv(m[:, diag, diag])[:, :, None],
-                                 m[:, :G, G:])
+    # Tail slots keep their data: it decides consistency.
+    scale = np.where(pivoted, field._inv(m[:, diag, diag]), 1)
+    rows = field._mul(scale[:, :, None], m[:, :G, G:])
+    if R > G:
+        rows = np.concatenate([rows, m[:, G:, G:]], axis=1)
+    return pivoted, rows
+
+
+def decode_batch(field: FieldSpec, m, G: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`decode` of T stacked received matrices at once.
+
+    m is (T, R, G + width): trial t's R received wire rows.  Returns
+    (full_rank, rows): full_rank[t] is True exactly when decode would
+    succeed on trial t's rows, and rows[t] is then the (G, width) matrix
+    decode returns, bit for bit; rows of rank-deficient trials hold
+    arbitrary field elements.  This is :func:`solve_batch` with every
+    column pivoted, and its G slots.
+    """
+    pivoted, rows = solve_batch(field, m, G)
+    return pivoted.all(axis=1), rows[:, :G]
 
 
 def recover_subspan(field: FieldSpec, rows, G: int):
@@ -302,8 +289,9 @@ def recover_subspan(field: FieldSpec, rows, G: int):
       unique, so nothing can be checked yet.
     """
     m = field._elements(rows)
-    if m.ndim != 2 or m.shape[1] < G:
-        raise ValueError(f"expected (R, G + width) {field!r} rows, got {m.shape}")
+    if m.ndim != 2 or not 0 <= G <= m.shape[1]:
+        raise ValueError(f"expected (R, G + width) {field!r} rows with "
+                         f"0 <= G <= row width, got {m.shape} and G = {G}")
     support = np.flatnonzero(np.any(m[:, :G] != 0, axis=0))
     r, pivots = reduced_row_echelon(field, m, pivot_width=G)
     # Rows whose encoding part eliminated to zero must carry zero data,

@@ -115,15 +115,15 @@ def test_roundtrip_rank_deficient_count_follows_the_rank_probability(monkeypatch
     # is Poisson-binomial; accept it in an exact region of false-fail
     # probability at most 1e-9.
     seen = []  # (q, G, rows, deficient) per decoded trial
-    real_decode = acceptance.decode
+    real_decode_batch = acceptance.decode_batch
 
     def decode_spy(field, received, G):
-        seen.append([field.q, G, len(received), True])
-        rows = real_decode(field, received, G)  # NotDecodable leaves deficient True
-        seen[-1][3] = False
-        return rows
+        full_rank, rows = real_decode_batch(field, received, G)
+        assert received.shape[0] == 1
+        seen.append([field.q, G, received.shape[1], not full_rank[0]])
+        return full_rank, rows
 
-    monkeypatch.setattr(acceptance, "decode", decode_spy)
+    monkeypatch.setattr(acceptance, "decode_batch", decode_spy)
     assert acceptance.roundtrip(acceptance.DEFAULT_SEED).passed
     assert len(seen) == 1000
     short = [d for q, G, rows, d in seen if rows == G - 1]

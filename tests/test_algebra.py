@@ -44,7 +44,7 @@ from ncdetect.rlnc import (
     random_combinations,
     recover_subspan,
     reduced_row_echelon,
-    rref_batch,
+    solve_batch,
 )
 from field_reference import ScalarField, bitpoly_mul
 
@@ -684,7 +684,7 @@ ENTRY_POINTS = {
     "decode": lambda f, x: decode(f, x, 1),
     "decode_batch": lambda f, x: decode_batch(f, [x], 1),
     "reduced_row_echelon": lambda f, x: reduced_row_echelon(f, x),
-    "rref_batch": lambda f, x: rref_batch(f, [x]),
+    "solve_batch": lambda f, x: solve_batch(f, [x], 1),
     "random_combinations": lambda f, x: random_combinations(
         f, x, 2, np.random.default_rng(0)),
     "recover_subspan": lambda f, x: recover_subspan(f, x, 1),
@@ -753,11 +753,10 @@ STACKS = {
     "reduced_row_echelon": (
         lambda f, x, rng: reduced_row_echelon(f, x),
         (2, 2), (0, 3), lambda out: out[0].shape == (0, 3) and out[1] == []),
-    "rref_batch": (
-        lambda f, x, rng: rref_batch(f, x),
+    "solve_batch": (
+        lambda f, x, rng: solve_batch(f, x, 1),
         (3, 3), (0, 1, 3),
-        lambda out: out[0].shape == (0, 1, 3) and out[1].shape == (0,)
-        and out[2].shape == (0, 1)),
+        lambda out: out[0].shape == (0, 1) and out[1].shape == (0, 1, 2)),
     "random_combinations": (
         lambda f, x, rng: random_combinations(f, x, 2, rng),
         (2, None), (0, 1, 3),

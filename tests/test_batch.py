@@ -33,7 +33,7 @@ from ncdetect.rlnc import (
     decode,
     decode_batch,
     reduced_row_echelon,
-    rref_batch,
+    solve_batch,
 )
 from ncdetect.sim import estimate_hash_miss_rate
 from field_reference import ScalarField
@@ -177,26 +177,37 @@ def _zero_rows(rng, m, share):
     short=st.integers(0, 3),
     zeros=st.sampled_from([0.0, 0.3]),
 )
-def test_rref_batch_matches_reduced_row_echelon(f, seed, T, G, R, width, deficit,
-                                                short, zeros):
+def test_solve_batch_matches_reduced_row_echelon(f, seed, T, G, R, width, deficit,
+                                                 short, zeros):
     # Ranks below G, pivot widths below the row width, R < G, zero rows
-    # and columns: every trial's row pointer may skip columns of its own.
+    # and columns: every trial may leave columns of its own unpivoted.
     rng = _rng(seed)
     rank = max(0, min(R, G) - deficit)
     m = _zero_rows(rng, _rank_limited(f, rng, T, R, G, width, rank), zeros)
-    pivot_width = max(0, G - short)
-    r, ranks, pivot_cols = rref_batch(f, m, pivot_width)
-    assert r.shape == m.shape and ranks.shape == (T,) and pivot_cols.shape == (T, R)
+    _assert_solve_batch_matches_reduced_row_echelon(f, m, max(0, G - short))
+    # Every column may pivot: no data is left, and every tail row is zero.
+    _assert_solve_batch_matches_reduced_row_echelon(f, m, m.shape[2])
+
+
+def _assert_solve_batch_matches_reduced_row_echelon(f, m, G):
+    """solve_batch over the first G columns against reduced_row_echelon.
+
+    The pivoted columns are its pivots, and the tail data is nonzero
+    exactly when the reference's is.  Each pivoted slot holds the data of
+    its pivot row bit for bit when that data is unique: when the tail
+    data is zero, or when every column pivots, so that both take the
+    first nonzero row at or below the current one.
+    """
+    T, R, W = m.shape
+    pivoted, rows = solve_batch(f, m, G)
+    assert pivoted.shape == (T, G) and rows.shape == (T, max(R, G), W - G)
     for t in range(T):
-        ref, pivots = reduced_row_echelon(f, m[t], pivot_width)
-        assert _ints(r[t]) == _ints(ref)
-        assert pivot_cols[t].tolist() == pivots + [-1] * (R - len(pivots))
-        assert ranks[t] == len(pivots)
-    # Without a pivot width, every column may pivot.
-    r, ranks, _ = rref_batch(f, m)
-    for t in range(T):
-        ref, pivots = reduced_row_echelon(f, m[t])
-        assert _ints(r[t]) == _ints(ref) and ranks[t] == len(pivots)
+        ref, pivots = reduced_row_echelon(f, m[t], G)
+        assert np.flatnonzero(pivoted[t]).tolist() == pivots
+        tail = ref[len(pivots) :, G:].any()
+        assert np.delete(rows[t], pivots, axis=0).any() == tail
+        if not tail or len(pivots) == G:
+            assert rows[t, pivots].tolist() == ref[: len(pivots), G:].tolist()
 
 
 def _sub_generations(f, rng, T, R, G, k_data, hp):
@@ -304,10 +315,17 @@ def test_decode_batch_single_row_generation(f):
 
 def test_decode_batch_rejects_bad_shapes():
     f = binary_field(4)
-    with pytest.raises(ValueError):
-        decode_batch(f, np.zeros((3, 5), dtype=np.int64), 2)
-    with pytest.raises(ValueError):
-        decode_batch(f, np.zeros((1, 3, 1), dtype=np.int64), 2)
+    hp = HashParams(k=2, field=f)
+    for shape, G in (((3, 5), 2), ((1, 3, 1), 2), ((1, 2, 4), -1), ((1, 2, 4), 5)):
+        m = np.zeros(shape, dtype=np.int64)
+        for solve in (decode_batch, solve_batch):
+            with pytest.raises(ValueError):
+                solve(f, m, G)
+        with pytest.raises(ValueError):
+            subspan_consistency_batch(m, G, hp)
+        if len(shape) == 3:
+            with pytest.raises(ValueError):
+                subspan_consistency(m[0], G, hp)
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
@@ -507,7 +525,8 @@ def test_decode_batch_exhaustive_over_gf4(n, invertible):
         assert bool(full_rank[t]) == (rank == n)
 
 
-# Hand-built stacks for decode_batch: (R, G) coefficient rows per trial.
+# Hand-built stacks for the batched eliminator: (R, G) coefficient rows
+# per trial.
 DECODE_EDGE_CASES = {
     # Column 1 is zero in every row: a zero pivot mid-way, then column 2.
     "zero column": [[[1, 0, 2], [3, 0, 1], [1, 0, 1], [2, 0, 3]]],
@@ -518,17 +537,38 @@ DECODE_EDGE_CASES = {
                 [[1, 2, 3], [0, 1, 1], [0, 0, 1], [0, 0, 0]]],
     # G = 1: zero rows before the first nonzero coefficient.
     "G=1": [[[0], [0], [3]], [[0], [0], [0]]],
+    # Column 0 has no pivot, so row 0 is a tail slot; column 1's only
+    # nonzero is in that slot, above row 1, and it swaps down.
+    "tail row above": [[[0, 1]]],
+    # R = G, and column 0 has no pivot: slot 0 is the only tail row, and
+    # the repeated row's data shows there unless the data repeats too.
+    "tail slot": [[[0, 1], [0, 1]]],
+    # Column 1 has no pivot, so slot 1 is a tail row; column 2's pivot must
+    # come from it, not from pivot row 0, which is nonzero there too.
+    "pivot row above": [[[1, 1, 1], [0, 0, 1]]],
 }
 
 
 @pytest.mark.parametrize("case", sorted(DECODE_EDGE_CASES))
 @pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
 def test_decode_batch_edge_cases_match_decode(f, case):
+    # Also checks solve_batch, and the span check built on it, against the
+    # scalar path.
     coeffs = f._arr(np.array(DECODE_EDGE_CASES[case]) % f.q)
     T, R, G = coeffs.shape
     data = f.random_elements(_rng(len(case)), (T, R, 3))
     m = np.concatenate([coeffs, data], axis=-1)
     _assert_decode_batch_equals_decode(f, m, G, *decode_batch(f, m, G))
+    _assert_solve_batch_matches_reduced_row_echelon(f, m, G)
+    hp = HashParams(k=2, field=f)
+    verdicts, _, solved, _ = subspan_consistency_batch(m, G, hp)
+    for t in range(T):
+        verdict, support, sol = subspan_consistency(m[t], G, hp)
+        assert verdicts[t] is verdict
+        if sol is None:
+            assert not solved[t].any()
+        else:
+            assert _ints(solved[t, support]) == _ints(sol)
 
 
 # (misses, redraws) of estimate_hash_miss_rate at seeds 1, 2 and 11: the

@@ -14,6 +14,7 @@ from ncdetect.rlnc import (
     fit_layout,
     make_generation,
     random_combinations,
+    recover_subspan,
     reduced_row_echelon,
 )
 
@@ -239,6 +240,11 @@ def test_random_combinations_needs_a_row_stack():
 
 def test_decode_rejects_rows_narrower_than_G():
     gen, src, rng = build(4, 3, seed=14)
-    for rows, G in ((src[0], 4), (src[:, :3], 4)):
-        with pytest.raises(ValueError, match="expected"):
-            decode(GF256, rows, G)
+    for rows, G in ((src[0], 4), (src[:, :3], 4), (src[:2], -1), (src[:2], 8)):
+        for solve in (decode, recover_subspan):
+            with pytest.raises(ValueError, match="expected"):
+                solve(GF256, rows, G)
+    zeros = np.zeros((2, 3), dtype=np.uint8)
+    for m, pivot_width in ((src[:2], -1), (src[:2], 8), (zeros, 4)):
+        with pytest.raises(ValueError, match="pivot_width"):
+            reduced_row_echelon(GF256, m, pivot_width)
