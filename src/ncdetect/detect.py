@@ -24,9 +24,10 @@ Two schemes plus an exact ground-truth oracle:
   per (i, byte of w_i), with no squarings.  For Q < 2^40 the products
   run in uint64 with a 16-bit split of one operand; larger Q use the same
   tables as Python ints.
-* oracle_verify: exact membership in the source span, used for ground
-  truth when scoring simulations.  The source rows are (e_i | S_i), so
-  w = (c | d) is in their span exactly when d = c S: one field product.
+* oracle_verify: exact membership in the source span of one generation
+  or a stack, used for ground truth when scoring simulations.  The source
+  rows are (e_i | S_i), so w = (c | d) is in their span exactly when
+  d = c S: one field product.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FieldSpec, GroupSpec
+from .algebra import FieldSpec, GroupSpec, _as_int
 from .rlnc import Generation, recover_subspan, solve_batch
 
 
@@ -60,6 +61,7 @@ class HashParams:
     field: FieldSpec
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _as_int(self.k, "k"))
         if self.k < 1:
             raise ValueError("k must be >= 1")
 
@@ -259,9 +261,11 @@ def sig_keygen(generation: Generation, group: GroupSpec,
             "signature scheme needs the coding field to be the prime field "
             "of the group order"
         )
+    x = generation.source_payloads
+    if x.ndim != 2:
+        raise ValueError(f"sig_keygen keys one generation, not a stack of {x.shape}")
     if generation.source_hashes.shape[1]:
         raise ValueError("signature generations must not carry hash symbols")
-    x = generation.source_payloads
     g_count, k_data = x.shape
     while True:
         t = f.random_elements(rng, k_data)
@@ -355,17 +359,20 @@ def sig_verify_batch(W, key: SignatureKey) -> np.ndarray:
 def oracle_verify(w, generation: Generation):
     """Exact ground truth: are wire vectors in the source span?
 
-    w is one wire vector (coeffs | data) or an (N, n) matrix of them; the
-    result is one bool, or one per row.  The source rows are (e_i | S_i),
-    so w = (c | d) lies in their span exactly when d = c S.  Used for
-    simulation scoring, never by the schemes under test.
+    w is one wire vector (coeffs | data) or an (..., N, n) stack whose
+    leading axes broadcast with the generation stack's; the result is one
+    bool for one vector of one generation, else (..., N) bools.  As the
+    source rows are (e_i | S_i), w = (c | d) lies in their span exactly
+    when d = c S.  Used for simulation scoring, never by the schemes.
     """
     f = generation.field
     s = generation.source_rows()
-    g = len(s)
+    g, n = s.shape[-2], s.shape[-2] + s.shape[-1]
     w = f._elements(w)
-    if w.ndim not in (1, 2) or w.shape[-1] != g + s.shape[1]:
-        raise ValueError(f"{f!r} wire width must be {g + s.shape[1]}, got {w.shape}")
     m = np.atleast_2d(w)
-    ok = np.all(f.matmul(m[:, :g], s) == m[:, g:], axis=1)
-    return bool(ok[0]) if w.ndim == 1 else ok
+    lead = zip(m.shape[-3::-1], s.shape[-3::-1])
+    if w.ndim == 0 or w.shape[-1] != n or any(a != b and 1 not in (a, b) for a, b in lead):
+        raise ValueError(f"{f!r} wire rows must have width {n} and broadcast against "
+                         f"generations of shape {s.shape}, got {w.shape}")
+    ok = np.all(f._matmul(m[..., :g], s) == m[..., g:], axis=-1)
+    return bool(ok[0]) if ok.ndim == 1 and w.ndim == 1 else ok

@@ -1,28 +1,22 @@
 """Random block linear network coding.
 
 A source emits data in generations of G packets; only packets from the
-same generation are ever mixed.  Each packet carries its encoding vector
-(the coefficients expressing it as a combination of the generation's
-source packets), payload symbols, and optional hash symbols that ride
-along under the same linear combinations.
-
-The module provides generation construction, random recoding,
-Gauss-Jordan decoding over any supported field, and the partial solve
-(:func:`recover_subspan`) behind local checks at intermediate nodes.
-A generation's layout is the shape of its arrays, counted in symbols;
+same generation are ever mixed.  A packet is a wire row (coeffs | payload
+| hash) of field elements: its encoding vector over the generation's
+source packets, payload symbols, and optional hash symbols that ride
+along under the same linear combinations.  A stream of R packets is an
+(R, G + width) array, and generations and streams stack along leading
+axes: :func:`make_generation` builds one generation or a stack of them,
+and :func:`random_combinations` mixes any (..., R, width) stack.  A
+generation's layout is the shape of its arrays, counted in symbols;
 :func:`fit_layout` turns a packet size in bits into such a layout.
 
-A packet is a wire row (coeffs | payload | hash) of field elements, and
-a stream of R packets is an (R, G + width) array.
-:func:`random_combinations` mixes any (..., R, width) stack,
-:func:`decode` solves one stream with :func:`reduced_row_echelon` and is
-the reference, and :func:`recover_subspan` solves a partial one.
-:func:`solve_batch` is the one batched Gauss-Jordan loop: it reduces a
-(T, R, G + width) stack of T generations at once and leaves each pivot
-row in its column's row, so the rank, the solved rows and the
-consistency of the data read straight off its output.
-:func:`decode_batch` is its full-rank case, equal to :func:`decode` bit
-for bit; the relay's checks call :func:`solve_batch` directly.
+:func:`solve_batch` is the one batched Gauss-Jordan loop, over a
+(T, R, G + width) stack: the rank, the solved rows and the consistency
+of the data read straight off its output.  :func:`decode_batch` is its
+full-rank case.  :func:`decode` (on :func:`reduced_row_echelon`) and
+:func:`recover_subspan` solve one stream, fully or partially, and are
+the references the batch kernels are tested against.
 """
 
 from __future__ import annotations
@@ -67,51 +61,49 @@ def fit_layout(n: int, G: int, symbol_bits: int,
 
 @dataclass(frozen=True, eq=False)
 class Generation:
-    """A block of G source packets mixed only among themselves."""
+    """A block of G source packets mixed only among themselves, or a stack
+    of such blocks along leading axes, which every method keeps."""
 
-    source_payloads: np.ndarray  # G x k_data
-    source_hashes: np.ndarray  # G x hash_symbols
+    source_payloads: np.ndarray  # (..., G, k_data)
+    source_hashes: np.ndarray  # (..., G, hash_symbols)
     field: FieldSpec
 
     def source_rows(self) -> np.ndarray:
-        """The G x (k_data + hash_symbols) source (payload | hash) matrix S.
-
-        Source packet i is (e_i | S_i), so the valid row space is that of
-        (I | S).
-        """
-        return np.hstack([self.source_payloads, self.source_hashes])
+        """The (..., G, k_data + hash_symbols) source (payload | hash) rows S;
+        source packet i is (e_i | S_i), so the valid span is that of (I | S)."""
+        return np.concatenate([self.source_payloads, self.source_hashes], axis=-1)
 
     def source_wire_rows(self) -> np.ndarray:
         """The G source packets' wire rows (I | S): coeffs | payload | hash."""
-        g = len(self.source_payloads)
-        return np.hstack([self.field._arr(np.eye(g, dtype=np.int64)),
-                          self.source_rows()])
+        *lead, g, _ = self.source_payloads.shape
+        eye = np.broadcast_to(self.field._arr(np.eye(g, dtype=np.int64)), (*lead, g, g))
+        return np.concatenate([eye, self.source_rows()], axis=-1)
 
 
 def make_generation(payloads, field: FieldSpec, hash_scheme=None) -> Generation:
     """Build a generation from its (G, k_data) source payload matrix.
 
-    Source packet i carries the unit encoding vector e_i
-    (:meth:`Generation.source_wire_rows`).  When a hash scheme
-    (detect.HashParams) is given, hash symbols are computed from each
-    packet's payload and appended; they are then carried through recoding
-    by the same linear combinations as the payload.  Payloads and scheme
+    A (..., G, k_data) stack gives the stack of generations, each equal
+    bit for bit to its own call.  Source packet i carries the unit
+    encoding vector e_i (:meth:`Generation.source_wire_rows`).  When a
+    hash scheme (detect.HashParams) is given, hash symbols are computed
+    from each packet's payload and appended; they are then carried
+    through recoding by the same linear combinations as the payload.  Payloads and scheme
     must lie over field, or ValueError is raised.
     """
     payloads = np.asarray(payloads)
-    if payloads.ndim != 2 or payloads.size == 0:
+    if payloads.ndim < 2 or payloads.size == 0:
         raise ValueError(
-            f"payloads must be a non-empty (G, k_data) matrix, got shape "
+            f"payloads must be a non-empty (..., G, k_data) stack, got shape "
             f"{payloads.shape}"
         )
     payloads = field._elements(payloads)
+    hashes = payloads[..., :0]
     if hash_scheme is not None:
         from .detect import gen_hash_append  # runtime import: detect builds on rlnc
 
         hash_scheme.check_field(field)
         hashes = gen_hash_append(payloads, hash_scheme)
-    else:
-        hashes = field._arr(np.zeros((len(payloads), 0), dtype=np.int64))
     return Generation(source_payloads=payloads, source_hashes=hashes, field=field)
 
 

@@ -14,27 +14,25 @@ The other experiments exercise the actual machinery: the blind forgery
 miss-rate run (estimate_hash_miss_rate), the signature accept/reject run
 (signature_error_counts), and the six-node relay scenario in which
 intermediate nodes check sub-generations and drop polluted ones before
-they reach the sink.
+they reach the sink.  Every run reads its counts (G, k_data, hash_k, s,
+trials) through algebra._as_int, so a float raises TypeError naming it.
 
 Every draw comes from one numpy Generator per run, _child_rng(seed, ...),
-and every mixing step is one rlnc.random_combinations call.  The miss-rate
-run is a batch pipeline: T generations at once as (T, G, width) field
-arrays, mixed in one call, forged by adversary.blind_forge_with_rng,
-decoded by rlnc.decode_batch and checked by detect.hash_consistent.  The
-signature run corrupts in one adversary.rewrite_rows call and verifies
-each side in one detect.sig_verify_batch call.  The relay runs all T
-trials hop by hop: each edge carries a (T, R, G + width) stack of wire
-rows with a (T, R) mask of the rows sent and a (T, R) ground-truth taint
-mask.  Each hop's checks are one detect.subspan_consistency_batch call,
-each node's re-encodes one _matmul (a combination is tainted when it
-gives a wrongly solved row a nonzero coefficient), and the sink's check
-of its G slots also decodes them, scored by the span oracle's product.
-Only the draws stay per trial: each trial keeps its own generator, and
-adversary.corrupt_stream_with_rng corrupts its sent rows row by row, so
-every trial draws what a trial-by-trial run draws.  rlnc.decode,
-reduced_row_echelon and detect.subspan_consistency, with
-detect.sig_verify, are the scalar references the batch kernels are
-tested against.
+every generation (one, or a (T, G, k_data) stack of T) from
+rlnc.make_generation, and every mixing step is one
+rlnc.random_combinations call.  The miss-rate run mixes, forges
+(adversary.blind_forge_with_rng), decodes (rlnc.decode_batch) and checks
+(detect.hash_consistent) T generations at once.  The signature run
+corrupts in one adversary.rewrite_rows call and verifies each side in one
+detect.sig_verify_batch call.  The relay runs its T trials hop by hop on
+(T, R, G + width) stacks of wire rows, with (T, R) masks of the rows sent
+and of their ground-truth taint: each hop's checks are one
+detect.subspan_consistency_batch call, each node's re-encodes one
+_matmul, the sink's check of its G slots also decodes them, and
+detect.oracle_verify scores the sink.  Only the draws stay per trial:
+each trial keeps its own generator and adversary.corrupt_stream_with_rng
+corrupts its rows one by one, so every trial draws what a trial-by-trial
+run draws.
 """
 
 from __future__ import annotations
@@ -46,13 +44,13 @@ import numpy as np
 
 from . import analytic
 from .adversary import blind_forge_with_rng, corrupt_stream_with_rng, rewrite_rows
-from .algebra import FieldSpec, binary_field, make_group, prime_field
+from .algebra import FieldSpec, _as_int, binary_field, make_group, prime_field
 from .analytic import OverheadPoint, SchemeParams, overhead_point
 from .detect import (
     HashParams,
     Verdict,
-    gen_hash_append,
     hash_consistent,
+    oracle_verify,
     sig_keygen,
     sig_verify_batch,
     subspan_consistency_batch,
@@ -98,6 +96,7 @@ def simulate_node(scheme: str, params: SchemeParams, trials: int,
     replay bit-identically.  trials < 1 raises ValueError, and so does an
     unknown scheme (through analytic.overhead_for).
     """
+    trials = _as_int(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = _child_rng(seed)
@@ -208,7 +207,7 @@ def _source_chunks(field: FieldSpec, G: int, k_data: int, hp: HashParams,
     chunk = max(1, _MISS_RATE_CHUNK_ELEMENTS // (G * (G + width)))
     for start in range(0, trials, chunk):
         payloads = field.random_elements(rng, (min(chunk, trials - start), G, k_data))
-        yield np.concatenate([payloads, gen_hash_append(payloads, hp)], axis=-1)
+        yield make_generation(payloads, field, hp).source_rows()
 
 
 def estimate_hash_miss_rate(field: FieldSpec, G: int, k_data: int,
@@ -228,6 +227,8 @@ def estimate_hash_miss_rate(field: FieldSpec, G: int, k_data: int,
     chunks of _MISS_RATE_CHUNK_ELEMENTS: a 32-trial call at either
     hashbound criterion shape is one pass.
     """
+    G, k_data, hash_k, s, trials = (_as_int(v, name) for v, name in (
+        (G, "G"), (k_data, "k_data"), (hash_k, "hash_k"), (s, "s"), (trials, "trials")))
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 1 <= s <= G:
@@ -241,28 +242,16 @@ def estimate_hash_miss_rate(field: FieldSpec, G: int, k_data: int,
         decoded = np.empty_like(src)
         todo = np.arange(len(src))
         while todo.size:
-            full_rank, rows = _blind_forge_and_decode(field, src[todo], k_data, s, rng)
+            coeffs, data = random_combinations(field, src[todo], G, rng)
+            data, _ = blind_forge_with_rng(data, field, k_data, s, rng)
+            full_rank, rows = decode_batch(
+                field, np.concatenate([coeffs, data], axis=-1), G)
             decoded[todo[full_rank]] = rows[full_rank]
             todo = todo[~full_rank]
             redraws += todo.size
         misses += int(np.count_nonzero(hash_consistent(decoded, hp)))
     return HashMissReport(trials=trials, misses=misses,
                           bound=hp.miss_bound(s), s=s, redraws=redraws)
-
-
-def _blind_forge_and_decode(field: FieldSpec, src: np.ndarray, k_data: int,
-                            s: int, rng: np.random.Generator):
-    """Mix, blind-forge and decode each of T generations once.
-
-    src is (T, G, width), the source (payload | hash) rows.  Each trial
-    draws G uniform combinations, then blind_forge_with_rng forges s
-    distinct victims per trial in one call.  Returns decode_batch's
-    (full_rank, rows).
-    """
-    G = src.shape[1]
-    coeffs, data = random_combinations(field, src, G, rng)
-    data, _ = blind_forge_with_rng(data, field, k_data, s, rng)
-    return decode_batch(field, np.concatenate([coeffs, data], axis=-1), G)
 
 
 # -- signature scheme error rates --------------------------------------------
@@ -295,6 +284,8 @@ def signature_error_counts(accept_trials: int, reject_trials: int,
     vector has one payload symbol changed, and each side is verified in
     one sig_verify_batch call.
     """
+    accept_trials = _as_int(accept_trials, "accept_trials")
+    reject_trials = _as_int(reject_trials, "reject_trials")
     if accept_trials < 0 or reject_trials < 0:
         raise ValueError("accept_trials and reject_trials must be >= 0")
     G, k_data = _SIGNATURE_G, _SIGNATURE_K_DATA
@@ -367,12 +358,9 @@ class RelayReport:
         out = {"trials": len(self.trials), "G": self.G}
         for node in ("B", "C", "D", "E", "F"):
             out[f"flag_rate_{node}"] = self.flag_rate(node)
-        out["f_clean_rate"] = (
-            sum(t.f_clean for t in self.trials) / len(self.trials)
-        )
-        out["f_decodable_rate"] = (
-            sum(t.f_decodable for t in self.trials) / len(self.trials)
-        )
+        n = len(self.trials)
+        out["f_clean_rate"] = sum(t.f_clean for t in self.trials) / n
+        out["f_decodable_rate"] = sum(t.f_decodable for t in self.trials) / n
         return out
 
 
@@ -399,12 +387,12 @@ def _forward(f: FieldSpec, stream, check, src: np.ndarray, blocks,
     A stream is (rows, present, taint): (T, R, G + width) wire rows, the
     (T, R) mask of the rows actually sent, and their (T, R) ground truth
     (a tainted row lies outside the source span).  Rows not present are
-    zero and untainted.  Every stream carries one half of the
-    source rows: src holds that half's (T, G/2, G + width) source wire
-    rows (e_i | S_i), check is subspan_consistency_batch's (verdicts,
-    support, solved, rank) over the half, and blocks are consecutive
-    ranges of equal length within it.  Returns one stream of len(block)
-    slots per block.
+    zero and untainted.  Every stream carries one half of the source
+    rows: src holds that half's (T, G/2, G + width) source wire rows
+    (e_i | S_i), check is subspan_consistency_batch's (verdicts, support,
+    solved, rank) over the half, and blocks are consecutive ranges of
+    equal length within it.  Returns one stream of len(block) slots per
+    block.
 
     A Corrupted verdict sends nothing.  An Inconclusive one forwards the
     received rows split evenly across the blocks (the node cannot prove
@@ -459,19 +447,23 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
     per-edge probability, changing one payload symbol of a hit packet, and
     every node drops a sub-generation its check flags as corrupted.
 
-    All trials run together, one hop at a time, on the streams of
-    _forward.  Each hop's checks are one subspan_consistency_batch call:
-    B and C as 2T stacks, the four quarters into D and E as 4T stacks, F
-    as T stacks, whose solved rows are also F's decode.  A stream on B's
-    path touches only the first half's source rows and one on C's path
-    only the second's, so B to E check it over that half's coefficients;
-    the columns left out are zero and change no verdict.  Every trial draws from its own _child_rng(seed,
-    t), in a loop over the trials after the check that decides the draws,
+    All trials run together, one hop at a time, on the streams of _forward
+    and one make_generation stack of the T generations.  Each hop's checks
+    are one subspan_consistency_batch call: B and C as 2T stacks, the four
+    quarters into D and E as 4T stacks, F as T stacks, whose solved rows
+    are also F's decode; oracle_verify scores F's rows against the stack.
+    A stream on B's path touches only the first half's source rows and one
+    on C's path only the second's, so B to E check it over that half's
+    coefficients; the columns left out are zero and change no verdict.
+    Every trial draws from its own _child_rng(seed, t), in a loop over
+    the trials after the check that decides the draws,
     in the order of a trial-by-trial run: the payload, the A-B then the
     A-C coefficients, the A-B then the A-C corruption, B's then C's
     re-encodes, the B-D, B-E, C-D and C-E corruption, then D's re-encodes
     and the D-F corruption, and E's re-encodes and the E-F corruption.
     """
+    G, trials, hash_k = (_as_int(v, name) for v, name in (
+        (G, "G"), (trials, "trials"), (hash_k, "hash_k")))
     if G <= 0 or G % 4:
         raise ValueError("G must be a positive multiple of 4")
     if trials < 1:
@@ -482,9 +474,8 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
     g2, g4 = G // 2, G // 4
     rngs = [_child_rng(seed, t) for t in range(trials)]
     payloads = np.stack([f.random_elements(rng, (G, _RELAY_K_DATA)) for rng in rngs])
-    source = np.concatenate([payloads, gen_hash_append(payloads, hp)], axis=-1)
-    eye = np.broadcast_to(f._arr(np.eye(G, dtype=np.int64)), (trials, G, G))
-    src = np.concatenate([eye, source], axis=-1)
+    gen = make_generation(payloads, f, hp)
+    src = gen.source_wire_rows()
     half = {"B": slice(0, g2), "C": slice(g2, G)}
     streams, checked = {}, {}
     edge_hits = {e: np.zeros(trials, dtype=np.int64) for e in RELAY_EDGES}
@@ -550,9 +541,8 @@ def simulate_relay(G: int, p_per_edge, seed: int, trials: int = 1,
     verdicts, _, decoded, rank = subspan_consistency_batch(to_f, G, hp)
     checked["F"] = [(verdicts, np.ones(trials, dtype=bool))]
     full_rank = rank == G
-    matches = np.all(decoded == source, axis=(1, 2)).tolist()
-    # The span oracle: a row (c | d) is clean exactly when d = c S.
-    clean = np.all(f._matmul(to_f[..., :G], source) == to_f[..., G:], axis=(1, 2))
+    matches = np.all(decoded == gen.source_rows(), axis=(1, 2)).tolist()
+    clean = oracle_verify(to_f, gen).all(axis=1)
     sent = {n: streams[f"{n}-F"][1].sum(axis=1).tolist() for n in ("D", "E")}
     records = []
     for t, (f_decodable, f_clean) in enumerate(zip(full_rank.tolist(), clean.tolist())):

@@ -18,6 +18,7 @@ Hypothesis properties, so a run takes under a minute.
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
 import sys
@@ -31,6 +32,9 @@ EDGE_CASES = "tests/test_batch.py::test_decode_batch_edge_cases_match_decode"
 MISS_RATE_PIN = "tests/test_batch.py::test_miss_rate_run_is_pinned"
 RELAY_GOLDEN = "tests/test_sim.py::test_relay_golden"
 RELAY_ORACLE = "tests/test_sim.py::test_relay_matches_the_trial_by_trial_oracle"
+STACK_AXES = "tests/test_rlnc.py::test_generation_stack_keeps_its_leading_axes"
+ORACLE_FLIP = "tests/test_detect.py::test_oracle_rejects_any_flip"
+ORACLE_STACK = "tests/test_detect.py::test_oracle_stack_axes_must_broadcast"
 
 # (name, file in src/ncdetect, old text, new text, tests that must fail)
 MUTANTS = [
@@ -50,6 +54,16 @@ MUTANTS = [
     ("subspan_consistency_batch treats tail slots below G as pivot rows",
      "detect.py", "np.pad(~pivoted,", "np.pad(pivoted & False,",
      [EDGE_CASES, RELAY_GOLDEN, RELAY_ORACLE]),
+    ("source_wire_rows builds the identity without its leading axes", "rlnc.py",
+     "(*lead, g, g)", "(g, g)",
+     [STACK_AXES, ORACLE_STACK, RELAY_GOLDEN, RELAY_ORACLE]),
+    ("source_wire_rows builds the identity with its leading axes reversed",
+     "rlnc.py", "(*lead, g, g)", "(*lead[::-1], g, g)",
+     [STACK_AXES]),
+    ("oracle_verify compares only the first data column", "detect.py",
+     "f._matmul(m[..., :g], s) == m[..., g:]",
+     "f._matmul(m[..., :g], s[..., :1]) == m[..., g : g + 1]",
+     [ORACLE_FLIP, RELAY_GOLDEN]),
 ]
 
 
@@ -60,10 +74,14 @@ def _failed(root: Path, tests: list[str]) -> dict[str, bool]:
     a mutant that no longer imports.
     """
     report = root / "report.xml"
+    # The listed tests need no plugin, and the report needs no traceback:
+    # loading the installed plugins costs over a second per run, and
+    # formatting a mutant's hundreds of failures up to ten.
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+        [sys.executable, "-m", "pytest", "-q", "--tb=no", "-p", "no:cacheprovider",
          f"--junitxml={report}", *tests],
-        cwd=root, capture_output=True, text=True)
+        cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"})
     if done.returncode not in (0, 1):
         raise RuntimeError(f"pytest exited with {done.returncode}:\n{done.stdout[-2000:]}")
     ran, failed = set(), set()

@@ -692,7 +692,7 @@ ENTRY_POINTS = {
         x, 1, HashParams(k=2, field=f)),
     "subspan_consistency_batch": lambda f, x: subspan_consistency_batch(
         [x], 1, HashParams(k=2, field=f)),
-    "oracle_verify": lambda f, x: oracle_verify(x, make_generation([[1, 1]], f)),
+    "oracle_verify": lambda f, x: oracle_verify(x, make_generation([[[1, 1]]], f)),
 }
 
 
@@ -771,9 +771,9 @@ STACKS = {
         lambda f, x, rng: subspan_consistency_batch(x, 1, HashParams(k=2, field=f)),
         (3, 3), (0, 1, 3),
         lambda out: out[0].shape == (0,) and out[2].shape == (0, 1, 2)),
-    "oracle_verify": (
-        lambda f, x, rng: oracle_verify(x, make_generation([[1, 1]], f)),
-        (1, 2), (0, 3), lambda out: out.shape == (0,)),
+    "oracle_verify": (  # against a stack of one generation
+        lambda f, x, rng: oracle_verify(x, make_generation([[[1, 1]]], f)),
+        (1, None), (0, 1, 3), lambda out: out.shape == (0, 1)),
 }
 
 

@@ -25,6 +25,7 @@ from ncdetect.detect import (
     gen_hash_append,
     gen_hash_verify,
     hash_consistent,
+    oracle_verify,
     subspan_consistency,
     subspan_consistency_batch,
 )
@@ -32,6 +33,8 @@ from ncdetect.rlnc import (
     NotDecodable,
     decode,
     decode_batch,
+    make_generation,
+    random_combinations,
     reduced_row_echelon,
     solve_batch,
 )
@@ -418,6 +421,39 @@ def test_hash_consistent_matches_gen_hash_verify(f, seed, T, R, k_data):
     assert ok.shape == (T,)
     for t in range(T):
         assert bool(ok[t]) == (gen_hash_verify(rows[t], hp) is Verdict.VALID)
+
+
+# Binary fields of both product paths and primes on the int64 and the
+# object-dtype path.
+STACK_FIELDS = [binary_field(w) for w in (2, 8, 16)] + [
+    prime_field(q) for q in (257, PRIME_BELOW, PRIME_ABOVE)]
+
+
+@pytest.mark.parametrize("f", STACK_FIELDS, ids=repr)
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 4), G=st.integers(1, 4),
+       k_data=st.integers(1, 5), hash_k=st.integers(1, 3), N=st.integers(0, 4))
+def test_generation_stack_equals_per_trial_calls(f, seed, T, G, k_data, hash_k, N):
+    rng = _rng(seed)
+    hp = HashParams(k=hash_k, field=f)
+    payloads = f.random_elements(rng, (T, G, k_data))
+    stack = make_generation(payloads, f, hp)
+    gens = [make_generation(p, f, hp) for p in payloads]
+    for rows in ("source_rows", "source_wire_rows"):
+        got = getattr(stack, rows)()
+        want = np.stack([getattr(g, rows)() for g in gens])
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert _ints(got) == _ints(want)
+    # N mixes of each trial's source rows, about half with one symbol,
+    # coefficient or data, moved by a nonzero amount.
+    w = random_combinations(f, stack.source_wire_rows(), N, rng)[1]
+    flipped = rng.random((T, N)) < 0.5
+    for t, i in zip(*np.nonzero(flipped)):
+        j = int(rng.integers(0, w.shape[-1]))
+        w[t, i, j] = ScalarField(f).add(int(w[t, i, j]), int(rng.integers(1, f.q)))
+    ok = oracle_verify(w, stack)
+    assert ok.shape == (T, N) and ok[~flipped].all()
+    assert ok.tolist() == [oracle_verify(w[t], gens[t]).tolist() for t in range(T)]
 
 
 @pytest.mark.parametrize("f", [binary_field(2), binary_field(16), prime_field(257),

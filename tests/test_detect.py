@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,15 @@ def test_hash_matches_brute_force(field):
         payload = field.random_elements(rng, 13)
         got = gen_hash_append(payload, hp)
         assert [int(v) for v in got] == brute_force_hash(field, payload, 5)
+
+
+def test_hash_params_k_is_a_positive_integer():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        HashParams(k=0, field=GF256)
+    with pytest.raises(TypeError, match="k must be an integer, got 2.0"):
+        HashParams(k=2.0, field=GF256)
+    hp = HashParams(k=np.int64(3), field=GF256)
+    assert type(hp.k) is int and hp == HashParams(k=3, field=GF256)
 
 
 def test_split_decoded_width():
@@ -384,6 +394,10 @@ def test_sig_keygen_preconditions():
     with pytest.raises(ValueError):
         sig_keygen(genh, group, rng)  # hash symbols present
 
+    stack = make_generation(field.random_elements(rng, (2, 3, 4)), field)
+    with pytest.raises(ValueError, match="one generation"):
+        sig_keygen(stack, group, rng)
+
 
 # -- batched signature check --------------------------------------------------
 
@@ -579,4 +593,18 @@ def test_oracle_width_mismatch():
     with pytest.raises(ValueError, match="width"):
         oracle_verify(src[0][:-1], gen)
     with pytest.raises(ValueError, match="width"):
-        oracle_verify(src[None], gen)
+        oracle_verify(src[None, :, :-1], gen)
+    with pytest.raises(ValueError, match="width"):
+        oracle_verify(src[0, 0], gen)  # one symbol, not a wire row
+
+
+def test_oracle_stack_axes_must_broadcast():
+    rng = np.random.default_rng(19)
+    gens = make_generation(GF256.random_elements(rng, (3, 4, 5)), GF256)
+    src = gens.source_wire_rows()
+    assert oracle_verify(src, gens).all()
+    # One generation's rows against all three: in only their own span.
+    assert oracle_verify(src[:1], gens).tolist() == [[True] * 4] + [[False] * 4] * 2
+    assert oracle_verify(src[0, 0], gens).shape == (3, 1)
+    with pytest.raises(ValueError, match=re.escape(f"{GF256!r} wire rows")):
+        oracle_verify(src[:2], gens)

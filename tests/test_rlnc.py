@@ -79,9 +79,23 @@ def test_two_percent_hash_overhead_layout():
 
 
 def test_make_generation_dimension_mismatch():
-    for shape in [(), (3,), (2, 3, 4), (0, 3), (3, 0)]:
+    # A (2, 3, 4) stack is two generations; an empty stack is none.
+    for shape in [(), (3,), (0, 3), (3, 0), (0, 3, 4), (2, 3, 0)]:
         with pytest.raises(ValueError, match="non-empty"):
             make_generation(np.zeros(shape), GF256)
+
+
+def test_generation_stack_keeps_its_leading_axes():
+    # A (2, 3) stack of generations: every row equals its own call's.
+    rng = np.random.default_rng(7)
+    hp = HashParams(k=2, field=GF256)
+    payloads = GF256.random_elements(rng, (2, 3, 4, 5))
+    stack = make_generation(payloads, GF256, hp)
+    assert stack.source_wire_rows().shape == (2, 3, 4, 4 + 5 + 3)
+    for i, j in np.ndindex(2, 3):
+        one = make_generation(payloads[i, j], GF256, hp)
+        assert np.array_equal(stack.source_rows()[i, j], one.source_rows())
+        assert np.array_equal(stack.source_wire_rows()[i, j], one.source_wire_rows())
 
 
 @pytest.mark.parametrize("field, value", [(GF256, 300), (prime_field(257), -1)],

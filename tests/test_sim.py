@@ -106,6 +106,8 @@ def test_simulate_node_validation():
         simulate_node("parity", params, 100, 0)
     with pytest.raises(ValueError, match="trials"):
         simulate_node("packet", params, 0, 0)
+    with pytest.raises(TypeError, match="trials must be an integer, got 10.0"):
+        simulate_node("packet", params, 10.0, 0)
     fields = [f.name for f in dataclasses.fields(sim.EmpiricalReport)]
     assert fields == ["scheme", "overhead_ratio", "stderr", "dropped", "trials"]
 
@@ -181,6 +183,11 @@ def test_miss_rate_validates_input():
         with pytest.raises(ValueError, match="k_data"):
             estimate_hash_miss_rate(f, G=6, k_data=k_data, hash_k=hash_k,
                                     s=2, trials=10, seed=1)
+    # Counts that are not integers raise TypeError naming them.
+    counts = dict(G=6, k_data=14, hash_k=14, s=2, trials=10)
+    for name, value in counts.items():
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            estimate_hash_miss_rate(f, **{**counts, name: float(value)}, seed=1)
 
 
 def test_miss_rate_single_packet_generation():
@@ -494,11 +501,16 @@ def test_signature_error_counts_small(seed, monkeypatch):
     assert rep.group_order.bit_length() == bits_p
 
 
-@pytest.mark.parametrize("trials", [(-1, 10), (10, -1)])
+@pytest.mark.parametrize("trials", [(-1, 10), (10, -1), (10.0, 1), (1, 10.0)])
 def test_signature_error_counts_rejects_negative_trials(trials, monkeypatch):
-    # The check comes before any draw: no group is searched.
+    # The check comes before any draw: no group is searched.  A count
+    # that is not an integer raises TypeError naming it.
     monkeypatch.setattr(sim, "make_group", None)
-    with pytest.raises(ValueError, match="must be >= 0"):
+    error, match = ValueError, "must be >= 0"
+    if float in map(type, trials):
+        name = "accept_trials" if type(trials[0]) is float else "reject_trials"
+        error, match = TypeError, f"^{name} must be an integer, got 10.0"
+    with pytest.raises(error, match=match):
         signature_error_counts(*trials, seed=1)
 
 
@@ -673,6 +685,10 @@ def test_relay_requires_a_positive_g(G):
 def test_relay_requires_a_trial():
     with pytest.raises(ValueError, match="trials"):
         simulate_relay(G=8, p_per_edge={}, seed=0, trials=0)
+    # Counts that are not integers raise TypeError naming them.
+    for name, value in (("G", 8.0), ("trials", 2.0), ("hash_k", 16.0)):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            simulate_relay(**{"G": 8, "p_per_edge": {}, "seed": 0, name: value})
 
 
 def test_relay_edge_name_validation():
