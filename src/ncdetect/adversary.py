@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _randbelow
+from .algebra import _as_int, _randbelow
 
 MODES = ("random-symbol", "blind-s-packet")
 
@@ -42,7 +42,7 @@ def rewrite_rows(field, rows, k_data: int, mode: str,
     if mode not in MODES:
         raise ValueError(f"unknown attack mode {mode!r}")
     rows = field._elements(rows)
-    if rows.ndim != 2 or not 1 <= k_data <= rows.shape[1]:
+    if rows.ndim != 2 or not 1 <= _as_int(k_data, "k_data") <= rows.shape[1]:
         raise ValueError(f"expected (N, width >= {k_data}) rows over {field!r}, "
                          f"got {rows.shape}")
     if mode == "random-symbol":
@@ -68,7 +68,7 @@ def corrupt_stream_with_rng(rows, field, k_data: int, p: float,
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     out = field._elements(rows).copy()
-    if out.ndim != 2 or not 1 <= k_data <= out.shape[1]:
+    if out.ndim != 2 or not 1 <= _as_int(k_data, "k_data") <= out.shape[1]:
         raise ValueError(f"expected (R, width >= {k_data}) rows over {field!r}, "
                          f"got {out.shape}")
     hit = np.zeros(len(out), dtype=bool)
@@ -96,11 +96,11 @@ def blind_forge_with_rng(rows, field, k_data: int, s: int,
     (..., R) bool mask of the victims.
     """
     rows = field._elements(rows)
-    if rows.ndim < 2 or not 1 <= k_data <= rows.shape[-1]:
+    if rows.ndim < 2 or not 1 <= _as_int(k_data, "k_data") <= rows.shape[-1]:
         raise ValueError(f"expected (..., R, width >= {k_data}) rows over "
                          f"{field!r}, got {rows.shape}")
     *lead, R, width = rows.shape
-    if not 0 <= s <= R:
+    if not 0 <= _as_int(s, "s") <= R:
         raise ValueError(f"cannot forge {s} of {R} packets")
     n = int(np.prod(lead))
     out = rows.reshape(n, R, width).copy()

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .algebra import _as_int
+
 SCHEMES = ("error-correction", "packet", "generation")
 
 DEFAULT_N = 1000
@@ -52,7 +54,7 @@ class SchemeParams:
         _check_probability(self.p)
         if self.n <= 0:
             raise ValueError("n must be positive")
-        if self.G < 1:
+        if _as_int(self.G, "G") < 1:
             raise ValueError("G must be >= 1")
         if not 0 <= self.h_p <= self.n:
             raise ValueError("h_p must lie in [0, n]")
@@ -103,7 +105,7 @@ def overhead_packet(p: float, n: float, h_p: float) -> float:
 def drop_probability(p: float, G: int) -> float:
     """Probability a generation of G packets contains a corrupted one."""
     _check_probability(p)
-    if G < 1:
+    if _as_int(G, "G") < 1:
         raise ValueError("G must be >= 1")
     return 1.0 - (1.0 - p) ** G
 
@@ -118,7 +120,7 @@ def overhead_generation(p: float, n: float, G: int, h_g: float) -> float:
     standard parameterizations.
     """
     _check_probability(p)
-    if n <= 0 or G < 1 or not 0 <= h_g <= n * G:
+    if n <= 0 or _as_int(G, "G") < 1 or not 0 <= h_g <= n * G:
         raise ValueError("need n > 0, G >= 1 and 0 <= h_g <= n*G")
     p_g = drop_probability(p, G)
     raw = (h_g + p_g * (1.0 - p) * n * G - p * n * G) / (n * G)
@@ -134,7 +136,7 @@ def goodput_fraction_packet(n: float, h_p: float) -> float:
 
 def goodput_fraction_generation(n: float, G: int, h_g: float) -> float:
     """Fraction of forwarded bits that are data under per-generation hashing."""
-    if n <= 0 or G < 1 or not 0 <= h_g <= n * G:
+    if n <= 0 or _as_int(G, "G") < 1 or not 0 <= h_g <= n * G:
         raise ValueError("need n > 0, G >= 1 and 0 <= h_g <= n*G")
     return 1.0 - h_g / (n * G)
 
@@ -157,7 +159,7 @@ def peak_attack_probability(G: int) -> float:
     scales with nG (so it is flat in p): p* = 1 - (2/(G+1))^(1/G).  For
     G = 1 the expression decreases on (0, 1], so the peak sits at p = 0.
     """
-    if G < 1:
+    if _as_int(G, "G") < 1:
         raise ValueError("G must be >= 1")
     if G == 1:
         return 0.0

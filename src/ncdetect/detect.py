@@ -8,7 +8,8 @@ Two schemes plus an exact ground-truth oracle:
   decodes a (sub-)generation re-derives every source row and checks the
   rows' hashes for consistency.  A forger who has not seen the honest
   combinations passes with probability at most ((k+1)/q)^s, the
-  root-counting bound of the degree-(k+1) hash polynomial.
+  root-counting bound of the degree-(k+1) hash polynomial.  Sub-generation
+  checks hash the rows their span pins down (rlnc._recover_batch).
 * a per-packet subspace signature: a public vector h_i = g^(u_i) over a
   prime-order group, with the secret u orthogonal to every source row.
   A packet (coeffs | payload) verifies iff the product of h_i^(w_i) is 1,
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FieldSpec, GroupSpec, _as_int
-from .rlnc import Generation, recover_subspan, solve_batch
+from .rlnc import Generation, _recover_batch, recover_subspan
 
 
 class Verdict(str, enum.Enum):
@@ -110,6 +111,8 @@ def split_decoded_width(width: int, k: int) -> tuple[int, int]:
     A row of k_data payload symbols carries n_h = ceil(k_data / k) hash
     symbols, so its width k_data + n_h fixes n_h = ceil(width / (k + 1)).
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     n_h = -(-width // (k + 1))
     if n_h < 1 or -(-(width - n_h) // k) != n_h:
         raise ValueError(f"width {width} is not payload+hash for k={k}")
@@ -177,35 +180,17 @@ def subspan_consistency_batch(rows, G: int, params: HashParams):
     rows is (T, R, G + width).  A zero row changes no verdict: it never
     pivots, touches no source index and hashes to 0, so stacks of fewer
     rows may be padded with zero rows.  Returns (verdicts, support,
-    solved, rank): verdicts is a (T,) object array of Verdicts, each equal
-    to subspan_consistency's; support is the (T, G) bool mask of the
-    source indices the encoding vectors touch; solved is (T, G, width),
-    where row j of a trial whose span pins its touched rows down holds
-    source row j as solved for each j in its support, and every other row
-    is 0; rank is the (T,) rank of the encoding vectors.  A stack of G
-    rows with rank G has no tail, so it is pinned and its solved rows are
-    decode's.  One solve_batch call reduces all T stacks: the rank is its
-    pivot count, data in a tail row makes a trial inconsistent, and a
-    pinned trial's slots are its solved rows, since its pivot columns are
-    its support and its tail slots hold zero data.  One hash_consistent
-    call checks the pinned trials.
+    solved, rank): a (T,) object array of Verdicts, each equal to
+    subspan_consistency's, and rlnc._recover_batch's support, solved and
+    rank.  A stack of G rows with rank G has no tail, so it is pinned and
+    its solved rows are decode's.
     """
-    f = params.field
-    m = f._elements(rows)
-    pivoted, r = solve_batch(f, m, G)
-    support = np.any(m[:, :, :G] != 0, axis=1)
-    rank = pivoted.sum(axis=1)
-    # Tail rows are zero in the encoding part; nonzero data there means
-    # rank([C|D]) > rank(C), and no linear preimage exists.
-    tail = np.pad(~pivoted, ((0, 0), (0, r.shape[1] - G)), constant_values=True)
-    inconsistent = np.any((r != 0) & tail[:, :, None], axis=(1, 2))
-    pinned = ~inconsistent & (rank >= support.sum(axis=1))
-    solved = np.where(pinned[:, None, None], r[:, :G], 0)
-    hash_ok = np.ones(len(m), dtype=bool)
+    support, rank, inconsistent, pinned, solved = _recover_batch(params.field, rows, G)
+    hash_ok = np.ones(len(rank), dtype=bool)
     check = pinned & (rank > 0)
     if check.any():
         hash_ok[check] = hash_consistent(solved[check], params)
-    verdicts = np.empty(len(m), dtype=object)
+    verdicts = np.empty(len(rank), dtype=object)
     verdicts[:] = Verdict.INCONCLUSIVE
     verdicts[pinned] = Verdict.VALID
     verdicts[inconsistent | (pinned & ~hash_ok)] = Verdict.CORRUPTED
@@ -294,6 +279,9 @@ def sig_verify(w, key: SignatureKey) -> bool:
     sig_verify_batch gives the same verdicts for a matrix of vectors
     from the key's fixed-base tables.
     """
+    w = np.asarray(w)
+    if w.dtype.kind not in "iuO":
+        raise ValueError(f"wire vectors must be integers, got dtype {w.dtype}")
     if len(w) != len(key.h_vec):
         raise ValueError(
             f"vector length {len(w)} does not match key length "

@@ -11,12 +11,12 @@ and :func:`random_combinations` mixes any (..., R, width) stack.  A
 generation's layout is the shape of its arrays, counted in symbols;
 :func:`fit_layout` turns a packet size in bits into such a layout.
 
-:func:`solve_batch` is the one batched Gauss-Jordan loop, over a
-(T, R, G + width) stack: the rank, the solved rows and the consistency
-of the data read straight off its output.  :func:`decode_batch` is its
-full-rank case.  :func:`decode` (on :func:`reduced_row_echelon`) and
-:func:`recover_subspan` solve one stream, fully or partially, and are
-the references the batch kernels are tested against.
+:func:`solve_batch` is the one Gauss-Jordan loop, over a (T, R, G +
+width) stack: the rank, the solved rows and the consistency of the data
+read straight off its output, by :func:`decode_batch` (its full-rank
+case) and by :func:`_recover_batch` (what each span pins down).
+:func:`reduced_row_echelon`, :func:`decode` and :func:`recover_subspan`
+solve one (R, G + width) stream as one trial.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FieldSpec
+from .algebra import FieldSpec, _as_int
 
 
 class NotDecodable(Exception):
@@ -45,11 +45,11 @@ def fit_layout(n: int, G: int, symbol_bits: int,
     n // symbol_bits symbols exactly.  With hash_k set, each packet carries
     one hash symbol per hash_k payload symbols (rounded up).
     """
-    if G < 1 or symbol_bits < 1:
+    if _as_int(G, "G") < 1 or _as_int(symbol_bits, "symbol_bits") < 1:
         raise ValueError("G and symbol_bits must be positive")
-    if hash_k is not None and hash_k < 1:
+    if hash_k is not None and _as_int(hash_k, "hash_k") < 1:
         raise ValueError("hash_k must be >= 1")
-    if n % symbol_bits:
+    if _as_int(n, "n") % symbol_bits:
         raise ValueError(f"n={n} is not a multiple of symbol_bits={symbol_bits}")
     total = n // symbol_bits
     for k_data in range(total - G, 0, -1):
@@ -121,6 +121,8 @@ def random_combinations(field: FieldSpec, rows, count: int,
     rows = field._elements(rows)
     if rows.ndim < 2:
         raise ValueError(f"expected (..., R, width) {field!r} rows, got {rows.shape}")
+    if _as_int(count, "count") < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     coeffs = field.random_elements(rng, rows.shape[:-2] + (count, rows.shape[-2]))
     return coeffs, field._matmul(coeffs, rows)
 
@@ -128,43 +130,37 @@ def random_combinations(field: FieldSpec, rows, count: int,
 # -- linear algebra over a FieldSpec ----------------------------------------
 
 
+def _one_stream(field: FieldSpec, rows, G: int) -> np.ndarray:
+    """rows, an (R, G + width) stream over field, as a stack of one trial."""
+    m = field._elements(rows)
+    if m.ndim != 2 or not 0 <= G <= m.shape[1]:
+        raise ValueError(f"expected (R, G + width) {field!r} rows with "
+                         f"0 <= G <= row width, got {m.shape} and G = {G}")
+    return m[None]
+
+
 def reduced_row_echelon(field: FieldSpec, matrix,
                         pivot_width: int | None = None):
     """Gauss-Jordan elimination; pivots are searched in the first
     pivot_width columns but row operations span the full width.
 
-    Returns (R, pivot_cols).
+    Returns (R, pivot_cols): the pivot rows in column order, then the
+    rest, nonzero ones first.  One trial of :func:`solve_batch` over
+    (m[:, :pivot_width] | m), whose data part is the whole reduced copy.
     """
-    m = field._elements(matrix).copy()
+    m = field._elements(matrix)
     if m.ndim != 2:
         raise ValueError(f"matrix over {field!r} must be 2-D, got {m.shape}")
     rows, cols = m.shape
-    if pivot_width is None:
-        pivot_width = cols
+    pivot_width = cols if pivot_width is None else _as_int(pivot_width, "pivot_width")
     if not 0 <= pivot_width <= cols:
         raise ValueError(f"pivot_width must lie in [0, {cols}], got {pivot_width}")
-    pivots: list[int] = []
-    r = 0
-    for col in range(pivot_width):
-        if r >= rows:
-            break
-        nz = np.nonzero(m[r:, col])[0]
-        if len(nz) == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = field.mul_arr(field.inv(int(m[r, col])), m[r])
-        others = np.nonzero(m[:, col])[0]
-        others = others[others != r]
-        if len(others):
-            factors = m[others, col]
-            m[others] = field._sub(
-                m[others], field.mul_arr(factors[:, None], m[r][None, :])
-            )
-        pivots.append(col)
-        r += 1
-    return m, pivots
+    both = np.concatenate([m[:, :pivot_width], m], axis=1)
+    pivoted, r = solve_batch(field, both[None], pivot_width)
+    pivots = np.flatnonzero(pivoted[0])
+    tail = np.delete(r[0], pivots, axis=0)
+    tail = tail[np.argsort(~(tail != 0).any(axis=1), kind="stable")]
+    return np.concatenate([r[0, pivots], tail[: rows - len(pivots)]]), pivots.tolist()
 
 
 def decode(field: FieldSpec, rows, G: int) -> np.ndarray:
@@ -174,17 +170,13 @@ def decode(field: FieldSpec, rows, G: int) -> np.ndarray:
     exactly when their encoding vectors have rank G; raises NotDecodable
     otherwise, which distinguishes "need more packets" from corruption.
     The returned matrix has one row per source packet; columns are the
-    payload symbols followed by any hash symbols.  This is the reference
-    eliminator :func:`decode_batch` is tested against.
+    payload symbols followed by any hash symbols.  This is one trial of
+    :func:`solve_batch`.
     """
-    m = field._elements(rows)
-    if m.ndim != 2 or not 0 <= G <= m.shape[1]:
-        raise ValueError(f"expected (R, G + width) {field!r} rows with "
-                         f"0 <= G <= row width, got {m.shape} and G = {G}")
-    r, pivots = reduced_row_echelon(field, m, pivot_width=G)
-    if len(pivots) < G:
-        raise NotDecodable(rank=len(pivots), needed=G)
-    return r[:G, G:]
+    pivoted, solved = solve_batch(field, _one_stream(field, rows, G), G)
+    if not pivoted.all():
+        raise NotDecodable(rank=int(pivoted.sum()), needed=G)
+    return solved[0, :G]
 
 
 def solve_batch(field: FieldSpec, m, G: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,21 +189,20 @@ def solve_batch(field: FieldSpec, m, G: int) -> tuple[np.ndarray, np.ndarray]:
     data of the reduced row with its leading 1 in column c.  Every other
     row, an unpivoted slot or a row past G, is a tail row, zero in the
     first G columns, and the data is consistent with the coefficients
-    exactly when the tail data is zero.  The reduced rows are then unique
-    and equal :func:`reduced_row_echelon`'s bit for bit, and a full-rank
-    trial's always equal :func:`decode`'s.
+    exactly when the tail data is zero; the reduced rows are then unique.
 
     The stack is padded with zero rows up to G rows.  Column c takes row c
     as its pivot row.  Only where row c is zero in column c is the first
     tail row with a nonzero entry there swapped in; with none, column c
     stays a tail slot.  While every trial's slots above c hold pivots, as
-    in a stack of full-rank trials, that row lies below c, as decode takes
-    it, and only the rows below c are searched.  Pivot rows are not
-    normalised per column: every other row loses m[r, c] / pivot times the
-    pivot row, and the pivoted slots are scaled once at the end.  A zero
-    pivot's inverse reads as 0, so a tail slot's row updates are no-ops.
+    in a stack of full-rank trials, that row lies below c, and only the
+    rows below c are searched.  Pivot rows are not normalised per column:
+    every other row loses m[r, c] / pivot times the pivot row, and the
+    pivoted slots are scaled once at the end.  A zero pivot's inverse
+    reads as 0, so a tail slot's row updates are no-ops.
     """
     m = field._elements(m)
+    G = _as_int(G, "G")
     if m.ndim != 3 or not 0 <= G <= m.shape[2]:
         raise ValueError(f"expected (T, R, G + width) {field!r} rows with "
                          f"0 <= G <= row width, got {m.shape} and G = {G}")
@@ -266,11 +257,34 @@ def decode_batch(field: FieldSpec, m, G: int) -> tuple[np.ndarray, np.ndarray]:
     return pivoted.all(axis=1), rows[:, :G]
 
 
+def _recover_batch(field: FieldSpec, m, G: int):
+    """The source rows that each of T stacked (R, G + width) streams pins down.
+
+    Returns (support, rank, inconsistent, pinned, solved): the (T, G) mask
+    of the source indices the encoding vectors touch; their (T,) rank;
+    whether a tail row of :func:`solve_batch` carries data, so that
+    rank([C|D]) > rank(C) and no source matrix explains the rows; whether
+    a consistent trial's rank reaches its support's size, which pins its
+    support down; and (T, G, width) rows whose slot j holds a pinned
+    trial's source row j for each j in its support, and 0 elsewhere.
+    """
+    m = field._elements(m)
+    pivoted, r = solve_batch(field, m, G)
+    support = np.any(m[:, :, :G] != 0, axis=1)
+    rank = pivoted.sum(axis=1)
+    tail = np.pad(~pivoted, ((0, 0), (0, r.shape[1] - G)), constant_values=True)
+    inconsistent = np.any((r != 0) & tail[:, :, None], axis=(1, 2))
+    pinned = ~inconsistent & (rank >= support.sum(axis=1))
+    solved = np.where(pinned[:, None, None], r[:, :G], 0)
+    return support, rank, inconsistent, pinned, solved
+
+
 def recover_subspan(field: FieldSpec, rows, G: int):
     """Solve for the source rows a set of received combinations pins down.
 
     rows is (R, G + width): R received wire rows (coeffs | data) over
-    field.  Returns (status, support, solved):
+    field, solved as one trial of :func:`_recover_batch`.  Returns
+    (status, support, solved):
 
     * status "solved": every source index touched by the encoding vectors
       is uniquely determined; support lists those indices and solved holds
@@ -280,17 +294,11 @@ def recover_subspan(field: FieldSpec, rows, G: int):
     * status "underdetermined": a consistent preimage exists but is not
       unique, so nothing can be checked yet.
     """
-    m = field._elements(rows)
-    if m.ndim != 2 or not 0 <= G <= m.shape[1]:
-        raise ValueError(f"expected (R, G + width) {field!r} rows with "
-                         f"0 <= G <= row width, got {m.shape} and G = {G}")
-    support = np.flatnonzero(np.any(m[:, :G] != 0, axis=0))
-    r, pivots = reduced_row_echelon(field, m, pivot_width=G)
-    # Rows whose encoding part eliminated to zero must carry zero data,
-    # else rank([C|D]) > rank(C) and no linear preimage exists.
-    tail = r[len(pivots) :]
-    if tail.size and np.any(tail[:, G:] != 0):
+    support, _, inconsistent, pinned, solved = _recover_batch(
+        field, _one_stream(field, rows, G), G)
+    support = np.flatnonzero(support[0])
+    if inconsistent[0]:
         return "inconsistent", support, None
-    if len(pivots) < len(support):
+    if not pinned[0]:
         return "underdetermined", support, None
-    return "solved", np.asarray(pivots, dtype=np.int64), r[: len(pivots), G:]
+    return "solved", support, solved[0, support]

@@ -12,8 +12,12 @@ listed test passes under its mutant.
 
 It needs only the standard library and pytest, and is not part of the
 test suite.  A change to a listed kernel updates its entries in the same
-change.  The listed tests are deterministic tables and goldens, not
-Hypothesis properties, so a run takes under a minute.
+change.  The listed tests are deterministic tables and goldens, so a run
+takes under a minute.  The one Hypothesis property among them,
+test_rewrite_rows_modes, runs over GF(2) and GF(2^2) too: there a junk
+payload of a few symbols equals the honest one with probability 1/2^k_data
+or 1/4^k_data per row, so its 15 examples per field meet one on every
+run in practice.
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ RELAY_ORACLE = "tests/test_sim.py::test_relay_matches_the_trial_by_trial_oracle"
 STACK_AXES = "tests/test_rlnc.py::test_generation_stack_keeps_its_leading_axes"
 ORACLE_FLIP = "tests/test_detect.py::test_oracle_rejects_any_flip"
 ORACLE_STACK = "tests/test_detect.py::test_oracle_stack_axes_must_broadcast"
+HASH_BRUTE = "tests/test_detect.py::test_hash_matches_brute_force"
+REWRITE_MODES = "tests/test_adversary.py::test_rewrite_rows_modes"
+SIG_BATCH = "tests/test_detect.py::test_sig_batch_equals_scalar"
+SIG_COUNTS = "tests/test_sim.py::test_signature_error_counts_small"
 
 # (name, file in src/ncdetect, old text, new text, tests that must fail)
 MUTANTS = [
@@ -51,8 +59,8 @@ MUTANTS = [
      "np.where(pivoted, field._inv(m[:, diag, diag]), 1)",
      "field._inv(m[:, diag, diag])",
      [EDGE_CASES, RELAY_GOLDEN, RELAY_ORACLE]),
-    ("subspan_consistency_batch treats tail slots below G as pivot rows",
-     "detect.py", "np.pad(~pivoted,", "np.pad(pivoted & False,",
+    ("_recover_batch treats tail slots below G as pivot rows",
+     "rlnc.py", "np.pad(~pivoted,", "np.pad(pivoted & False,",
      [EDGE_CASES, RELAY_GOLDEN, RELAY_ORACLE]),
     ("source_wire_rows builds the identity without its leading axes", "rlnc.py",
      "(*lead, g, g)", "(g, g)",
@@ -64,6 +72,17 @@ MUTANTS = [
      "f._matmul(m[..., :g], s) == m[..., g:]",
      "f._matmul(m[..., :g], s[..., :1]) == m[..., g : g + 1]",
      [ORACLE_FLIP, RELAY_GOLDEN]),
+    ("gen_hash_append raises each symbol to one power too few", "detect.py",
+     "% params.k) + 2)", "% params.k) + 1)",
+     [HASH_BRUTE, MISS_RATE_PIN]),
+    ("rewrite_rows keeps a blind junk payload equal to the honest one",
+     "adversary.py",
+     "    for i in np.flatnonzero(np.all(out[:, :k_data] == rows[:, :k_data], axis=1)):\n"
+     "        _change_one_symbol(field, out[i : i + 1], k_data, rng)\n", "",
+     [REWRITE_MODES]),
+    ("sig_verify_batch offsets each table by 255 entries, not 256", "detect.py",
+     "(np.arange(n * windows) * 256)", "(np.arange(n * windows) * 255)",
+     [SIG_BATCH, SIG_COUNTS]),
 ]
 
 

@@ -2,8 +2,9 @@
 
 This is simulate_relay as it ran before it was batched: each trial takes
 its hops in turn on (R, G + width) wire rows, checks every sub-generation
-with detect.subspan_consistency and corrupts through
-adversary.corrupt_stream_with_rng.  Every trial draws from its own
+with reference.subspan_consistency, decodes the sink with
+reference.decode and corrupts through adversary.corrupt_stream_with_rng.
+The checks run on the scalar eliminator, not on rlnc.solve_batch.  Every trial draws from its own
 _child_rng(seed, t) in the order the batched run keeps, so the two give
 equal RelayTrial records.
 """
@@ -12,8 +13,8 @@ import numpy as np
 
 from ncdetect.adversary import corrupt_stream_with_rng
 from ncdetect.algebra import FieldSpec, binary_field
-from ncdetect.detect import HashParams, Verdict, oracle_verify, subspan_consistency
-from ncdetect.rlnc import decode_batch, make_generation, random_combinations
+from ncdetect.detect import HashParams, Verdict, oracle_verify
+from ncdetect.rlnc import NotDecodable, make_generation, random_combinations
 from ncdetect.sim import (
     _RELAY_K_DATA,
     RELAY_NODES,
@@ -22,6 +23,7 @@ from ncdetect.sim import (
     _child_rng,
     _normalize_edges,
 )
+from reference import decode, subspan_consistency
 
 
 def _forward_blocks(rows, taint, blocks, hash_params, src,
@@ -126,8 +128,10 @@ def simulate_relay_reference(G: int, p_per_edge, seed: int, trials: int = 1,
         to_f = np.concatenate([streams["D-F"][0], streams["E-F"][0]])
         vf = subspan_consistency(to_f, G, hp)[0] if len(to_f) else Verdict.VALID
         verdicts["F"] = (vf,)
-        full_rank, decoded = decode_batch(f, to_f[None], G)
-        f_decodable = bool(full_rank[0])
+        try:
+            decoded, f_decodable = decode(f, to_f, G), True
+        except NotDecodable:
+            f_decodable = False
         flagged = [n for n in RELAY_NODES[1:] if Verdict.CORRUPTED in verdicts[n]]
         records.append(RelayTrial(
             verdicts=verdicts,
@@ -136,7 +140,7 @@ def simulate_relay_reference(G: int, p_per_edge, seed: int, trials: int = 1,
             forwarded={"D": len(streams["D-F"][0]), "E": len(streams["E-F"][0])},
             f_received=len(to_f),
             f_decodable=f_decodable,
-            f_matches_source=(bool(np.array_equal(decoded[0], gen.source_rows()))
+            f_matches_source=(bool(np.array_equal(decoded, gen.source_rows()))
                               if f_decodable else None),
             f_clean=bool(oracle_verify(to_f, gen).all()),
             upstream_dropped=any(n != "F" for n in flagged),

@@ -92,6 +92,13 @@ def test_model_validation():
             corrupt_stream_with_rng(src, GF256, k_data, 0.5, seeded(12))
     with pytest.raises(ValueError, match="unknown attack mode"):
         rewrite_rows(GF256, src, 3, "downgrade", seeded(12))
+    for k_data in (2.0, 2.5):
+        with pytest.raises(TypeError, match="k_data must be an integer"):
+            corrupt_stream_with_rng(src, GF256, k_data, 0.5, seeded(12))
+        with pytest.raises(TypeError, match="k_data must be an integer"):
+            blind_forge_with_rng(src, GF256, k_data, 1, seeded(12))
+    with pytest.raises(TypeError, match="s must be an integer"):
+        blind_forge_with_rng(src, GF256, 3, 2.0, seeded(12))
 
 
 def test_blind_forge_zero_is_noop():
@@ -205,6 +212,9 @@ def test_rewrite_rows_rejects_bad_input():
             rewrite_rows(GF256, rows, 3, mode, seeded(20))
     for k_data in (0, 5):
         with pytest.raises(ValueError, match="expected"):
+            rewrite_rows(GF256, rows, k_data, "random-symbol", seeded(20))
+    for k_data in (2.0, 2.5):
+        with pytest.raises(TypeError, match="k_data must be an integer"):
             rewrite_rows(GF256, rows, k_data, "random-symbol", seeded(20))
     with pytest.raises(ValueError, match="expected"):
         rewrite_rows(GF256, rows[0], 3, "random-symbol", seeded(20))

@@ -180,6 +180,15 @@ def test_scheme_params_validation():
         SchemeParams(n=1000, G=10, h_p=2000, h_g=200, p=0.1)
     with pytest.raises(ValueError):
         SchemeParams(n=1000, G=10, h_p=60, h_g=-1, p=0.1)
+    # A generation size that is not an integer is named, never computed with.
+    for call in (lambda: SchemeParams.defaults(p=0.1, G=2.5),
+                 lambda: SchemeParams(n=1000, G=10.0, h_p=60, h_g=200, p=0.1),
+                 lambda: drop_probability(0.1, 2.5),
+                 lambda: overhead_generation(0.1, 1000, 2.5, 200),
+                 lambda: goodput_fraction_generation(1000, 2.5, 200),
+                 lambda: peak_attack_probability(2.5)):
+        with pytest.raises(TypeError, match="G must be an integer"):
+            call()
     params = SchemeParams.defaults(p=0.1)
     assert params.h_p == pytest.approx(60)
     assert params.h_g == pytest.approx(200)

@@ -1,5 +1,8 @@
 """Batch kernels against the scalar reference path, over every field kind.
 
+The reference eliminator and the one-stream solvers on it live in
+tests/reference.py, apart from the library's solve_batch.
+
 Each property runs on GF(2^w) for every w in 2..16 and on prime fields on
 both sides of the int64 limit, so the object-dtype path is covered too.
 The miss-rate run is also pinned to recorded outcomes, so a faster kernel
@@ -35,11 +38,13 @@ from ncdetect.rlnc import (
     decode_batch,
     make_generation,
     random_combinations,
+    recover_subspan,
     reduced_row_echelon,
     solve_batch,
 )
 from ncdetect.sim import estimate_hash_miss_rate
 from field_reference import ScalarField
+import reference
 
 
 def _prime_near(q: int, step: int) -> int:
@@ -150,10 +155,10 @@ def test_decode_batch_matches_decode(f, seed, T, G, extra_rows, width, deficit):
 
 
 def _assert_decode_batch_equals_decode(f, m, G, full_rank, rows):
-    """Each trial's rows equal decode's, or decode raises NotDecodable."""
+    """Each trial's rows equal the reference decode's, or it raises NotDecodable."""
     for t in range(len(m)):
         try:
-            ref = decode(f, m[t], G)
+            ref = reference.decode(f, m[t], G)
         except NotDecodable:
             assert not full_rank[t]
         else:
@@ -193,7 +198,7 @@ def test_solve_batch_matches_reduced_row_echelon(f, seed, T, G, R, width, defici
 
 
 def _assert_solve_batch_matches_reduced_row_echelon(f, m, G):
-    """solve_batch over the first G columns against reduced_row_echelon.
+    """solve_batch over the first G columns against the reference eliminator.
 
     The pivoted columns are its pivots, and the tail data is nonzero
     exactly when the reference's is.  Each pivoted slot holds the data of
@@ -205,7 +210,7 @@ def _assert_solve_batch_matches_reduced_row_echelon(f, m, G):
     pivoted, rows = solve_batch(f, m, G)
     assert pivoted.shape == (T, G) and rows.shape == (T, max(R, G), W - G)
     for t in range(T):
-        ref, pivots = reduced_row_echelon(f, m[t], G)
+        ref, pivots = reference.reduced_row_echelon(f, m[t], G)
         assert np.flatnonzero(pivoted[t]).tolist() == pivots
         tail = ref[len(pivots) :, G:].any()
         assert np.delete(rows[t], pivots, axis=0).any() == tail
@@ -251,9 +256,9 @@ def test_subspan_consistency_batch_matches_each_stack(f, seed, T, G, R, k_data):
     assert verdicts.shape == rank.shape == (T,) and support.shape == (T, G)
     assert solved.shape == (T, G, rows.shape[2] - G)
     for t in range(T):
-        verdict, sup, sol = subspan_consistency(rows[t], G, hp)
+        verdict, sup, sol = reference.subspan_consistency(rows[t], G, hp)
         assert verdicts[t] is verdict
-        assert rank[t] == len(reduced_row_echelon(f, rows[t], G)[1])
+        assert rank[t] == len(reference.reduced_row_echelon(f, rows[t], G)[1])
         assert np.flatnonzero(support[t]).tolist() == sup.tolist()
         if sol is None:
             assert not solved[t].any()
@@ -329,6 +334,12 @@ def test_decode_batch_rejects_bad_shapes():
         if len(shape) == 3:
             with pytest.raises(ValueError):
                 subspan_consistency(m[0], G, hp)
+    # G is read once, as an integer, in solve_batch.
+    m = np.zeros((1, 2, 4), dtype=np.int64)
+    for solve in (decode_batch, solve_batch,
+                  lambda f, m, G: subspan_consistency_batch(m, G, hp)):
+        with pytest.raises(TypeError, match="G must be an integer"):
+            solve(f, m, 2.0)
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
@@ -557,7 +568,7 @@ def test_decode_batch_exhaustive_over_gf4(n, invertible):
     assert np.array_equal(f.matmul(C[full_rank], rows[full_rank]), D[full_rank])
     sample = _rng(10 + n).choice(len(C), size=min(len(C), 3000), replace=False)
     for t in sample:
-        rank = len(reduced_row_echelon(f, C[t])[1])
+        rank = len(reference.reduced_row_echelon(f, C[t], n)[1])
         assert bool(full_rank[t]) == (rank == n)
 
 
@@ -599,12 +610,79 @@ def test_decode_batch_edge_cases_match_decode(f, case):
     hp = HashParams(k=2, field=f)
     verdicts, _, solved, _ = subspan_consistency_batch(m, G, hp)
     for t in range(T):
-        verdict, support, sol = subspan_consistency(m[t], G, hp)
+        verdict, support, sol = reference.subspan_consistency(m[t], G, hp)
         assert verdicts[t] is verdict
         if sol is None:
             assert not solved[t].any()
         else:
             assert _ints(solved[t, support]) == _ints(sol)
+
+
+# GF(2^w) on the table and the log/exp path, and primes on the int64
+# path (2, 3, 257, the one above sqrt(2^63)) and the object-dtype path.
+ONE_TRIAL_FIELDS = [binary_field(w) for w in (2, 3, 4, 8, 9, 16)] + [
+    prime_field(q) for q in (2, 3, 257, SQRT_INT64_PRIMES[1], 2**61 - 1, 2**89 - 1)]
+
+
+def _streams(f, rng):
+    """(R, G + width) streams of every kind the one-stream solvers tell apart.
+
+    Shapes with R < G, R > G, R = 0 and G = 0; for each rank up to
+    min(R, G), coefficients of that rank with data in their span, the
+    same with one data symbol moved, and with random data, which a
+    dependent row makes inconsistent.
+    """
+    for R, G, width in ((0, 3, 2), (2, 4, 2), (5, 3, 2), (3, 0, 2), (4, 4, 0),
+                        (1, 1, 3), (6, 2, 1), (4, 3, 2)):
+        for rank in range(min(R, G) + 1):
+            m = _rank_limited(f, rng, 1, R, G, width, rank)[0]
+            coeffs = m[:, :G]
+            span = np.concatenate(
+                [coeffs, f._matmul(coeffs, f.random_elements(rng, (G, width)))], axis=1)
+            yield span
+            yield m
+            if R and width:
+                moved = span.copy()
+                i, j = int(rng.integers(0, R)), G + int(rng.integers(0, width))
+                moved[i, j] = ScalarField(f).add(int(moved[i, j]), 1)
+                yield moved
+
+
+def _same(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and (
+        got.tolist() == want.tolist())
+
+
+def _decoded(solve, f, m, G):
+    try:
+        return solve(f, m, G)
+    except NotDecodable as exc:
+        return exc.rank
+
+
+@pytest.mark.parametrize("f", ONE_TRIAL_FIELDS, ids=repr)
+def test_one_trial_calls_equal_the_reference(f):
+    # decode, recover_subspan and reduced_row_echelon are one trial of
+    # solve_batch; here they meet the scalar eliminator they replaced.
+    rng = _rng(f.q % 1000)
+    for m in _streams(f, rng):
+        for G in range(m.shape[1] + 1):  # every pivot width, 0 and full too
+            got, want = (_decoded(solve, f, m, G) for solve in (decode, reference.decode))
+            assert type(got) is type(want)
+            assert got == want if isinstance(want, int) else _same(got, want)
+            (status, support, solved), (ref_status, ref_support, ref_solved) = (
+                solve(f, m, G) for solve in (recover_subspan, reference.recover_subspan))
+            assert status == ref_status and _same(support, ref_support)
+            assert solved is ref_solved is None or _same(solved, ref_solved)
+            r, pivots = reduced_row_echelon(f, m, G)
+            ref, ref_pivots = reference.reduced_row_echelon(f, m, G)
+            assert pivots == ref_pivots and r.dtype == ref.dtype and r.shape == ref.shape
+            # Past the pivot rows: data exactly when the reference has some,
+            # and nonzero rows first.
+            tail, ref_tail = ((x[len(pivots):] != 0).any(axis=1) for x in (r, ref))
+            assert tail.any() == ref_tail.any() and not (tail[1:] > tail[:-1]).any()
+            if not ref_tail.any():
+                assert _same(r, ref)
 
 
 # (misses, redraws) of estimate_hash_miss_rate at seeds 1, 2 and 11: the

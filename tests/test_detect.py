@@ -34,10 +34,10 @@ from ncdetect.rlnc import (
     decode,
     make_generation,
     random_combinations,
-    reduced_row_echelon,
 )
 
 from field_reference import ScalarField
+from reference import reduced_row_echelon
 
 GF256 = binary_field(8)
 GF128 = binary_field(7)
@@ -119,6 +119,9 @@ def test_split_decoded_width():
     assert split_decoded_width(8, 1) == (4, 4)
     with pytest.raises(ValueError):
         split_decoded_width(1, 50)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            split_decoded_width(10, k)
     with pytest.raises(ValueError, match=r"width 5 .* over GF\(2\^8\)"):
         hash_consistent(np.ones((1, 1, 5), dtype=int), HashParams(k=1, field=GF256))
 
@@ -367,6 +370,12 @@ def test_sig_length_mismatch_rejected(sig_setup):
     _, field, _, src, key, _ = sig_setup
     with pytest.raises(ValueError):
         sig_verify(src[0][:-1], key)
+    # A float symbol moved by 0.5 is no wire vector, and int() would hide it.
+    moved = src[0].astype(float)
+    moved[-1] += 0.5
+    for verify in (sig_verify, lambda w, key: sig_verify_batch(w[None], key)[0]):
+        with pytest.raises(ValueError, match="wire vectors must be integers"):
+            verify(moved, key)
 
 
 def test_sig_keygen_minimal_dimensions():
@@ -575,7 +584,7 @@ def test_oracle_matches_rank_oracle(f, seed, G, k_data, hash_k):
     rows = gen.source_wire_rows()
 
     def in_span_by_rank(w):
-        return len(reduced_row_echelon(f, np.vstack([rows, w[None, :]]))[1]) == G
+        return len(reduced_row_echelon(f, np.vstack([rows, w[None, :]]), len(w))[1]) == G
 
     mixes = mix(f, rows, 3, rng)
     assert list(oracle_verify(mixes, gen)) == [True] * 3

@@ -54,6 +54,10 @@ def test_fit_solves_layout():
     for G, symbol_bits in ((0, 8), (-1, 8), (4, 0)):
         with pytest.raises(ValueError, match="must be positive"):
             fit_layout(64, G=G, symbol_bits=symbol_bits)
+    for args, name in (((1000.0, 10, 8), "n"), ((1000, 10.0, 8), "G"),
+                       ((1000, 10, 8.0), "symbol_bits"), ((1000, 10, 8, 2.5), "hash_k")):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            fit_layout(*args)
 
 
 def test_single_packet_generation():
@@ -250,6 +254,10 @@ def test_random_combinations_needs_a_row_stack():
     gen, src, rng = build(4, 3, seed=13)
     with pytest.raises(ValueError, match="expected"):
         random_combinations(GF256, src[0], 1, rng)
+    with pytest.raises(TypeError, match="count must be an integer"):
+        random_combinations(GF256, src, 2.0, rng)
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        random_combinations(GF256, src, -1, rng)
 
 
 def test_decode_rejects_rows_narrower_than_G():
@@ -262,3 +270,8 @@ def test_decode_rejects_rows_narrower_than_G():
     for m, pivot_width in ((src[:2], -1), (src[:2], 8), (zeros, 4)):
         with pytest.raises(ValueError, match="pivot_width"):
             reduced_row_echelon(GF256, m, pivot_width)
+    for solve in (decode, recover_subspan):
+        with pytest.raises(TypeError, match="G must be an integer"):
+            solve(GF256, src, 2.0)
+    with pytest.raises(TypeError, match="pivot_width must be an integer"):
+        reduced_row_echelon(GF256, src, 2.0)

@@ -35,7 +35,6 @@ from ncdetect.detect import (
 )
 from ncdetect.rlnc import (
     NotDecodable,
-    decode,
     decode_batch,
     make_generation,
     random_combinations,
@@ -49,6 +48,7 @@ from ncdetect.sim import (
     simulate_node,
     simulate_relay,
 )
+from reference import decode
 from relay_reference import simulate_relay_reference
 
 
@@ -300,8 +300,9 @@ VERDICT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(VERDICT_CASES))
 def test_miss_rate_verdicts_match_packet_reference(case, monkeypatch):
-    # Every batched decode equals decode on that trial's received rows, a
-    # trial is redrawn exactly when decode raises NotDecodable, and every
+    # Every batched decode equals the reference decode on that trial's
+    # received rows, a trial is redrawn exactly when it raises NotDecodable,
+    # and every
     # batched hash verdict equals gen_hash_verify on the decoded rows.
     f, G, k_data, hash_k, s = VERDICT_CASES[case]
     hp = HashParams(k=hash_k, field=f)
