@@ -178,8 +178,8 @@ def signature(seed: int = DEFAULT_SEED) -> CriterionResult:
 # -- reference eliminator for the round-trip criterion ------------------------
 #
 # Deliberately self-contained: its scalar arithmetic never touches
-# FieldSpec (binary multiply is a carryless shift-and-xor loop, inverses
-# come from a linear scan), so it is an independent witness for decode_batch.
+# FieldSpec (binary multiply is a carryless shift-and-xor loop, an inverse
+# is a^(q-2)), so it is an independent witness for decode_batch.
 
 
 class _RefField:
@@ -208,10 +208,18 @@ class _RefField:
         return r
 
     def inv(self, a):
-        for b in range(1, self.q):
-            if self.mul(a, b) == 1:
-                return b
-        raise ZeroDivisionError
+        """a^(q - 2), the inverse of a nonzero a."""
+        if not a:
+            raise ZeroDivisionError
+        if not self.poly:
+            return pow(a, self.q - 2, self.q)
+        out, e = 1, self.q - 2
+        while e:  # square and multiply
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
 
 
 def _reference_solve(ref: _RefField, rows: list[list[int]], g: int):

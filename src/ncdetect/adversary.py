@@ -9,7 +9,8 @@ coefficients.  rewrite_rows is the one corruption kernel, with two
 modes: random-symbol moves one payload symbol and leaves the hash
 symbols stale, and blind-s-packet replaces the whole row with junk.
 corrupt_stream_with_rng calls it one row at a time, in row order, and
-blind_forge_with_rng once per stack of streams.
+blind_forge_with_rng once per stack of streams, on the victims that
+_draw_victims picks.
 """
 
 from __future__ import annotations
@@ -81,6 +82,12 @@ def corrupt_stream_with_rng(rows, field, k_data: int, p: float,
     return out, hit
 
 
+def _draw_victims(rng: np.random.Generator, n: int, R: int, s: int) -> np.ndarray:
+    """The (n, s) victim rows of n streams of R rows: the first s of each
+    stream's rng.permuted order, drawn in one call for all n."""
+    return rng.permuted(np.broadcast_to(np.arange(R), (n, R)), axis=1)[:, :s]
+
+
 def blind_forge_with_rng(rows, field, k_data: int, s: int,
                          rng: np.random.Generator):
     """Replace s rows' (payload | hash) with blind forgeries in each stream.
@@ -90,10 +97,11 @@ def blind_forge_with_rng(rows, field, k_data: int, s: int,
     victims' encoding vectors stay as claimed, so the forgery's deviation
     from the true row space gets spread over the decoded rows by mixing
     coefficients the forger never saw.  This is the adversary the
-    ((k+1)/q)^s miss bound is stated against.  Each stream's victims are
-    the first s of an rng.permuted order; one rewrite_rows call forges
-    them all, stream by stream, in victim order.  Returns new rows and the
-    (..., R) bool mask of the victims.
+    ((k+1)/q)^s miss bound is stated against.  _draw_victims picks each
+    stream's victims; one rewrite_rows call forges them all, stream by
+    stream, in victim order.  Returns new rows and the (..., R) bool mask
+    of the victims.  sim.estimate_hash_miss_rate makes the same draws in
+    the same order, but mixes and forges only the victims' rows.
     """
     rows = field._elements(rows)
     if rows.ndim < 2 or not 1 <= _as_int(k_data, "k_data") <= rows.shape[-1]:
@@ -104,7 +112,7 @@ def blind_forge_with_rng(rows, field, k_data: int, s: int,
         raise ValueError(f"cannot forge {s} of {R} packets")
     n = int(np.prod(lead))
     out = rows.reshape(n, R, width).copy()
-    victims = rng.permuted(np.broadcast_to(np.arange(R), (n, R)), axis=1)[:, :s]
+    victims = _draw_victims(rng, n, R, s)
     hit = (np.repeat(np.arange(n), s), victims.ravel())
     out[hit] = rewrite_rows(field, out[hit], k_data, "blind-s-packet", rng)
     mask = np.zeros((n, R), dtype=bool)

@@ -18,12 +18,12 @@ they reach the sink.  Every run reads its counts (G, k_data, hash_k, s,
 trials) through algebra._as_int, so a float raises TypeError naming it.
 
 Every draw comes from one numpy Generator per run, _child_rng(seed, ...),
-every generation (one, or a (T, G, k_data) stack of T) from
-rlnc.make_generation, and every mixing step is one
-rlnc.random_combinations call.  The miss-rate run mixes, forges
-(adversary.blind_forge_with_rng), decodes (rlnc.decode_batch) and checks
-(detect.hash_consistent) T generations at once.  The signature run
-corrupts in one adversary.rewrite_rows call and verifies each side in one
+and every generation (one, or a (T, G, k_data) stack of T) from
+rlnc.make_generation.  The miss-rate run draws, forges
+(adversary.rewrite_rows), decodes by linearity (rlnc.solve_batch) and
+checks (detect.hash_consistent) T generations at once.  The signature
+run mixes with rlnc.random_combinations, corrupts in one
+adversary.rewrite_rows call and verifies each side in one
 detect.sig_verify_batch call.  The relay runs its T trials hop by hop on
 (T, R, G + width) stacks of wire rows, with (T, R) masks of the rows sent
 and of their ground-truth taint: each hop's checks are one
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .adversary import blind_forge_with_rng, corrupt_stream_with_rng, rewrite_rows
+from .adversary import _draw_victims, corrupt_stream_with_rng, rewrite_rows
 from .algebra import FieldSpec, _as_int, binary_field, make_group, prime_field
 from .analytic import OverheadPoint, SchemeParams, overhead_point
 from .detect import (
@@ -55,7 +55,7 @@ from .detect import (
     sig_verify_batch,
     subspan_consistency_batch,
 )
-from .rlnc import decode_batch, make_generation, random_combinations
+from .rlnc import make_generation, random_combinations, solve_batch
 
 _STDERR_BLOCKS = 50
 
@@ -185,16 +185,16 @@ class HashMissReport:
 
 
 # The miss-rate run's chunk budget: elements of one (T, G, G + width)
-# array in a chunk.  Chunks hold as many trials as fit, and at least one,
-# so peak memory does not grow with the trial count.  Chunk boundaries fix
-# the order of the draws, so the budget is pinned by MISS_RATE_GOLDEN.
+# array in a chunk, the size of the trials' received wire rows.  Chunks
+# hold as many trials as fit, and at least one, so peak memory does not
+# grow with the trial count.  Chunk boundaries fix the order of the
+# draws, so the budget is pinned by MISS_RATE_GOLDEN and stays as it is,
+# although the run no longer builds those rows.
 #
 # 2^16 holds a whole 32-trial call in one pass at both hashbound
 # criterion shapes (75 trials fit at G=8, k=100; 138 at k=50), so a call
 # pays numpy's fixed per-pass cost once.  A G=32, k=1000 trial (33 056
-# elements) still gets a pass of its own: at three trials per pass its
-# int64 index temporaries outgrow the cache and the run slows by 15-20%
-# (2-vCPU VM).
+# elements) gets a pass of its own.
 _MISS_RATE_CHUNK_ELEMENTS = 1 << 16
 
 
@@ -215,17 +215,24 @@ def estimate_hash_miss_rate(field: FieldSpec, G: int, k_data: int,
                             seed: int) -> HashMissReport:
     """Empirical miss rate of the generation hash against blind forgery.
 
-    Per trial: a fresh generation is mixed into G random combinations (the
-    honest randomness the forger never sees), s of them are hijacked in
-    flight with junk data under unchanged claimed coefficients, and the
-    receiver decodes and checks.  A miss is a Valid verdict on a polluted
-    generation; the bound is ((k+1)/q)^s.  Singular mixing draws are
-    redrawn (the receiver cannot check what it cannot decode).
+    Per trial: a fresh generation S is mixed into G random combinations
+    C S (C is the honest randomness the forger never sees), s of them are
+    hijacked in flight with junk data J under unchanged claimed
+    coefficients, and the receiver decodes and checks.  A miss is a Valid
+    verdict on a polluted generation; the bound is ((k+1)/q)^s.  Singular
+    mixing draws are redrawn (the receiver cannot check what it cannot
+    decode).
 
-    Trials run on the batch pipeline of the module docstring, with
-    adversary.rewrite_rows's "blind-s-packet" mode as the forgery, in
-    chunks of _MISS_RATE_CHUNK_ELEMENTS: a 32-trial call at either
-    hashbound criterion shape is one pass.
+    The decode is linear in the forged rows: with victims v, the receiver
+    solves C^-1 D' = S + C^-1[:, v] (J - C[v] S).  So each pass draws the
+    (T, G, G) coefficients C, then the victims (adversary._draw_victims),
+    mixes only the victims' rows C[v] S, and forges them with one
+    adversary.rewrite_rows "blind-s-packet" call: the draws of
+    random_combinations and blind_forge_with_rng on the full mixing, in
+    their order.  One solve_batch call on (C | unit columns at v) gives
+    each trial's rank, and so its redraw, and the s columns C^-1[:, v].
+    Trials run in chunks of _MISS_RATE_CHUNK_ELEMENTS: a 32-trial call at
+    either hashbound criterion shape is one pass.
     """
     G, k_data, hash_k, s, trials = (_as_int(v, name) for v, name in (
         (G, "G"), (k_data, "k_data"), (hash_k, "hash_k"), (s, "s"), (trials, "trials")))
@@ -242,11 +249,21 @@ def estimate_hash_miss_rate(field: FieldSpec, G: int, k_data: int,
         decoded = np.empty_like(src)
         todo = np.arange(len(src))
         while todo.size:
-            coeffs, data = random_combinations(field, src[todo], G, rng)
-            data, _ = blind_forge_with_rng(data, field, k_data, s, rng)
-            full_rank, rows = decode_batch(
-                field, np.concatenate([coeffs, data], axis=-1), G)
-            decoded[todo[full_rank]] = rows[full_rank]
+            n, lead = todo.size, np.arange(todo.size)[:, None]
+            coeffs = field.random_elements(rng, (n, G, G))
+            victims = _draw_victims(rng, n, G, s)
+            honest = field._matmul(coeffs[lead, victims], src[todo])
+            junk = rewrite_rows(field, honest.reshape(n * s, -1), k_data,
+                                "blind-s-packet", rng)
+            units = np.zeros((n, G, s), dtype=field.dtype)
+            units[lead, victims, np.arange(s)] = 1
+            pivoted, columns = solve_batch(
+                field, np.concatenate([coeffs, units], axis=-1), G)
+            full_rank = pivoted.all(axis=1)
+            error = field._sub(junk.reshape(honest.shape)[full_rank], honest[full_rank])
+            done = todo[full_rank]
+            decoded[done] = field._add(src[done],
+                                       field._matmul(columns[full_rank], error))
             todo = todo[~full_rank]
             redraws += todo.size
         misses += int(np.count_nonzero(hash_consistent(decoded, hp)))

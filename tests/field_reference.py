@@ -1,9 +1,12 @@
-"""Scalar field arithmetic for the tests, independent of FieldSpec's tables.
+"""Scalar field arithmetic and the row hash for the tests, independent of
+FieldSpec's tables and of detect's hash.
 
 GF(2^w) multiplies by carryless shift-and-xor with reduction by the
 field's polynomial (bitpoly_mul); prime fields use Python's ``%``.  The
 tests compare FieldSpec's array kernels against these, so a wrong table
-or log/exp entry cannot also be the expected value.
+or log/exp entry cannot also be the expected value.  row_hash and
+hash_matches recompute the generation hash on this arithmetic, symbol by
+symbol, as the oracle of detect.hash_consistent.
 """
 
 
@@ -50,3 +53,33 @@ class ScalarField:
     def inv(self, a: int) -> int:
         """a**(q - 2), the inverse of a nonzero a; 0 is taken to 0."""
         return self.pow(a, self.q - 2) if a else 0
+
+
+def row_hash(field, payload, k: int) -> list[int]:
+    """The hash symbols of one payload row, symbol by symbol.
+
+    Each block of k symbols x_1..x_k gives sum_i x_i^(i+1), each power
+    by ScalarField.pow and the sum by ScalarField.add; a short last block
+    just has fewer terms.
+    """
+    s = ScalarField(field)
+    out = []
+    for start in range(0, len(payload), k):
+        acc = 0
+        for e, x in enumerate(payload[start : start + k], start=2):
+            acc = s.add(acc, s.pow(int(x), e))
+        out.append(acc)
+    return out
+
+
+def hash_matches(field, rows, k: int) -> bool:
+    """Whether every (payload | hash) row carries row_hash of its payload.
+
+    A row of k_data payload symbols carries ceil(k_data / k) hash
+    symbols, so its width fixes the split.  Stops at the first row that
+    does not match.
+    """
+    width = len(rows[0])
+    n_h = next(n for n in range(1, width) if -(-(width - n) // k) == n)
+    return all(row_hash(field, row[: width - n_h], k) == [int(v) for v in row[width - n_h :]]
+               for row in rows)

@@ -10,14 +10,15 @@ listed test passes under its mutant.
 
     python tests/mutants.py
 
-It needs only the standard library and pytest, and is not part of the
-test suite.  A change to a listed kernel updates its entries in the same
-change.  The listed tests are deterministic tables and goldens, so a run
-takes under a minute.  The one Hypothesis property among them,
+It needs only the standard library, pytest and Hypothesis, and is not
+part of the test suite.  A change to a listed kernel updates its entries
+in the same change.  The listed tests are tables, oracles and goldens, so
+a run takes under a minute.  The one Hypothesis property among them,
 test_rewrite_rows_modes, runs over GF(2) and GF(2^2) too: there a junk
 payload of a few symbols equals the honest one with probability 1/2^k_data
-or 1/4^k_data per row, so its 15 examples per field meet one on every
-run in practice.
+or 1/4^k_data per row, so its 15 examples per field meet one.  It runs
+with Hypothesis's pytest plugin at --hypothesis-seed=0, so its kill
+replays exactly.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 EDGE_CASES = "tests/test_batch.py::test_decode_batch_edge_cases_match_decode"
 MISS_RATE_PIN = "tests/test_batch.py::test_miss_rate_run_is_pinned"
+MISS_RATE_VERDICTS = "tests/test_sim.py::test_miss_rate_verdicts_match_packet_reference"
+HASH_CONSISTENT = "tests/test_batch.py::test_hash_consistent_sees_every_symbol"
 RELAY_GOLDEN = "tests/test_sim.py::test_relay_golden"
 RELAY_ORACLE = "tests/test_sim.py::test_relay_matches_the_trial_by_trial_oracle"
 STACK_AXES = "tests/test_rlnc.py::test_generation_stack_keeps_its_leading_axes"
@@ -54,7 +57,7 @@ MUTANTS = [
      [EDGE_CASES, RELAY_GOLDEN, RELAY_ORACLE]),
     ("a column without a pivot is not marked", "rlnc.py",
      "            pivoted[:, c] = pivot != 0\n", "",
-     [EDGE_CASES, MISS_RATE_PIN, RELAY_GOLDEN, RELAY_ORACLE]),
+     [EDGE_CASES, MISS_RATE_PIN, MISS_RATE_VERDICTS, RELAY_GOLDEN, RELAY_ORACLE]),
     ("the final scaling also scales tail rows", "rlnc.py",
      "np.where(pivoted, field._inv(m[:, diag, diag]), 1)",
      "field._inv(m[:, diag, diag])",
@@ -74,7 +77,19 @@ MUTANTS = [
      [ORACLE_FLIP, RELAY_GOLDEN]),
     ("gen_hash_append raises each symbol to one power too few", "detect.py",
      "% params.k) + 2)", "% params.k) + 1)",
-     [HASH_BRUTE, MISS_RATE_PIN]),
+     [HASH_BRUTE, MISS_RATE_PIN, MISS_RATE_VERDICTS]),
+    ("hash_consistent compares only the first hash symbol", "detect.py",
+     "np.all(recomputed == d[..., k_data:], axis=(-2, -1))",
+     "np.all(recomputed[..., :1] == d[..., k_data : k_data + 1], axis=(-2, -1))",
+     [HASH_CONSISTENT]),
+    ("the miss-rate decode's error term is the junk, not junk - honest", "sim.py",
+     "field._sub(junk.reshape(honest.shape)[full_rank], honest[full_rank])",
+     "junk.reshape(honest.shape)[full_rank]",
+     [MISS_RATE_VERDICTS, MISS_RATE_PIN]),
+    ("the miss-rate decode's unit columns sit at the wrong victims", "sim.py",
+     "units[lead, victims, np.arange(s)] = 1",
+     "units[lead, (victims + 1) % G, np.arange(s)] = 1",
+     [MISS_RATE_VERDICTS, MISS_RATE_PIN]),
     ("rewrite_rows keeps a blind junk payload equal to the honest one",
      "adversary.py",
      "    for i in np.flatnonzero(np.all(out[:, :k_data] == rows[:, :k_data], axis=1)):\n"
@@ -93,11 +108,13 @@ def _failed(root: Path, tests: list[str]) -> dict[str, bool]:
     a mutant that no longer imports.
     """
     report = root / "report.xml"
-    # The listed tests need no plugin, and the report needs no traceback:
-    # loading the installed plugins costs over a second per run, and
-    # formatting a mutant's hundreds of failures up to ten.
+    # The listed tests need no plugin but Hypothesis's, which pins its
+    # seed, and the report needs no traceback: loading every installed
+    # plugin costs over a second per run, and formatting a mutant's
+    # hundreds of failures up to ten.
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--tb=no", "-p", "no:cacheprovider",
+         "-p", "_hypothesis_pytestplugin", "--hypothesis-seed=0",
          f"--junitxml={report}", *tests],
         cwd=root, capture_output=True, text=True,
         env={**os.environ, "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"})

@@ -6,13 +6,17 @@ rlnc.solve_batch: a pivot-by-pivot Gauss-Jordan loop over one (R, G +
 width) matrix, with its own pivot search, row swaps and normalisation.
 The batched kernels, and the one-trial calls built on them, are tested
 against these, so a fault in solve_batch cannot also be the expected
-value.  Input checks are left to the library.
+value.  subspan_consistency checks hashes with field_reference's
+brute-force hash_matches, not with detect.hash_consistent.  Input checks
+are left to the library.
 """
 
 import numpy as np
 
-from ncdetect.detect import Verdict, hash_consistent
+from ncdetect.detect import Verdict
 from ncdetect.rlnc import NotDecodable
+
+from field_reference import hash_matches
 
 
 def reduced_row_echelon(field, matrix, pivot_width):
@@ -80,6 +84,6 @@ def subspan_consistency(rows, G, params):
         return Verdict.CORRUPTED, support, None
     if status == "underdetermined":
         return Verdict.INCONCLUSIVE, support, None
-    if solved.shape[0] == 0 or hash_consistent(solved, params):
+    if solved.shape[0] == 0 or hash_matches(params.field, solved, params.k):
         return Verdict.VALID, support, solved
     return Verdict.CORRUPTED, support, solved

@@ -43,7 +43,7 @@ from ncdetect.rlnc import (
     solve_batch,
 )
 from ncdetect.sim import estimate_hash_miss_rate
-from field_reference import ScalarField
+from field_reference import ScalarField, hash_matches
 import reference
 
 
@@ -431,7 +431,23 @@ def test_hash_consistent_matches_gen_hash_verify(f, seed, T, R, k_data):
     ok = hash_consistent(rows, hp)
     assert ok.shape == (T,)
     for t in range(T):
+        assert bool(ok[t]) == hash_matches(f, rows[t], hp.k)
         assert bool(ok[t]) == (gen_hash_verify(rows[t], hp) is Verdict.VALID)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
+def test_hash_consistent_sees_every_symbol(f):
+    # Two rows of three hash blocks each; each copy moves one symbol,
+    # payload or hash, in any block, and its verdict is the brute-force
+    # row hash's.
+    hp = HashParams(k=3, field=f)
+    payload = f.random_elements(_rng(7), (2, 8))
+    rows = np.concatenate([payload, gen_hash_append(payload, hp)], axis=-1)
+    moved = np.repeat(rows[None], rows.size, axis=0)
+    for n, (i, j) in enumerate(np.ndindex(rows.shape)):
+        moved[n, i, j] = ScalarField(f).add(int(rows[i, j]), 1)
+    assert hash_consistent(rows, hp) and hash_matches(f, rows, hp.k)
+    assert hash_consistent(moved, hp).tolist() == [hash_matches(f, m, hp.k) for m in moved]
 
 
 # Binary fields of both product paths and primes on the int64 and the

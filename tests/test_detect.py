@@ -36,7 +36,7 @@ from ncdetect.rlnc import (
     random_combinations,
 )
 
-from field_reference import ScalarField
+from field_reference import ScalarField, row_hash
 from reference import reduced_row_echelon
 
 GF256 = binary_field(8)
@@ -60,20 +60,6 @@ def blind_forge(field, rows, G, k_data, s, rng):
     """The wire rows with s of them blind-forged; every claim stays."""
     data, _ = blind_forge_with_rng(rows[:, G:], field, k_data, s, rng)
     return np.hstack([rows[:, :G], data])
-
-
-def brute_force_hash(field, payload, k):
-    """Term-by-term polynomial evaluation with plain repeated multiplication."""
-    out, s = [], ScalarField(field)
-    for start in range(0, len(payload), k):
-        acc = 0
-        for i, x in enumerate(payload[start : start + k], start=1):
-            term = 1
-            for _ in range(i + 1):
-                term = s.mul(term, int(x))
-            acc = s.add(acc, term)
-        out.append(acc)
-    return out
 
 
 def test_hash_of_zero_payload_is_zero():
@@ -101,7 +87,7 @@ def test_hash_matches_brute_force(field):
     for _ in range(40):
         payload = field.random_elements(rng, 13)
         got = gen_hash_append(payload, hp)
-        assert [int(v) for v in got] == brute_force_hash(field, payload, 5)
+        assert [int(v) for v in got] == row_hash(field, payload, 5)
 
 
 def test_hash_params_k_is_a_positive_integer():

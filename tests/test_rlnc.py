@@ -212,6 +212,15 @@ def test_decode_failure_agrees_with_reference_oracle():
     assert outcomes[True] > 0
 
 
+@pytest.mark.parametrize("q, poly", [(4, 0b111), (16, 0b10011), (256, 0b100011011),
+                                     (2, 0), (257, 0)])
+def test_reference_field_inverts_every_nonzero_element(q, poly):
+    ref = _RefField(q, poly)
+    assert all(ref.mul(a, ref.inv(a)) == 1 for a in range(1, q))
+    with pytest.raises(ZeroDivisionError):
+        ref.inv(0)
+
+
 def test_decode_never_fabricates_on_corruption():
     gen, src, rng = build(6, 5, seed=9)
     stream = src.copy()
